@@ -21,20 +21,8 @@ from . import cocycle_walk as cw
 from . import fourier as fr
 from . import normality as nm
 from .ifs_core import WeightVector
-from .specfile import SpecFileError, builtin_system, parse_config, parse_ifs_file
+from .specfile import SpecFileError, parse_config, resolve_system
 from .suites import BUILTIN_SUITES, SuiteResult, run_suite
-
-EXPERIMENT_KINDS = (
-    "suite",
-    "fourier-decay",
-    "normality",
-    "llt",
-    "clt",
-    "classify",
-    "moser",
-    "scaled-energy",
-    "del-criterion",
-)
 
 
 class ConfigError(ValueError):
@@ -48,11 +36,7 @@ def _need(cfg, key):
 
 
 def _load_system(cfg):
-    ref = _need(cfg, "ifs")
-    if ref.startswith("builtin:"):
-        spec = builtin_system(ref.split(":", 1)[1])
-    else:
-        spec = parse_ifs_file(ref)
+    spec = resolve_system(_need(cfg, "ifs"))
     weights = spec.weights
     if "weights" in cfg:
         weights = WeightVector([Fraction(w) for w in cfg["weights"].split()])
@@ -93,6 +77,10 @@ def _write_tables(result, out_dir):
     summary.write_text("\n".join(result.summary_lines()) + "\n")
     written.append(summary)
     return written
+
+
+def _run_suite(cfg, seed):
+    return run_suite(_need(cfg, "suite"))
 
 
 def _run_fourier_decay(cfg, seed):
@@ -276,10 +264,11 @@ def _run_del_criterion(cfg, seed):
 
 
 _RUNNERS = {
+    "suite": _run_suite,
     "fourier-decay": _run_fourier_decay,
+    "normality": _run_normality,
     "llt": _run_llt,
     "clt": _run_clt,
-    "normality": _run_normality,
     "classify": _run_classify,
     "moser": _run_moser,
     "scaled-energy": _run_scaled_energy,
@@ -291,15 +280,13 @@ def cmd_run(args):
     try:
         cfg = parse_config(args.config)
         kind = _need(cfg, "experiment")
-        if kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {kind!r}; known: {', '.join(EXPERIMENT_KINDS)}")
+        if kind not in _RUNNERS:
+            raise ConfigError(f"unknown experiment kind {kind!r}; known: {', '.join(_RUNNERS)}")
         seed = int(cfg.get("seed", "0"))
         out_dir = Path(cfg.get("out", "fractalab-out"))
-        if kind == "suite":
-            result = run_suite(_need(cfg, "suite"))
-        else:
-            result = _RUNNERS[kind](cfg, seed)
-    except (ConfigError, SpecFileError, KeyError) as exc:
+        result = _RUNNERS[kind](cfg, seed)
+    except (ValueError, KeyError) as exc:
+        # config errors and values the experiment rejects (PreconditionError)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_tables(result, out_dir)
@@ -309,10 +296,7 @@ def cmd_run(args):
 
 def cmd_classify(args):
     try:
-        if args.ifs_file.startswith("builtin:"):
-            spec = builtin_system(args.ifs_file.split(":", 1)[1])
-        else:
-            spec = parse_ifs_file(args.ifs_file)
+        spec = resolve_system(args.ifs_file)
     except (SpecFileError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

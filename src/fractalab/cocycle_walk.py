@@ -16,25 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ifs_core import PreconditionError
+from .ifs_core import PreconditionError, _draw_symbols, _pull_back
 
 _CHUNK = 100_000  # paths simulated per chunk to bound peak memory
 
 
 class TraceTooShortError(ValueError):
     pass
-
-
-def _weights_cumulative(p, n):
-    w = np.array([float(x) for x in p], dtype=float)
-    if len(w) != n:
-        raise ValueError("weight vector length does not match the IFS")
-    return np.cumsum(w)
-
-
-def _draw_symbols(rng, cumw, shape):
-    """0-based symbol matrix with P(symbol = i) = p_{i+1}."""
-    return np.searchsorted(cumw, rng.random(shape), side="right").astype(np.int64)
 
 
 def _neg_log_ratios(ifs):
@@ -56,28 +44,27 @@ def _walk_matrix(ifs, p, n_paths, length, rng):
     symbols is 0-based (n_paths, length); X[i, j] is the increment
     X_{j+1} = -log|f'_{omega_{j+1}}(x_{sigma^{j+1} omega})|.
     """
-    cumw = _weights_cumulative(p, ifs.n)
     if ifs.is_affine:
-        sym = _draw_symbols(rng, cumw, (n_paths, length))
+        sym = _draw_symbols(ifs, p, rng, (n_paths, length))
         return sym, _neg_log_ratios(ifs)[sym]
 
-    tail = _smooth_tail_length(ifs)
-    sym = _draw_symbols(rng, cumw, (n_paths, length + tail))
-    x = np.full(n_paths, float(ifs.x0))
+    sym = _draw_symbols(ifs, p, rng, (n_paths, length + _smooth_tail_length(ifs)))
+    x = _pull_back(ifs, sym[:, length:], np.full(n_paths, float(ifs.x0)))
     xnext = np.empty(n_paths)
     incs = np.empty((n_paths, length))
-    for j in range(length + tail - 1, -1, -1):
+    # the pull-back through the first `length` columns is fused with the
+    # increments, which need each map's argument
+    for j in range(length - 1, -1, -1):
         col = sym[:, j]
         xnext[:] = x
         for i, m in enumerate(ifs.maps):
             mask = col == i
             if mask.any():
                 x[mask] = m(xnext[mask])
-                if j < length:
-                    if m.kind == "affine":
-                        incs[mask, j] = -math.log(float(abs(m.ratio)))
-                    else:
-                        incs[mask, j] = -np.log(np.abs(m.deriv(xnext[mask])))
+                if m.kind == "affine":
+                    incs[mask, j] = -math.log(float(abs(m.ratio)))
+                else:
+                    incs[mask, j] = -np.log(np.abs(m.deriv(xnext[mask])))
     return sym[:, :length], incs
 
 
@@ -222,9 +209,9 @@ def gamma_law(ifs, p, eta_prime, k, chi, n_atoms=256, rng_seed=0):
     """
     if not eta_prime:
         raise PreconditionError("eta_prime must be a nonempty word")
-    first = eta_prime[0]
-    if not 1 <= first <= ifs.n:
+    if not all(1 <= s <= ifs.n for s in eta_prime):
         raise ValueError("suffix symbol out of range")
+    first = eta_prime[0]
     kchi = float(k) * float(chi)
     dp = ifs.big_d_prime
     if ifs.is_affine:
@@ -233,18 +220,9 @@ def gamma_law(ifs, p, eta_prime, k, chi, n_atoms=256, rng_seed=0):
     # smooth: X_1 = -log|f'_{first}(x)| with x a coding point of sequences
     # extending the rest of eta_prime
     rng = np.random.default_rng(rng_seed)
-    tail = _smooth_tail_length(ifs)
-    cumw = _weights_cumulative(p, ifs.n)
-    body = list(eta_prime[1:])
-    sym = _draw_symbols(rng, cumw, (n_atoms, tail))
-    x = np.full(n_atoms, float(ifs.x0))
-    for j in range(tail - 1, -1, -1):
-        for i, m in enumerate(ifs.maps):
-            mask = sym[:, j] == i
-            if mask.any():
-                x[mask] = m(x[mask])
-    for s in reversed(body):
-        x = ifs.maps[s - 1](x)
+    tail = _draw_symbols(ifs, p, rng, (n_atoms, _smooth_tail_length(ifs)))
+    body = np.tile(np.array(eta_prime[1:], dtype=int) - 1, (n_atoms, 1))
+    x = _pull_back(ifs, np.hstack([body, tail]), np.full(n_atoms, float(ifs.x0)))
     fm = ifs.maps[first - 1]
     if fm.kind == "affine":
         xs = np.full(n_atoms, -math.log(float(abs(fm.ratio))))
@@ -327,13 +305,12 @@ def conditional_llt_experiment(
     dp = ifs.big_d_prime
     length = int(math.ceil(((k + h + h_prime) * chi + 3 * dp) / d)) + 4
     rng = np.random.default_rng(rng_seed)
-    cumw = _weights_cumulative(p, ifs.n)
 
     cells = {}
     done = 0
     while done < paths:
         m = min(_CHUNK, paths - done)
-        sym = _draw_symbols(rng, cumw, (m, length))
+        sym = _draw_symbols(ifs, p, rng, (m, length))
         S = np.cumsum(logr[sym], axis=1)
         # tau_k: first 0-based column j with S >= k*chi
         j = np.argmax(S >= k * chi, axis=1)
@@ -376,13 +353,6 @@ def conditional_llt_experiment(
         excluded_mass=excluded / paths,
         min_cell=min_cell,
     )
-
-
-def growing_h_llt_experiment(ifs, p, k, h_prime, paths, rng_seed=0, h=None, **kw):
-    """Conditional LLT run with the prefix horizon h growing as k/2."""
-    if h is None:
-        h = k / 2
-    return conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed, **kw)
 
 
 @dataclass
@@ -433,19 +403,13 @@ def bracket_check(ifs, p, pairs, rng_seed=0, k_max=50.0, ks_per_path=10):
     d, dp = ifs.big_d, ifs.big_d_prime
     length = int(math.ceil((k_max * chi + 2 * dp) / d)) + 2
     rng = np.random.default_rng(rng_seed)
-    cumw = _weights_cumulative(p, ifs.n)
     violations = 0
     done = 0
     n_paths = pairs // ks_per_path
-    logr = _neg_log_ratios(ifs)
     while done < n_paths:
         m = min(_CHUNK // 4, n_paths - done)
-        if ifs.is_affine:
-            sym = _draw_symbols(rng, cumw, (m, length))
-            S = np.cumsum(logr[sym], axis=1)
-        else:
-            _, inc = _walk_matrix(ifs, p, m, length, rng)
-            S = np.cumsum(inc, axis=1)
+        _, inc = _walk_matrix(ifs, p, m, length, rng)
+        S = np.cumsum(inc, axis=1)
         rows = np.arange(m)
         for _ in range(ks_per_path):
             kvec = rng.uniform(0.5, k_max, size=m)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .ifs_core import PreconditionError
+from .ifs_core import PreconditionError, _draw_symbols, _pull_back
 from .quadfield import QuadExact, is_exact
 
 TWO_PI = 2 * math.pi
@@ -140,23 +140,8 @@ def sample_points(ifs, p, n_points, rng, eps):
     dmin, dmax = ifs.deriv_bounds()
     width = float(ifs.interval_width())
     length = max(1, int(math.ceil(math.log(max(width / eps, 2.0)) / -math.log(dmax))))
-    cumw = np.cumsum([float(w) for w in p])
-    x = np.full(n_points, float(ifs.x0))
-    sym = np.searchsorted(cumw, rng.random((n_points, length)), side="right")
-    if ifs.is_affine:
-        r = np.array([float(m.ratio) for m in ifs.maps])
-        t = np.array([float(m.translation) for m in ifs.maps])
-        for j in range(length - 1, -1, -1):
-            s = sym[:, j]
-            x = r[s] * x + t[s]
-        return x
-    for j in range(length - 1, -1, -1):
-        s = sym[:, j]
-        for i, m in enumerate(ifs.maps):
-            mask = s == i
-            if mask.any():
-                x[mask] = m(x[mask])
-    return x
+    sym = _draw_symbols(ifs, p, rng, (n_points, length))
+    return _pull_back(ifs, sym, np.full(n_points, float(ifs.x0)))
 
 
 def fourier_mc(ifs, p, q, samples, rng_seed=0):
@@ -309,12 +294,11 @@ def del_criterion_diagnostic(ifs, p, base, q, n_max, samples=200, rng_seed=0):
     # digits of accuracy needed at shift n_max plus slack
     length = int(math.ceil(n_max * math.log(base) / -math.log(dmax))) + 64
     rng = np.random.default_rng(rng_seed)
-    cumw = np.cumsum([float(w) for w in p])
     qi = Fraction(q)
 
     w_acc = np.zeros((samples, n_max), dtype=complex)
     for s_idx in range(samples):
-        word = np.searchsorted(cumw, rng.random(length), side="right")
+        word = _draw_symbols(ifs, p, rng, length)
         # exact f_eta(x0): iterate backwards over the word
         x = Fraction(ifs.x0)
         for j in range(length - 1, -1, -1):

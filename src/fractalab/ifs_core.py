@@ -63,9 +63,6 @@ class Enclosure:
     def __contains__(self, x):
         return self.lo <= x <= self.hi
 
-    def contains_enclosure(self, other):
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def serialize(self):
         w = self.width
         digits = 3 if w == 0 else max(3, 2 - math.floor(math.log10(float(w) or 1e-300)))
@@ -604,18 +601,8 @@ def log_derivative_holder_check(ifs, eta, x, y):
     eta = validate_word(ifs, eta)
     gamma, c = ifs.holder_data()
     xf, yf = float(x), float(y)
-    if not eta or xf == yf or c == 0:
-        bound = 0.0 if (not eta or xf == yf) else None
-        g = compose_word(ifs, eta) if eta else IDENTITY
-        if isinstance(g, AffineMap):
-            lhs = 0.0
-        else:
-            lhs = abs(math.log(abs(g.deriv(xf))) - math.log(abs(g.deriv(yf))))
-        if bound is None:
-            bound = c * math.exp(ifs.big_d_prime) / (1 - math.exp(-ifs.big_d * gamma)) * abs(
-                xf - yf
-            ) ** gamma
-        return lhs, bound
+    if not eta or xf == yf:
+        return 0.0, 0.0
     g = compose_word(ifs, eta)
     if isinstance(g, AffineMap):
         lhs = 0.0
@@ -628,6 +615,40 @@ def log_derivative_holder_check(ifs, eta, x, y):
         * abs(xf - yf) ** gamma
     )
     return lhs, bound
+
+
+# -- sampling nu -------------------------------------------------------------
+
+
+def _draw_symbols(ifs, p, rng, shape):
+    """0-based symbols of the given shape with P(symbol = i) = p_{i+1}."""
+    if len(p) != ifs.n:
+        raise ValueError("weight vector length does not match the IFS")
+    cumw = np.cumsum([float(w) for w in p])
+    return np.searchsorted(cumw, rng.random(shape), side="right")
+
+
+def _pull_back(ifs, sym, x):
+    """Row-wise f_{sym[:,0]} o ... o f_{sym[:,-1]}(x) in floats.
+
+    sym holds 0-based symbols, one row per entry of x; the word is applied
+    innermost (last column) first.
+    """
+    if ifs.is_affine:
+        r = np.array([float(m.ratio) for m in ifs.maps])
+        t = np.array([float(m.translation) for m in ifs.maps])
+        for j in range(sym.shape[1] - 1, -1, -1):
+            s = sym[:, j]
+            x = r[s] * x + t[s]
+        return x
+    x = np.array(x, dtype=float)
+    for j in range(sym.shape[1] - 1, -1, -1):
+        col = sym[:, j]
+        for i, m in enumerate(ifs.maps):
+            mask = col == i
+            if mask.any():
+                x[mask] = m(x[mask])
+    return x
 
 
 # -- catalog ----------------------------------------------------------------

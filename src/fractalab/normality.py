@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cocycle_walk import lyapunov
-from .ifs_core import PreconditionError, compose_word
+from .ifs_core import PreconditionError, _draw_symbols, compose_word
 from .quadfield import QuadExact
 
 GUARD_DIGITS = 8
@@ -82,14 +82,13 @@ def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=
     if base < 2:
         raise ValueError("base must be >= 2")
     rng = np.random.default_rng(rng_seed)
-    cumw = np.cumsum([float(w) for w in p_weights])
     dmax = ifs.deriv_bounds()[1]
     width = float(ifs.interval_width())
     need = Fraction(base) ** -(n_digits + GUARD_DIGITS)
     log_need = -(n_digits + GUARD_DIGITS) * math.log(base)
     base_len = max(1, int(math.ceil((math.log(width) - log_need) / -math.log(dmax))))
 
-    prefix = [int(s) + 1 for s in np.searchsorted(cumw, rng.random(base_len), side="right")]
+    prefix = [int(s) + 1 for s in _draw_symbols(ifs, p_weights, rng, base_len)]
     for attempt in range(max_extensions + 1):
         enc = coding_point(ifs, prefix, need)
         digits = _common_digits(enc.lo, enc.hi, base, n_digits + GUARD_DIGITS)
@@ -103,9 +102,7 @@ def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=
             )
         # straddling a digit boundary: extend the sequence and shrink
         extra = max(4, base_len // 8)
-        prefix.extend(
-            int(s) + 1 for s in np.searchsorted(cumw, rng.random(extra), side="right")
-        )
+        prefix.extend(int(s) + 1 for s in _draw_symbols(ifs, p_weights, rng, extra))
         need /= Fraction(base) ** 2
     raise DigitExtractionError(
         f"point still straddles a base-{base} cell boundary after "

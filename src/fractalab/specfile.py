@@ -55,6 +55,13 @@ def builtin_system(name):
     return IfsSpec(ifs=table[name][0], weights=table[name][1])
 
 
+def resolve_system(ref):
+    """IfsSpec named by `builtin:<name>` or by the path of an IFS file."""
+    if ref.startswith("builtin:"):
+        return builtin_system(ref.split(":", 1)[1])
+    return parse_ifs_file(ref)
+
+
 def parse_ifs_file(path):
     kind = None
     interval = None

@@ -25,6 +25,7 @@ from .ifs_core import (
     aperiodic_125,
     bernoulli_convolution,
     cantor,
+    compose_word,
     golden_bernoulli,
     registered_affine,
     smooth_example,
@@ -37,12 +38,6 @@ def _load_pins():
     if _PINS_PATH.exists():
         return json.loads(_PINS_PATH.read_text())
     return {}
-
-
-def _store_pin(key, value):
-    pins = _load_pins()
-    pins[key] = value
-    _PINS_PATH.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass
@@ -165,17 +160,16 @@ def suite_pisot_nondecay(tol=1e-6, n_max=25):
     floor = min(mags)
     res.tables["pisot"] = (("n", "q", "abs_F"), rows)
     res.check("min |F_{r^{-n}}| > 0 for n <= 25", floor > 0, f"floor {floor:.6g}")
-    pins = _load_pins()
-    if "pisot-floor" not in pins:
-        _store_pin("pisot-floor", floor)
-        pins = _load_pins()
-    pinned = pins["pisot-floor"]
-    res.check(
-        "floor matches the value pinned at first run (tol 1e-6)",
-        abs(floor - pinned) <= 1e-6,
-        f"floor {floor:.8g}, pinned {pinned:.8g}; the non-decay limit "
-        f"prod cos(2 pi r^k)^2 ~ 4.87e-4 sits below the nominal 1e-2 scale",
-    )
+    pinned = _load_pins().get("pisot-floor")
+    if pinned is None:
+        ok, detail = False, f"floor {floor:.8g}, but {_PINS_PATH.name} has no pisot-floor entry"
+    else:
+        ok = abs(floor - pinned) <= 1e-6
+        detail = (
+            f"floor {floor:.8g}, pinned {pinned:.8g}; the non-decay limit "
+            f"prod cos(2 pi r^k)^2 ~ 4.87e-4 sits below the nominal 1e-2 scale"
+        )
+    res.check("floor matches the value pinned at first run (tol 1e-6)", ok, detail)
     return res
 
 
@@ -431,7 +425,7 @@ def suite_classification(tol=1e-6):
     thr = Fraction(1, 3)
     defining = all(
         Fraction(m.ratio) < thr
-        and (Fraction(1) if len(wd) == 1 else Fraction(compose_ratio(two_five, wd[:-1]))) >= thr
+        and compose_word(two_five, wd[:-1]).ratio >= thr
         for m, wd in zip(p3.maps, p3.words)
     )
     res.check("Phi_m defining inequalities hold exactly", defining)
@@ -452,13 +446,6 @@ def suite_classification(tol=1e-6):
     )
     res.check("{1/2,1/3}: no common integer base", not f3.in_form, f3.note)
     return res
-
-
-def compose_ratio(ifs, word):
-    out = Fraction(1)
-    for s in word:
-        out *= Fraction(ifs.maps[s - 1].ratio)
-    return out
 
 
 # -- 11: scaled energy --------------------------------------------------------

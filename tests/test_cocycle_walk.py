@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fractalab import cocycle_walk
 from fractalab.cocycle_walk import (
+    LyapunovEstimate,
     TraceTooShortError,
     bracket_check,
     clt_experiment,
@@ -118,6 +120,19 @@ def test_bracket_check_no_violations():
         assert checked == 20_000
 
 
+def test_bracket_check_smooth_system(monkeypatch):
+    # every increment is <= D', so the bracket holds for any chi > 0; a
+    # fixed chi stands in for the 1e6-step Monte Carlo estimate
+    ifs = smooth_example()
+    chi = (ifs.big_d + ifs.big_d_prime) / 2
+    monkeypatch.setattr(
+        cocycle_walk, "lyapunov", lambda *a, **kw: LyapunovEstimate(chi, 0.0, "fixed")
+    )
+    violations, checked = bracket_check(ifs, HALF, pairs=2_000, rng_seed=0)
+    assert violations == 0
+    assert checked == 2_000
+
+
 def test_gamma_law_mass_and_density_cap():
     ifs, p = aperiodic_125(), W125
     chi = lyapunov(ifs, p).value
@@ -150,6 +165,12 @@ def test_gamma_law_cdf_monotone():
     cs = [law.cdf(t) for t in ts]
     assert all(b >= a - 1e-12 for a, b in zip(cs, cs[1:]))
     assert cs[0] == 0 and cs[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("suffix", [(3,), (1, 3), (2, 0)])
+def test_gamma_law_rejects_out_of_range_suffix_symbols(suffix):
+    with pytest.raises(ValueError, match="out of range"):
+        gamma_law(smooth_example(), HALF, suffix, k=5, chi=1.0)
 
 
 def test_clt_aperiodic_ks_small():

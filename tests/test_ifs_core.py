@@ -3,10 +3,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalab.fourier import del_criterion_diagnostic, fourier_mc, sample_points
 from fractalab.ifs_core import (
     AffineMap,
     Ifs,
@@ -30,6 +32,7 @@ from fractalab.ifs_core import (
     registered_smooth,
     smooth_example,
 )
+from fractalab.normality import digits_of_sample
 
 F = Fraction
 
@@ -226,3 +229,19 @@ def test_word_composition_is_associative(w1, w2):
     h = compose_word(ifs, w1).compose(compose_word(ifs, w2))
     assert g.ratio == h.ratio
     assert g.translation == h.translation
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda ifs, p: sample_points(ifs, p, 100, np.random.default_rng(0), 1e-6),
+        lambda ifs, p: fourier_mc(ifs, p, 10.0, 1000),
+        lambda ifs, p: del_criterion_diagnostic(ifs, p, 2, 1, 64, samples=4),
+        lambda ifs, p: digits_of_sample(ifs, p, 2, 40),
+    ],
+    ids=["sample_points", "fourier_mc", "del_criterion_diagnostic", "digits_of_sample"],
+)
+def test_nu_sampling_rejects_a_weight_vector_of_the_wrong_length(run):
+    # two weights for three maps would silently sample another measure
+    with pytest.raises(ValueError, match="weight vector length"):
+        run(aperiodic_125(), (F(1, 2), F(1, 2)))

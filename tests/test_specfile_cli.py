@@ -129,6 +129,25 @@ def test_cli_run_unknown_kind_exits_2(tmp_path, capsys):
     assert main(["run", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "lines, needle",
+    [
+        # a value that does not parse
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:100:4-log", "tol abc"], "abc"),
+        # a PreconditionError from the experiment
+        (["experiment llt", "ifs builtin:smooth-example", "k-list 5", "paths 100"], "affine"),
+    ],
+    ids=["bad-value", "precondition"],
+)
+def test_cli_run_rejected_value_exits_2(tmp_path, capsys, lines, needle):
+    cfg = write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_run_clt_pass_and_fail(tmp_path, capsys):
     cfg = write(
         tmp_path / "clt.cfg",
