@@ -285,8 +285,9 @@ def cmd_run(args):
         seed = int(cfg.get("seed", "0"))
         out_dir = Path(cfg.get("out", "fractalab-out"))
         result = _RUNNERS[kind](cfg, seed)
-    except (ValueError, KeyError) as exc:
-        # config errors and values the experiment rejects (PreconditionError)
+    except (ValueError, KeyError, OSError) as exc:
+        # config errors, unreadable files and values the experiment rejects
+        # (PreconditionError)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_tables(result, out_dir)

@@ -103,6 +103,8 @@ def lyapunov(ifs, p, mode="exact", n=100_000, rng_seed=0):
     if mode == "exact":
         if not ifs.is_affine:
             raise PreconditionError("exact Lyapunov exponent requires an affine IFS")
+        if len(p) != ifs.n:
+            raise ValueError("weight vector length does not match the IFS")
         chi = -sum(float(w) * math.log(float(abs(m.ratio))) for w, m in zip(p, ifs.maps))
         return LyapunovEstimate(chi, 0.0, "exact")
     if mode != "monte_carlo":

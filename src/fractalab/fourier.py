@@ -3,10 +3,12 @@
 F_q(nu) = integral of exp(2*pi*i*q*x) dnu(x).  The word-tree evaluator uses
 the self-similarity identity F_u = sum_i p_i e^{2 pi i u t_i} F_{r_i u} with
 memoization on the exact ratio product, so the cost is polynomial in log q
-(the number of distinct products |r_eta| above the leaf cutoff).  Frequencies
-and ratios in a quadratic field are kept exact until the final phase
-reduction mod 1, done in mpmath at high precision: Pisot-scale non-decay is
-destroyed by even a float-epsilon drift of q.
+(the number of distinct products |r_eta| above the leaf cutoff).  Ratios,
+translations and exact frequencies, rational or in a quadratic field Q(sqrt d),
+are held as integer triples (a + b*sqrt(d))/den.  A phase is reduced mod 1 in
+integers: exactly for rationals, and in 128-bit fixed point via isqrt for
+b != 0, since Pisot-scale non-decay is destroyed by even a float-epsilon
+drift of q.
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
-import mpmath
 import numpy as np
 
 from .ifs_core import PreconditionError, _draw_symbols, _pull_back
 from .quadfield import QuadExact, is_exact
 
 TWO_PI = 2 * math.pi
+_FIX_BITS = 128  # fractional bits of quadratic-field phases and floats
 
 
 class BudgetError(RuntimeError):
@@ -46,93 +49,141 @@ class FourierSample:
         return abs(self.value)
 
 
-def _phase_unit(u, factor):
-    """exp(2*pi*i*u*factor) with exact mod-1 reduction where possible."""
-    if is_exact(u) and is_exact(factor):
-        prod = u * factor
-        if isinstance(prod, QuadExact):
-            if prod.b == 0:
-                prod = prod.a
-            else:
-                mag = abs(float(prod)) + 1
-                dps = 40 + int(math.log10(mag))
-                frac = float(prod.frac_part_mpf(dps))
-                return cmath.exp(1j * TWO_PI * frac)
-        if isinstance(prod, Fraction):
-            num, den = prod.numerator, prod.denominator
-            frac = (num % den) / den
-            return cmath.exp(1j * TWO_PI * frac)
-        return cmath.exp(1j * TWO_PI * (prod % 1))
-    return cmath.exp(1j * TWO_PI * (float(u) * float(factor)))
+def _exact_triple(x):
+    """Exact x (int, Fraction or QuadExact) as the normalised integer triple
+    (a, b, den) with x = (a + b*sqrt(d))/den, den > 0, gcd(a, b, den) = 1."""
+    a, b = (x.a, x.b) if isinstance(x, QuadExact) else (Fraction(x), Fraction(0))
+    den = lcm(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
 
 
-class WordTreeEvaluator:
-    """Memoized word-tree evaluation of F_{q*s}(nu) over exact scales s."""
+def _normed(a, b, den):
+    g = gcd(a, b, den)
+    return a // g, b // g, den // g
 
-    def __init__(self, ifs, p, q, tol, max_nodes=2_000_000):
-        if not ifs.is_affine:
-            raise PreconditionError("word-tree Fourier evaluation requires an affine IFS")
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        self.ifs = ifs
-        self.p = [Fraction(w) for w in p]
-        if len(self.p) != ifs.n:
-            raise ValueError("weight vector length does not match the IFS")
-        self.q = q if is_exact(q) else float(q)
-        self.q_abs = abs(float(q))
-        self.tol = float(tol)
-        self.max_nodes = max_nodes
-        self.width = float(ifs.interval_width())
-        self.center = ifs.interval_mid()
-        self.nodes = 0
-        self._memo = {}
-        self._one = (
-            Fraction(1)
-            if not isinstance(ifs.ratios[0], QuadExact)
-            else QuadExact(1, 0, ifs.ratios[0].d)
-        )
 
-    def at_scale(self, s):
-        """F_{q*s}(nu) to certified tolerance tol (s exact, |s| <= 1)."""
-        cached = self._memo.get(s)
-        if cached is not None:
-            return cached
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise BudgetError(
-                f"word tree exceeded {self.max_nodes} nodes at tol={self.tol}",
-                achievable_tol=self.tol * 10,
-            )
-        u_abs = self.q_abs * abs(float(s))
-        if TWO_PI * u_abs * self.width <= self.tol:
-            u = self.q * s if is_exact(self.q) else float(self.q) * float(s)
-            val = _phase_unit(u, self.center) if is_exact(u) else _phase_unit(
-                u, float(self.center)
-            )
-        else:
-            u = self.q * s if is_exact(self.q) else float(self.q) * float(s)
-            val = 0j
-            for w, m in zip(self.p, self.ifs.maps):
-                t = m.translation if is_exact(u) else float(m.translation)
-                val += float(w) * _phase_unit(u, t) * self.at_scale(s * m.ratio)
-        self._memo[s] = val
-        return val
+def _times(x, y, d):
+    """Product of two triples, not normalised."""
+    a, b, e = x
+    c, f, g = y
+    return a * c + d * b * f, a * f + b * c, e * g
 
-    def evaluate(self):
-        if self.q_abs == 0:
-            return FourierSample(q=0.0, value=1 + 0j, error_bound=0.0, method="word_tree")
-        val = self.at_scale(self._one)
-        return FourierSample(
-            q=float(self.q),
-            value=val,
-            error_bound=self.tol,
-            method="word_tree",
-            nodes=self.nodes,
-        )
+
+def _ratio(x, d):
+    """A triple as integers num/den: exact when b = 0, else with
+    num = (a + b*sqrt(d)) * 2^_FIX_BITS to within one unit."""
+    a, b, den = x
+    if not b:
+        return a, den
+    root = isqrt(d * b * b << 2 * _FIX_BITS)
+    return (a << _FIX_BITS) + (root if b > 0 else -root), den << _FIX_BITS
+
+
+def _to_float(x, d):
+    num, den = _ratio(x, d)
+    return num / den
+
+
+def _unit(x, d):
+    """e(x) = exp(2*pi*i*x) for a triple x, with x mod 1 taken in integers:
+    exactly when x is rational, to 2^-_FIX_BITS otherwise."""
+    num, den = _ratio(x, d)
+    return cmath.exp(1j * TWO_PI * ((num % den) / den))
+
+
+def _exact_unit(x):
+    """e(x) for an exact x, reduced mod 1 as the word tree reduces its phases."""
+    return _unit(_exact_triple(x), x.d if isinstance(x, QuadExact) else 0)
 
 
 def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
-    return WordTreeEvaluator(ifs, p, q, tol, max_nodes).evaluate()
+    """F_q(nu) of an affine IFS to within tol, by the word tree.
+
+    F_{qs} = sum_i p_i e(q s t_i) F_{q s r_i} over exact scales s, memoised on
+    s, down to leaves where 2*pi*|q s|*width <= tol and F_{qs} is replaced by
+    the phase at the interval centre.  An exact q keeps every phase exact
+    (see _unit); a float q uses float(q)*float(s).  The tree is walked with an
+    explicit stack, so its depth is unbounded; more than max_nodes distinct
+    scales raise BudgetError.
+    """
+    if not ifs.is_affine:
+        raise PreconditionError("word-tree Fourier evaluation requires an affine IFS")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    weights = [float(Fraction(w)) for w in p]
+    if len(weights) != ifs.n:
+        raise ValueError("weight vector length does not match the IFS")
+    tol = float(tol)
+    center, width = ifs.interval_mid(), ifs.interval_width()
+    values = (*ifs.ratios, *ifs.translations, center, width, q)
+    fields = {x.d for x in values if isinstance(x, QuadExact)}
+    if len(fields) > 1:
+        raise ValueError("mixed quadratic fields")
+    d = fields.pop() if fields else 0
+    ratios = [_exact_triple(r) for r in ifs.ratios]
+    factors = [_exact_triple(t) for t in (*ifs.translations, center)]
+    width = _to_float(_exact_triple(width), d)
+    if is_exact(q):
+        q3 = _exact_triple(q)
+        q = _to_float(q3, d)
+
+        def freq(s, sf):
+            return _times(q3, s, d)
+
+        def unit(u, t):
+            return _unit(_times(u, t, d), d)
+
+    else:
+        q = float(q)
+        factors = [_to_float(t, d) for t in factors]
+
+        def freq(s, sf):
+            return q * sf
+
+        def unit(u, t):
+            return cmath.exp(1j * TWO_PI * (u * t))
+
+    if q == 0:
+        return FourierSample(q=0.0, value=1 + 0j, error_bound=0.0, method="word_tree")
+    q_abs = abs(q)
+    *shifts, mid = factors
+
+    # A node is expanded on its first visit and summed, in map order, once
+    # all its children are memoised; its child list is dropped then.
+    root = (1, 0, 1)
+    memo, expanded, stack = {}, {}, [root]
+    nodes = 0
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+        elif s in expanded:
+            u, kids = expanded.pop(s)
+            val = 0j
+            for w, t, k in zip(weights, shifts, kids):
+                val += w * unit(u, t) * memo[k]
+            memo[s] = val
+            stack.pop()
+        else:
+            nodes += 1
+            if nodes > max_nodes:
+                raise BudgetError(
+                    f"word tree exceeded {max_nodes} nodes at tol={tol}",
+                    achievable_tol=tol * 10,
+                )
+            sf = _to_float(s, d)
+            u = freq(s, sf)
+            u_abs = q_abs * abs(sf)
+            if TWO_PI * u_abs * width <= tol:
+                memo[s] = unit(u, mid)
+                stack.pop()
+            else:
+                kids = [_normed(*_times(s, r, d)) for r in ratios]
+                expanded[s] = u, kids
+                stack += kids
+    return FourierSample(
+        q=q, value=memo[root], error_bound=tol, method="word_tree", nodes=nodes
+    )
 
 
 def sample_points(ifs, p, n_points, rng, eps):

@@ -123,7 +123,7 @@ def suite_fourier_recursion(rng_seed=11, tol=1e-8, n_q=100):
             rhs = 0j
             for wi, m in zip(w, ifs.maps):
                 child = fr.fourier_word_tree(ifs, w, qf * m.ratio, tol).value
-                rhs += float(wi) * fr._phase_unit(qf, m.translation) * child
+                rhs += float(wi) * fr._exact_unit(qf * m.translation) * child
             resid = abs(lhs - rhs)
             worst = max(worst, resid)
             if resid > 2 * tol:

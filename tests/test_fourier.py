@@ -4,8 +4,11 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalab.fourier import (
     BudgetError,
@@ -132,6 +135,48 @@ def test_budget_error_reports_achievable_tol():
     with pytest.raises(BudgetError) as exc:
         fourier_word_tree(aperiodic_125(), W125, 1e7, 1e-12, max_nodes=200)
     assert exc.value.achievable_tol > 1e-12
+
+
+def test_deep_word_tree_returns_the_product_value():
+    # r = 99/100 needs scales down to r^k with 2 pi r^k width <= tol, about
+    # 1400 levels: far deeper than the interpreter's recursion limit
+    r, tol = F(99, 100), 1e-3
+    s = fourier_word_tree(bernoulli_convolution(r), HALF, 1, tol)
+    assert abs(s.value - bernoulli_cos_product(0.99, 1, terms=5000)) <= tol
+    # equal ratios: one node per level k = 0..K, K the first leaf level
+    width = 2 / (1 - 0.99)
+    assert s.nodes == 1 + next(k for k in range(10**4) if 2 * math.pi * 0.99**k * width <= tol)
+
+
+def _mp_cos_product(q, r):
+    """prod_{n>=0} cos(2 pi q r^n) in mpmath; the dropped tail is within 1e-28 of 1."""
+    out, x = mpmath.mpf(1), q
+    while abs(x) > mpmath.mpf(10) ** -16:
+        out *= mpmath.cos(2 * mpmath.pi * x)
+        x *= r
+    return complex(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    r=st.fractions(min_value=F(1, 100), max_value=F(95, 100), max_denominator=100),
+    q=st.fractions(min_value=-500, max_value=500, max_denominator=100),
+)
+def test_word_tree_matches_the_product_formula_at_random_rational_ratios(r, q):
+    s = fourier_word_tree(bernoulli_convolution(r), HALF, q, 1e-8)
+    with mpmath.workdps(30):
+        ref = _mp_cos_product(mpmath.mpf(q.numerator) / q.denominator,
+                              mpmath.mpf(r.numerator) / r.denominator)
+    assert abs(s.value - ref) <= s.error_bound
+
+
+def test_word_tree_matches_the_product_formula_at_golden_pisot_frequencies():
+    ifs, r = golden_bernoulli(), golden_ratio_conjugate()
+    with mpmath.workdps(50):
+        rho = (mpmath.sqrt(5) - 1) / 2
+        for n in range(1, 26):
+            s = fourier_word_tree(ifs, HALF, r**-n, 1e-10)
+            assert abs(s.value - _mp_cos_product(rho**-n, rho)) <= s.error_bound
 
 
 def test_decay_profile_aperiodic_vs_periodic():

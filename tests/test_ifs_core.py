@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalab.cocycle_walk import lyapunov
 from fractalab.fourier import del_criterion_diagnostic, fourier_mc, sample_points
 from fractalab.ifs_core import (
     AffineMap,
@@ -238,8 +239,10 @@ def test_word_composition_is_associative(w1, w2):
         lambda ifs, p: fourier_mc(ifs, p, 10.0, 1000),
         lambda ifs, p: del_criterion_diagnostic(ifs, p, 2, 1, 64, samples=4),
         lambda ifs, p: digits_of_sample(ifs, p, 2, 40),
+        lambda ifs, p: lyapunov(ifs, p, "exact"),
     ],
-    ids=["sample_points", "fourier_mc", "del_criterion_diagnostic", "digits_of_sample"],
+    ids=["sample_points", "fourier_mc", "del_criterion_diagnostic", "digits_of_sample",
+         "lyapunov_exact"],
 )
 def test_nu_sampling_rejects_a_weight_vector_of_the_wrong_length(run):
     # two weights for three maps would silently sample another measure

@@ -148,6 +148,13 @@ def test_cli_run_rejected_value_exits_2(tmp_path, capsys, lines, needle):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_run_missing_config_exits_2(tmp_path, capsys):
+    assert main(["run", str(tmp_path / "absent.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "absent.cfg" in err
+
+
 def test_cli_run_clt_pass_and_fail(tmp_path, capsys):
     cfg = write(
         tmp_path / "clt.cfg",
