@@ -298,7 +298,7 @@ def cmd_run(args):
 def cmd_classify(args):
     try:
         spec = resolve_system(args.ifs_file)
-    except (SpecFileError, KeyError) as exc:
+    except (SpecFileError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = cls.classify_ifs(spec.ifs)

@@ -6,9 +6,9 @@ memoization on the exact ratio product, so the cost is polynomial in log q
 (the number of distinct products |r_eta| above the leaf cutoff).  Ratios,
 translations and exact frequencies, rational or in a quadratic field Q(sqrt d),
 are held as integer triples (a + b*sqrt(d))/den.  A phase is reduced mod 1 in
-integers: exactly for rationals, and in 128-bit fixed point via isqrt for
-b != 0, since Pisot-scale non-decay is destroyed by even a float-epsilon
-drift of q.
+integers: exactly for rationals, and in 128-bit fixed point via isqrt
+(quadfield._ratio) for b != 0, since Pisot-scale non-decay is destroyed by
+even a float-epsilon drift of q.
 """
 
 from __future__ import annotations
@@ -18,15 +18,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd
 
 import numpy as np
 
-from .ifs_core import PreconditionError, _draw_symbols, _pull_back
-from .quadfield import QuadExact, is_exact
+from .ifs_core import PreconditionError, _draw_symbols, _pull_back, compose_word
+from .quadfield import QuadExact, _field, _ratio, _times, _to_float, _triple, is_exact
 
 TWO_PI = 2 * math.pi
-_FIX_BITS = 128  # fractional bits of quadratic-field phases and floats
 
 
 class BudgetError(RuntimeError):
@@ -49,51 +48,21 @@ class FourierSample:
         return abs(self.value)
 
 
-def _exact_triple(x):
-    """Exact x (int, Fraction or QuadExact) as the normalised integer triple
-    (a, b, den) with x = (a + b*sqrt(d))/den, den > 0, gcd(a, b, den) = 1."""
-    a, b = (x.a, x.b) if isinstance(x, QuadExact) else (Fraction(x), Fraction(0))
-    den = lcm(a.denominator, b.denominator)
-    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
-
-
 def _normed(a, b, den):
     g = gcd(a, b, den)
     return a // g, b // g, den // g
 
 
-def _times(x, y, d):
-    """Product of two triples, not normalised."""
-    a, b, e = x
-    c, f, g = y
-    return a * c + d * b * f, a * f + b * c, e * g
-
-
-def _ratio(x, d):
-    """A triple as integers num/den: exact when b = 0, else with
-    num = (a + b*sqrt(d)) * 2^_FIX_BITS to within one unit."""
-    a, b, den = x
-    if not b:
-        return a, den
-    root = isqrt(d * b * b << 2 * _FIX_BITS)
-    return (a << _FIX_BITS) + (root if b > 0 else -root), den << _FIX_BITS
-
-
-def _to_float(x, d):
-    num, den = _ratio(x, d)
-    return num / den
-
-
 def _unit(x, d):
     """e(x) = exp(2*pi*i*x) for a triple x, with x mod 1 taken in integers:
-    exactly when x is rational, to 2^-_FIX_BITS otherwise."""
+    exactly when x is rational, to 2^-128 otherwise."""
     num, den = _ratio(x, d)
     return cmath.exp(1j * TWO_PI * ((num % den) / den))
 
 
 def _exact_unit(x):
     """e(x) for an exact x, reduced mod 1 as the word tree reduces its phases."""
-    return _unit(_exact_triple(x), x.d if isinstance(x, QuadExact) else 0)
+    return _unit(_triple(x), x.d if isinstance(x, QuadExact) else 0)
 
 
 def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
@@ -115,16 +84,12 @@ def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
         raise ValueError("weight vector length does not match the IFS")
     tol = float(tol)
     center, width = ifs.interval_mid(), ifs.interval_width()
-    values = (*ifs.ratios, *ifs.translations, center, width, q)
-    fields = {x.d for x in values if isinstance(x, QuadExact)}
-    if len(fields) > 1:
-        raise ValueError("mixed quadratic fields")
-    d = fields.pop() if fields else 0
-    ratios = [_exact_triple(r) for r in ifs.ratios]
-    factors = [_exact_triple(t) for t in (*ifs.translations, center)]
-    width = _to_float(_exact_triple(width), d)
+    d = _field((*ifs.ratios, *ifs.translations, center, width, q))
+    ratios = [_triple(r) for r in ifs.ratios]
+    factors = [_triple(t) for t in (*ifs.translations, center)]
+    width = _to_float(_triple(width), d)
     if is_exact(q):
-        q3 = _exact_triple(q)
+        q3 = _triple(q)
         q = _to_float(q3, d)
 
         def freq(s, sf):
@@ -350,12 +315,7 @@ def del_criterion_diagnostic(ifs, p, base, q, n_max, samples=200, rng_seed=0):
     w_acc = np.zeros((samples, n_max), dtype=complex)
     for s_idx in range(samples):
         word = _draw_symbols(ifs, p, rng, length)
-        # exact f_eta(x0): iterate backwards over the word
-        x = Fraction(ifs.x0)
-        for j in range(length - 1, -1, -1):
-            m = ifs.maps[word[j]]
-            x = m.ratio * x + m.translation
-        val = qi * x
+        val = qi * compose_word(ifs, (word + 1).tolist())(Fraction(ifs.x0))
         num, den = val.numerator, val.denominator
         angles = np.empty(n_max)
         for n in range(n_max):

@@ -3,8 +3,16 @@
 Maps are either exact affine contractions (rational or quadratic-field
 ratio/translation) or smooth maps drawn from a small parametric catalog
 (quadratic perturbations of affine maps, Moebius maps) that carries
-hand-declared derivative and Hoelder constants.  Affine arithmetic is exact;
-smooth evaluation at certified precision goes through mpmath.
+hand-declared derivative and Hoelder constants.  Smooth evaluation at
+certified precision goes through mpmath.
+
+Affine arithmetic is exact.  A word of affine maps is composed as integer
+maps x -> ((ra + rb*sqrt(d))*x + ta + tb*sqrt(d))/c (d = 0 for rational
+systems), adjacent pairs round by round, and reduced to Fractions or
+QuadExact values once at the end (binary splitting, as in Haible and
+Papanikolaou's evaluation of rational series).  Coding-point enclosures of
+quadratic-field points are bounded in integers by isqrt, so they are
+certified at any width.
 
 Conventions: a word eta = (eta_1, ..., eta_m) over the alphabet {1..n}
 composes left-to-right as f_eta = f_{eta_1} o ... o f_{eta_m}.
@@ -13,12 +21,14 @@ composes left-to-right as f_eta = f_{eta_1} o ... o f_{eta_m}.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import numpy as np
 
-from .quadfield import QuadExact, is_exact
+from .quadfield import _FIX_BITS, QuadExact, _bounds, _field, _times, _triple, is_exact
 
 _SMOOTH_DPS = 30  # working precision for certified smooth-map enclosures
 
@@ -27,15 +37,11 @@ class PreconditionError(ValueError):
     """An operation's stated precondition does not hold for these inputs."""
 
 
-def _to_fraction_bounds(x, outward):
-    """Rational lo <= x <= hi; pads QuadExact values outward."""
-    if isinstance(x, QuadExact):
-        lo, hi = x.rational_bounds()
-        return lo, hi
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x), Fraction(x)
-    # mpmath float from a smooth evaluation: the mpf itself is an exact
-    # dyadic rational; only the evaluation error needs the outward pad
+def _mpf_bounds(x, outward):
+    """Rational lo <= x <= hi for an mpmath value carrying an evaluation
+    error of at most `outward`."""
+    # the mpf itself is an exact dyadic rational; only the evaluation error
+    # needs the outward pad
     sign, man, exp, _ = mpmath.mpf(x)._mpf_
     v = Fraction((-1) ** sign * man) * Fraction(2) ** exp
     return v - outward, v + outward
@@ -370,13 +376,61 @@ def _smooth_fixed_point(m, ifs):
 
 
 def validate_word(ifs, eta):
+    eta, n = tuple(eta), ifs.n
     for s in eta:
-        if not (isinstance(s, int) and 1 <= s <= ifs.n):
-            raise ValueError(f"symbol {s!r} out of range 1..{ifs.n}")
-    return tuple(eta)
+        if not (isinstance(s, int) and 1 <= s <= n):
+            raise ValueError(f"symbol {s!r} out of range 1..{n}")
+    return eta
 
 
 # -- operations ------------------------------------------------------------
+
+
+def _integer_form(m):
+    """(ra, rb, ta, tb, c) with m(x) = ((ra + rb*sqrt(d))*x + ta + tb*sqrt(d))/c."""
+    (ra, rb, rc), (ta, tb, tc) = _triple(m.ratio), _triple(m.translation)
+    c = lcm(rc, tc)
+    return ra * (c // rc), rb * (c // rc), ta * (c // tc), tb * (c // tc), c
+
+
+def _compose_forms(f, g, d):
+    """f o g for integer forms: ratio Rf Rg and translation Rf Tg + cg Tf,
+    over cf cg.  One flat tuple per map keeps the word's forms small."""
+    fa, fb, fs, ft, fc = f
+    ga, gb, gs, gt, gc = g
+    ra, rb, c = _times((fa, fb, fc), (ga, gb, gc), d)
+    ta, tb, _ = _times((fa, fb, 1), (gs, gt, 1), d)
+    return ra, rb, ta + gc * fs, tb + gc * ft, c
+
+
+def _compose_affine(ifs, eta):
+    """f_eta for a validated word of length >= 2 over affine maps.
+
+    Each distinct map becomes an integer form (_integer_form) once; adjacent
+    pairs are composed round by round (_compose_forms) with products in
+    Q(sqrt d) and no gcd, so a word of length m costs O(log m) rounds of
+    big-integer products.  The result is reduced once and has the
+    coefficient types of the left fold of AffineMap.compose.
+    """
+    used = {s: ifs.maps[s - 1] for s in set(eta)}
+    d = _field(x for m in used.values() for x in (m.ratio, m.translation))
+    form = {s: _integer_form(m) for s, m in used.items()}
+    maps = [form[s] for s in eta]
+    while len(maps) > 1:
+        # a loop, not a recursive closure: no reference cycle keeps the
+        # word's integer maps alive until the next full collection
+        odd = maps[-1:] if len(maps) % 2 else []
+        maps = [_compose_forms(f, g, d) for f, g in zip(maps[::2], maps[1::2])] + odd
+    ra, rb, ta, tb, c = maps[0]
+    # the fold is in Q(sqrt d) once a factor is: the ratio if any ratio is,
+    # the translation if any translation or any ratio but the last one is
+    quad_r = {s for s, m in used.items() if isinstance(m.ratio, QuadExact)}
+    quad_t = any(isinstance(m.translation, QuadExact) for m in used.values()) or (
+        quad_r and not quad_r.isdisjoint(eta[:-1])
+    )
+    ratio = QuadExact(Fraction(ra, c), Fraction(rb, c), d) if quad_r else Fraction(ra, c)
+    translation = QuadExact(Fraction(ta, c), Fraction(tb, c), d) if quad_t else Fraction(ta, c)
+    return AffineMap(ratio, translation)
 
 
 def compose_word(ifs, eta):
@@ -384,13 +438,38 @@ def compose_word(ifs, eta):
     eta = validate_word(ifs, eta)
     if not eta:
         return IDENTITY
-    factors = [ifs.maps[s - 1] for s in eta]
-    if all(f.kind == "affine" for f in factors):
-        g = factors[0]
-        for f in factors[1:]:
-            g = g.compose(f)
-        return g
-    return ComposedMap(factors)
+    if len(eta) == 1:
+        return ifs.maps[eta[0] - 1]
+    if all(ifs.maps[s - 1].kind == "affine" for s in set(eta)):
+        return _compose_affine(ifs, eta)
+    return ComposedMap([ifs.maps[s - 1] for s in eta])
+
+
+def _appended_symbols(ifs, eta, shrink, target_width, strict):
+    """Least k >= 0 with shrink * |r_last|^k * width(I) <= target_width, or
+    < target_width if strict.
+
+    shrink is the exact |r_eta|; k is estimated from the symbol counts in
+    logs and then settled by exact comparisons.
+    """
+    width_i = ifs.interval_width()
+    last = abs(ifs.maps[eta[-1] - 1].ratio)
+
+    def fits(k):
+        w = shrink * last**k * width_i
+        return w < target_width if strict else w <= target_width
+
+    log_shrink = sum(
+        c * math.log(float(abs(ifs.maps[s - 1].ratio))) for s, c in Counter(eta).items()
+    )
+    log_target = math.log(target_width.numerator) - math.log(target_width.denominator)
+    excess = log_shrink + math.log(float(width_i)) - log_target
+    k = max(0, math.ceil(excess / -math.log(float(last))))
+    while not fits(k):
+        k += 1
+    while k and fits(k - 1):
+        k -= 1
+    return k
 
 
 def coding_point(ifs, omega_prefix, target_width):
@@ -400,26 +479,24 @@ def coding_point(ifs, omega_prefix, target_width):
     cycled until the contraction product suffices; the number of appended
     symbols is reported on the result as .prefix_extended.
     """
-    omega_prefix = validate_word(ifs, omega_prefix)
+    omega_prefix = tuple(omega_prefix)
     target_width = Fraction(target_width)
     if target_width <= 0:
         raise ValueError("target_width must be positive")
     if not omega_prefix:
         raise PreconditionError("empty prefix cannot certify a width below width(I)")
 
-    prefix = list(omega_prefix)
     if ifs.is_affine:
-        width_i = ifs.interval_width()
-        shrink = Fraction(1) if isinstance(width_i, Fraction) else QuadExact(1, 0, width_i.d)
-        for s in prefix:
-            shrink = shrink * abs(ifs.maps[s - 1].ratio)
-        last = abs(ifs.maps[prefix[-1] - 1].ratio)
-        extended = 0
-        while not shrink * width_i <= target_width:
-            prefix.append(prefix[-1])
-            shrink = shrink * last
-            extended += 1
+        g = compose_word(ifs, omega_prefix)  # the one validation of the word
+        # irrational cylinder ends need a width strictly below the target, to
+        # leave room for their rational bounds; the width itself may be
+        # rational even then (rational ratios, irrational translations)
+        strict = any(isinstance(x, QuadExact) for x in (g.ratio, g.translation, *ifs.interval))
+        extended = _appended_symbols(ifs, omega_prefix, abs(g.ratio), target_width, strict)
+        if extended:
+            g = g.compose(compose_word(ifs, omega_prefix[-1:] * extended))
     else:
+        prefix = list(validate_word(ifs, omega_prefix))
         # log-space so that very small targets never underflow a float
         log_shrink = sum(math.log(ifs.maps[s - 1].deriv_range()[1]) for s in prefix)
         log_width = math.log(float(ifs.interval_width()))
@@ -430,33 +507,37 @@ def coding_point(ifs, omega_prefix, target_width):
             prefix.append(prefix[-1])
             log_shrink += log_last
             extended += 1
+        if all(ifs.maps[s - 1].kind == "affine" for s in set(prefix)):
+            g = compose_word(ifs, prefix)
+        else:
+            g = ComposedMap([ifs.maps[s - 1] for s in prefix])
 
     lo, hi = ifs.interval
-    if all(ifs.maps[s - 1].kind == "affine" for s in prefix):
-        g = compose_word(ifs, prefix)
-        a, b = g(lo), g(hi)
-        if b < a:
-            a, b = b, a
-        alo, _ = _to_fraction_bounds(a, 0)
-        _, bhi = _to_fraction_bounds(b, 0)
-        enc = Enclosure(alo, bhi)
+    if isinstance(g, AffineMap):
+        a, b = sorted((g(lo), g(hi)))
+        # rational endpoints are their own bounds; irrational ones get pads
+        # below target/8 first, then finer ones until the slack below the
+        # target holds them
+        bits = (target_width.denominator // target_width.numerator).bit_length() + 3
+        while True:
+            alo, _ = _bounds(a, bits)
+            _, bhi = _bounds(b, bits)
+            if (alo, bhi) == (a, b) or bhi - alo <= target_width:
+                break
+            bits *= 2
     else:
         # working precision follows the target so the rounding pad stays
         # an order of magnitude below the requested width
-        digits_needed = max(
-            0, -(math.log(target_width.numerator) - math.log(target_width.denominator)) / math.log(10)
-        )
-        dps = max(_SMOOTH_DPS, int(math.ceil(digits_needed)) + 15)
+        dps = max(_SMOOTH_DPS, int(math.ceil(max(0, -log_target / math.log(10)))) + 15)
         with mpmath.workdps(dps):
-            g = ComposedMap([ifs.maps[s - 1] for s in prefix])
             a = g.mp_call(mpmath.mpf(float(lo)))
             b = g.mp_call(mpmath.mpf(float(hi)))
             if b < a:
                 a, b = b, a
             pad = Fraction(10) ** (-dps + 10)
-            alo, _ = _to_fraction_bounds(a, pad)
-            _, bhi = _to_fraction_bounds(b, pad)
-        enc = Enclosure(alo, bhi)
+            alo, _ = _mpf_bounds(a, pad)
+            _, bhi = _mpf_bounds(b, pad)
+    enc = Enclosure(alo, bhi)
     enc.prefix_extended = extended
     return enc
 
@@ -486,10 +567,10 @@ def attractor_interval(ifs, depth=64):
         if nlo == lo and nhi == hi:
             break
         lo, hi = nlo, nhi
-    pad = 0 if exact else Fraction(10) ** (-_SMOOTH_DPS + 10)
-    alo, _ = _to_fraction_bounds(lo, pad)
-    _, bhi = _to_fraction_bounds(hi, pad)
-    return Enclosure(alo, bhi)
+    if exact:
+        return Enclosure(_bounds(lo, _FIX_BITS)[0], _bounds(hi, _FIX_BITS)[1])
+    pad = Fraction(10) ** (-_SMOOTH_DPS + 10)
+    return Enclosure(_mpf_bounds(lo, pad)[0], _mpf_bounds(hi, pad)[1])
 
 
 class DistortionEstimate:

@@ -5,16 +5,22 @@ r = (sqrt(5)-1)/2 are irrational, but frequencies q = r^{-n} must be
 represented exactly: the non-decay phenomenon at Pisot scales is invisible
 once q drifts by a floating-point epsilon.  A QuadExact value a + b*sqrt(d)
 with rational a, b supports the ring operations needed for ratio products,
-frequency powers and affine images, and converts to mpmath floats at an
-explicit working precision only at the last moment.
+frequency powers and affine images.  Floats and certified rational bounds
+come from one fixed-point reduction in integers (_ratio, via isqrt), which
+no cancellation between a and b*sqrt(d) can spoil; mpmath conversions at an
+explicit working precision remain for callers that want them.  The integer
+triple (a + b*sqrt(d))/den and its product (_triple, _times) are the one
+integer form the word-tree and word-composition engines share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import mpmath
+
+_FIX_BITS = 128  # fractional bits of fixed-point phases and bounds
 
 
 def _is_square(n):
@@ -174,20 +180,12 @@ class QuadExact:
             ) * mpmath.sqrt(self.d)
 
     def __float__(self):
-        return float(self.to_mpf(40))
+        return _to_float(_triple(self), self.d)
 
     def rational_bounds(self, rel=Fraction(1, 10**30)):
-        """Certified Fraction pair lo <= self <= hi with hi-lo <= pad."""
-        if self.b == 0:
-            return self.a, self.a
-        with mpmath.workdps(60):
-            v = self.to_mpf(60)
-            approx = Fraction(mpmath.nstr(v, 40, strip_zeros=False))
-        pad = abs(approx) * rel + rel
-        lo, hi = approx - pad, approx + pad
-        # the 60-dps value is accurate to far better than the pad; verify
-        assert QuadExact(lo, 0, self.d) <= self <= QuadExact(hi, 0, self.d)
-        return lo, hi
+        """Certified Fraction pair lo <= self <= hi with hi - lo <= rel."""
+        rel = Fraction(rel)
+        return _bounds(self, (rel.denominator // rel.numerator).bit_length())
 
     def frac_part_mpf(self, dps=60):
         """self mod 1 as an mpf at the given precision (for phases)."""
@@ -199,6 +197,62 @@ class QuadExact:
         if self.b == 0:
             return f"QuadExact({self.a})"
         return f"QuadExact({self.a} + {self.b}*sqrt({self.d}))"
+
+
+def _triple(x):
+    """Exact x (int, Fraction or QuadExact) as the normalised integer triple
+    (a, b, den) with x = (a + b*sqrt(d))/den, den > 0, gcd(a, b, den) = 1."""
+    a, b = (x.a, x.b) if isinstance(x, QuadExact) else (Fraction(x), Fraction(0))
+    den = lcm(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+
+
+def _field(values):
+    """The d of the one quadratic field holding all values; 0 if all are
+    rational."""
+    fields = {x.d for x in values if isinstance(x, QuadExact)}
+    if len(fields) > 1:
+        raise ValueError("mixed quadratic fields")
+    return fields.pop() if fields else 0
+
+
+def _times(x, y, d):
+    """Product of two triples in Q(sqrt d), not normalised."""
+    a, b, e = x
+    c, f, g = y
+    return a * c + d * b * f, a * f + b * c, e * g
+
+
+def _ratio(x, d, bits=_FIX_BITS):
+    """A triple as integers num/den: exact when b = 0, else with
+    num = a*2^bits + trunc(b*sqrt(d)*2^bits), so x*den lies strictly between
+    num and num + sign(b)."""
+    a, b, den = x
+    if not b:
+        return a, den
+    root = isqrt(d * b * b << 2 * bits)
+    return (a << bits) + (root if b > 0 else -root), den << bits
+
+
+def _to_float(x, d):
+    """A triple as a float, within one ulp: the fixed-point precision is
+    raised until num carries 64 significant bits."""
+    num, den = _ratio(x, d)
+    bits = _FIX_BITS
+    while x[1] and num.bit_length() <= 64:
+        bits *= 2
+        num, den = _ratio(x, d, bits)
+    return num / den
+
+
+def _bounds(x, bits):
+    """Fractions lo <= x <= hi with hi - lo <= 2^-bits for an exact x; a
+    rational x is its own bound."""
+    if not isinstance(x, QuadExact):
+        return Fraction(x), Fraction(x)
+    t = _triple(x)
+    num, den = _ratio(t, x.d, bits)
+    return Fraction(num - (t[1] < 0), den), Fraction(num + (t[1] > 0), den)
 
 
 def exact_value(x):

@@ -1,8 +1,10 @@
 """Maps, word composition, coding enclosures, distortion and linearization."""
 
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from fractalab.ifs_core import (
     smooth_example,
 )
 from fractalab.normality import digits_of_sample
+from fractalab.quadfield import QuadExact, golden_ratio_conjugate
 
 F = Fraction
 
@@ -230,6 +233,94 @@ def test_word_composition_is_associative(w1, w2):
     h = compose_word(ifs, w1).compose(compose_word(ifs, w2))
     assert g.ratio == h.ratio
     assert g.translation == h.translation
+
+
+_COMPOSE_SYSTEMS = {
+    **{name: ifs for name, (ifs, _) in registered_affine().items()},
+    "golden": golden_bernoulli(),
+    "mixed": Ifs(  # rational and quadratic-field ratios, rational translations
+        [AffineMap(F(1, 3), 0), AffineMap(golden_ratio_conjugate() ** 2, F(1, 2))],
+        (F(0), F(2)),
+        name="mixed",
+    ),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_COMPOSE_SYSTEMS)), st.data())
+def test_compose_word_equals_the_left_fold_of_compose(name, data):
+    ifs = _COMPOSE_SYSTEMS[name]
+    word = data.draw(st.lists(st.integers(1, ifs.n), min_size=1, max_size=200))
+    fold = ifs.maps[word[0] - 1]
+    for s in word[1:]:
+        fold = fold.compose(ifs.maps[s - 1])
+    g = compose_word(ifs, word)
+    assert g == fold
+    assert type(g.ratio) is type(fold.ratio)
+    assert type(g.translation) is type(fold.translation)
+
+
+def test_compose_word_keeps_a_one_symbol_word_as_the_map():
+    ifs = golden_bernoulli()
+    assert compose_word(ifs, [2]) is ifs.maps[1]
+    assert type(compose_word(ifs, [2]).translation) is F
+
+
+def test_coding_point_long_appended_word_is_fast_and_exact():
+    ifs = bernoulli_convolution(F(99, 100))
+    start = time.perf_counter()
+    enc = coding_point(ifs, [1, 2], F(1, 10**40))
+    elapsed = time.perf_counter() - start
+    # x_omega = f1(f2(fix f2)) = f1(100) = 98 for f1 = rx - 1, f2 = rx + 1
+    assert 98 in enc
+    assert enc.width <= F(1, 10**40)
+    # least k with (99/100)^(2 + k) * 200 <= 1e-40
+    assert enc.prefix_extended == 9690
+    assert elapsed < 10
+
+
+def _golden_reference(word, dps=400):
+    """f_word(fix f_last) for the golden Bernoulli maps r x -/+ 1, in mpmath."""
+    with mpmath.workdps(dps):
+        r = (mpmath.sqrt(5) - 1) / 2
+        x = (1 if word[-1] == 2 else -1) / (1 - r)
+        for s in reversed(word):
+            x = r * x + (1 if s == 2 else -1)
+        return x
+
+
+@pytest.mark.parametrize("exp10", [30, 50, 300])
+def test_golden_coding_point_encloses_the_high_precision_point(exp10):
+    word = [1, 2] * 75
+    target = F(1, 10**exp10)
+    enc = coding_point(golden_bernoulli(), word, target)
+    assert enc.width <= target
+    x = _golden_reference(word)
+    with mpmath.workdps(400):
+        lo = mpmath.mpf(enc.lo.numerator) / enc.lo.denominator
+        hi = mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
+        assert lo <= x <= hi
+
+
+def test_coding_point_rational_width_with_irrational_ends_fits_the_target():
+    # rational ratios, an irrational translation: the cylinder of [2, 2] has
+    # rational width exactly 1/4 but irrational ends, so it cannot be the
+    # enclosure; one more symbol leaves room for the rational bounds
+    s = QuadExact(-2, 1, 5)  # sqrt(5) - 2
+    ifs = Ifs([AffineMap(F(1, 2), 0), AffineMap(F(1, 2), s)], (F(0), F(1)))
+    enc = coding_point(ifs, [2, 2], F(1, 4))
+    assert enc.width <= F(1, 4)
+    assert 2 * s in enc  # x_omega = fix f2 = 2s
+    assert enc.prefix_extended == 1
+
+
+def test_golden_digits_of_sample_certifies_200_base_2_digits():
+    ifs = golden_bernoulli()
+    stream = digits_of_sample(ifs, WeightVector.uniform(2), 2, 200, rng_seed=3)
+    assert stream.certified_upto == 200 and len(stream.digits) == 200
+    assert set(stream.digits) <= {0, 1}
+    short = digits_of_sample(ifs, WeightVector.uniform(2), 2, 100, rng_seed=3)
+    assert stream.digits[:100] == short.digits
 
 
 @pytest.mark.parametrize(

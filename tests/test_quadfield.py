@@ -1,7 +1,9 @@
 """Exact quadratic-field arithmetic: a + b*sqrt(d) over the rationals."""
 
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +85,15 @@ def test_golden_ratio_conjugate_identity():
     # r^2 + r - 1 = 0
     assert r * r + r - 1 == QuadExact(0, 0, 5)
     assert abs(float(r) - (5**0.5 - 1) / 2) < 1e-15
+
+
+def test_float_is_within_one_ulp_of_a_300_digit_reference():
+    # a + b*sqrt(5) cancels to r^k with |a|, |b| ~ phi^k: float(r**99) was 0.0
+    r = golden_ratio_conjugate()
+    for k in range(-40, 120):
+        x = r**k
+        ref = x.to_mpf(300)
+        assert abs(mpmath.mpf(float(x)) - ref) <= math.ulp(float(ref)), k
 
 
 def test_rational_bounds_enclose_value():

@@ -155,6 +155,13 @@ def test_cli_run_missing_config_exits_2(tmp_path, capsys):
     assert "absent.cfg" in err
 
 
+def test_cli_classify_missing_file_exits_2(tmp_path, capsys):
+    assert main(["classify", str(tmp_path / "absent.ifs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "absent.ifs" in err
+
+
 def test_cli_run_clt_pass_and_fail(tmp_path, capsys):
     cfg = write(
         tmp_path / "clt.cfg",
