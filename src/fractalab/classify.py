@@ -797,7 +797,7 @@ def classify_ifs(ifs):
     dio = None
     if ifs.is_affine and not any(isinstance(r, QuadExact) for r in ratios):
         logs = sorted({abs(math.log(float(abs(Fraction(r))))) for r in ratios})
-        dio = diophantine_scan(logs, x_max=1000.0) if len(logs) >= 2 else diophantine_scan(logs)
+        dio = diophantine_scan(logs)
     integer_form = integer_pisot_form_check(ifs) if ifs.is_affine else None
     return ClassificationReport(
         name=ifs.name,

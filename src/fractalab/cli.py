@@ -64,7 +64,6 @@ def _parse_q_grid(text):
 
 def _write_tables(result, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     for tname, (header, rows) in result.tables.items():
         path = out_dir / f"{result.name}-{tname}.csv"
         with path.open("w", newline="") as fh:
@@ -72,11 +71,8 @@ def _write_tables(result, out_dir):
             wtr.writerow(header)
             for row in rows:
                 wtr.writerow(row)
-        written.append(path)
     summary = out_dir / f"{result.name}-summary.txt"
     summary.write_text("\n".join(result.summary_lines()) + "\n")
-    written.append(summary)
-    return written
 
 
 def _run_suite(cfg, seed):

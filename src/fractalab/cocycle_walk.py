@@ -253,20 +253,6 @@ class LltReport:
     excluded_mass: float
     min_cell: int
 
-    def mass_above(self, threshold):
-        tot = sum(c.count for c in self.cells)
-        return sum(c.count for c in self.cells if c.ks > threshold) / tot
-
-    def summary_row(self):
-        return {
-            "k": self.k,
-            "h": self.h,
-            "h_prime": self.h_prime,
-            "paths": self.paths,
-            "weighted_median_ks": self.weighted_median_ks,
-            "excluded_mass": self.excluded_mass,
-        }
-
 
 def _ks_uniform(samples, kchi, x1):
     """KS distance between samples and the uniform law on [kchi, kchi+x1]."""

@@ -43,10 +43,6 @@ class FourierSample:
     mc_stderr: float = 0.0
     nodes: int = 0
 
-    @property
-    def magnitude(self):
-        return abs(self.value)
-
 
 def _normed(a, b, den):
     g = gcd(a, b, den)

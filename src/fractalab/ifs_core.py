@@ -3,8 +3,8 @@
 Maps are either exact affine contractions (rational or quadratic-field
 ratio/translation) or smooth maps drawn from a small parametric catalog
 (quadratic perturbations of affine maps, Moebius maps) that carries
-hand-declared derivative and Hoelder constants.  Smooth evaluation at
-certified precision goes through mpmath.
+hand-declared derivative and Hoelder constants.  Every map is also f = P/Q
+with exact coefficient lists num and den, constant term first.
 
 Affine arithmetic is exact.  A word of affine maps is composed as integer
 maps x -> ((ra + rb*sqrt(d))*x + ta + tb*sqrt(d))/c (d = 0 for rational
@@ -13,6 +13,10 @@ QuadExact values once at the end (binary splitting, as in Haible and
 Papanikolaou's evaluation of rational series).  Coding-point enclosures of
 quadratic-field points are bounded in integers by isqrt, so they are
 certified at any width.
+
+Systems with a smooth map are enclosed in integer fixed point: P/Q is
+evaluated by integer Horner at X/2^K and rounded outward, which is interval
+arithmetic with directed rounding (Moore, Kearfott and Cloud, 2009).
 
 Conventions: a word eta = (eta_1, ..., eta_m) over the alphabet {1..n}
 composes left-to-right as f_eta = f_{eta_1} o ... o f_{eta_m}.
@@ -30,21 +34,13 @@ import numpy as np
 
 from .quadfield import _FIX_BITS, QuadExact, _bounds, _field, _times, _triple, is_exact
 
-_SMOOTH_DPS = 30  # working precision for certified smooth-map enclosures
-
 
 class PreconditionError(ValueError):
     """An operation's stated precondition does not hold for these inputs."""
 
 
-def _mpf_bounds(x, outward):
-    """Rational lo <= x <= hi for an mpmath value carrying an evaluation
-    error of at most `outward`."""
-    # the mpf itself is an exact dyadic rational; only the evaluation error
-    # needs the outward pad
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    v = Fraction((-1) ** sign * man) * Fraction(2) ** exp
-    return v - outward, v + outward
+def _exact(x):
+    return x if isinstance(x, QuadExact) else Fraction(x)
 
 
 class Enclosure:
@@ -87,10 +83,9 @@ class AffineMap:
     def __init__(self, ratio, translation):
         if not is_exact(ratio) or not is_exact(translation):
             raise TypeError("affine maps take exact rational/quadratic data")
-        self.ratio = ratio if isinstance(ratio, QuadExact) else Fraction(ratio)
-        self.translation = (
-            translation if isinstance(translation, QuadExact) else Fraction(translation)
-        )
+        self.ratio = _exact(ratio)
+        self.translation = _exact(translation)
+        self.num = (self.translation, self.ratio)  # f = P/Q, constant term first
 
     def __call__(self, x):
         if isinstance(x, (np.ndarray, float, np.floating)):
@@ -100,9 +95,7 @@ class AffineMap:
     def deriv(self, x=None):
         return self.ratio
 
-    @property
-    def abs_ratio(self):
-        return abs(self.ratio)
+    den = (1,)
 
     def deriv_range(self):
         r = float(abs(self.ratio))
@@ -132,21 +125,22 @@ IDENTITY = AffineMap(1, 0)  # only legal as an empty composition, never inside a
 
 
 class SmoothMap:
-    """Catalog smooth contraction with declared derivative/Hoelder data.
+    """Catalog smooth contraction f = P/Q with declared derivative/Hoelder data.
 
-    f, df, mp_f, mp_df are float and mpmath evaluators; (dmin, dmax) bound
-    |f'| over the ambient interval, gamma and holder_c bound
-    |f'(x)-f'(y)| <= holder_c*|x-y|^gamma.
+    num and den are P's and Q's exact coefficients, constant term first, for
+    certified enclosures; f and df are float evaluators of f and f'.
+    (dmin, dmax) bound |f'| over the ambient interval, gamma and holder_c
+    bound |f'(x)-f'(y)| <= holder_c*|x-y|^gamma.
     """
 
     kind = "smooth"
 
-    def __init__(self, name, f, df, mp_f, mp_df, dmin, dmax, gamma, holder_c):
+    def __init__(self, name, f, df, num, den, dmin, dmax, gamma, holder_c):
         self.name = name
         self._f = f
         self._df = df
-        self.mp_f = mp_f
-        self.mp_df = mp_df
+        self.num = tuple(_exact(c) for c in num)
+        self.den = tuple(_exact(c) for c in den)
         self.dmin = float(dmin)
         self.dmax = float(dmax)
         self.gamma = float(gamma)
@@ -179,8 +173,8 @@ def quadratic_map(r, t, a, interval):
         name=f"quadratic(r={r}, t={t}, a={a})",
         f=lambda x: rf * x + tf + af * x * x,
         df=lambda x: rf + 2 * af * x,
-        mp_f=lambda x: mpmath.mpf(rf) * x + tf + mpmath.mpf(af) * x * x,
-        mp_df=lambda x: mpmath.mpf(rf) + 2 * mpmath.mpf(af) * x,
+        num=(t, r, a),
+        den=(1,),
         dmin=dmin,
         dmax=dmax,
         gamma=1.0,
@@ -190,6 +184,7 @@ def quadratic_map(r, t, a, interval):
 
 def moebius_map(a, b, c, d, interval):
     """f(x) = (a*x + b)/(c*x + d); the denominator must avoid 0 on I."""
+    num, den = (b, a), (d, c)
     a, b, c, d = map(float, (a, b, c, d))
     lo, hi = float(interval[0]), float(interval[1])
     dens = [c * lo + d, c * hi + d]
@@ -212,8 +207,8 @@ def moebius_map(a, b, c, d, interval):
         name=f"moebius({a},{b},{c},{d})",
         f=f,
         df=df,
-        mp_f=lambda x: (mpmath.mpf(a) * x + b) / (mpmath.mpf(c) * x + d),
-        mp_df=lambda x: mpmath.mpf(det) / (mpmath.mpf(c) * x + d) ** 2,
+        num=num,
+        den=den,
         dmin=dmin,
         dmax=dmax,
         gamma=1.0,
@@ -232,13 +227,6 @@ class ComposedMap:
     def __call__(self, x):
         for m in reversed(self.factors):
             x = m(x)
-        return x
-
-    def mp_call(self, x):
-        for m in reversed(self.factors):
-            x = m.mp_f(x) if isinstance(m, SmoothMap) else (
-                mpmath.mpf(float(m.ratio)) * x + float(m.translation)
-            )
         return x
 
     def deriv(self, x):
@@ -284,10 +272,7 @@ class Ifs:
             raise ValueError("an IFS needs at least two maps")
         self.maps = list(maps)
         lo, hi = interval
-        self.interval = (
-            lo if isinstance(lo, QuadExact) else Fraction(lo),
-            hi if isinstance(hi, QuadExact) else Fraction(hi),
-        )
+        self.interval = (_exact(lo), _exact(hi))
         if not self.interval[0] < self.interval[1]:
             raise ValueError("degenerate ambient interval")
         self.x0 = self.interval_mid() if x0 is None else x0
@@ -349,23 +334,22 @@ class Ifs:
             dmin, dmax = m.deriv_range()
             if not 0 < dmin <= dmax < 1:
                 raise ValueError(f"map {i} is not a contraction with f' bounded away from 0")
-            if m.kind == "affine":
-                img = sorted([m(lo), m(hi)])
-                if img[0] < lo or img[1] > hi:
-                    raise ValueError(f"map {i} does not map I into I")
-                fixed.add(m.fixed_point())
-            else:
-                with mpmath.workdps(_SMOOTH_DPS):
-                    pad = mpmath.mpf(10) ** (-_SMOOTH_DPS + 8)
-                    img = sorted([m.mp_f(mpmath.mpf(float(lo))), m.mp_f(mpmath.mpf(float(hi)))])
-                    if img[0] < float(lo) - pad or img[1] > float(hi) + pad:
-                        raise ValueError(f"map {i} does not map I into I")
-                fixed.add(round(_smooth_fixed_point(m, self), 12))
+            # m is monotone on I; an affine map's call is already exact
+            img = sorted(m(x) if m.kind == "affine" else _exact_image(m, x) for x in (lo, hi))
+            if img[0] < lo or img[1] > hi:
+                raise ValueError(f"map {i} does not map I into I")
+            fixed.add(m.fixed_point() if m.kind == "affine" else round(_smooth_fixed_point(m, self), 12))
         if len(fixed) < 2:
             raise ValueError("all maps share one fixed point; the attractor is a single point")
 
     def __repr__(self):
         return f"Ifs({self.name}, n={self.n})"
+
+
+def _exact_image(m, x):
+    """m(x) = P(x)/Q(x) in exact arithmetic."""
+    p, q = (sum(c * x**i for i, c in enumerate(cs)) for cs in (m.num, m.den))
+    return p / q
 
 
 def _smooth_fixed_point(m, ifs):
@@ -472,6 +456,53 @@ def _appended_symbols(ifs, eta, shrink, target_width, strict):
     return k
 
 
+def _fixed_point_image(m, bits):
+    """X -> (floor, ceil) of 2^bits * P(x)/Q(x) at x = X/2^bits, for m = P/Q.
+
+    Integer Horner is exact; the only rounding is in the two final divisions,
+    and Q's power of two is shifted out first, so a polynomial map divides
+    by a small integer only.
+    """
+    scale = lcm(*(c.denominator for c in (*m.num, *m.den)))
+    # highest power first, c_i * scale * 2^(bits*(deg - i)), so that Horner
+    # gives scale * 2^(bits*deg) * P(x)
+    ps, qs = ([int(c * scale) << bits * j for j, c in enumerate(reversed(cs))] for cs in (m.num, m.den))
+    shift = bits * (len(ps) - len(qs) - 1)  # 2^bits * P/Q = hp / (hq * 2^shift)
+
+    def image(x):
+        hp = hq = 0
+        for c in ps:
+            hp = hp * x + c
+        for c in qs:
+            hq = hq * x + c
+        if hq < 0:
+            hp, hq = -hp, -hq
+        if shift < 0:
+            return (hp << -shift) // hq, -((-hp << -shift) // hq)
+        return (hp >> shift) // hq, -((-hp >> shift) // hq)
+
+    return image
+
+
+def _fixed_point_maps(ifs, bits):
+    """The maps' fixed-point evaluators at 2^-bits and the ends of I
+    rounded outward to that grid."""
+    data = [*ifs.interval] + [c for m in ifs.maps for c in (*m.num, *m.den)]
+    if any(isinstance(c, QuadExact) for c in data):
+        raise PreconditionError("smooth-system enclosures need rational coefficients and "
+                                "interval ends, not quadratic-field ones")
+    lo, hi = ifs.interval
+    ends = math.floor(lo * 2**bits), math.ceil(hi * 2**bits)
+    return [_fixed_point_image(m, bits) for m in ifs.maps], ends
+
+
+def _image_hull(image, lo, hi, ends):
+    """Fixed-point hull of a map's image of [lo, hi]: the map is monotone on
+    I, so the images of the two ends span it, and it lies in I."""
+    (a, b), (c, d) = image(lo), image(hi)
+    return max(min(a, c), ends[0]), min(max(b, d), ends[1])
+
+
 def coding_point(ifs, omega_prefix, target_width):
     """Enclosure of x_omega = lim f_{omega|m}(x0) from a finite prefix.
 
@@ -495,6 +526,7 @@ def coding_point(ifs, omega_prefix, target_width):
         extended = _appended_symbols(ifs, omega_prefix, abs(g.ratio), target_width, strict)
         if extended:
             g = g.compose(compose_word(ifs, omega_prefix[-1:] * extended))
+        a, b = sorted((g(ifs.interval[0]), g(ifs.interval[1])))
     else:
         prefix = list(validate_word(ifs, omega_prefix))
         # log-space so that very small targets never underflow a float
@@ -507,36 +539,25 @@ def coding_point(ifs, omega_prefix, target_width):
             prefix.append(prefix[-1])
             log_shrink += log_last
             extended += 1
-        if all(ifs.maps[s - 1].kind == "affine" for s in set(prefix)):
-            g = compose_word(ifs, prefix)
-        else:
-            g = ComposedMap([ifs.maps[s - 1] for s in prefix])
 
-    lo, hi = ifs.interval
-    if isinstance(g, AffineMap):
-        a, b = sorted((g(lo), g(hi)))
-        # rational endpoints are their own bounds; irrational ones get pads
-        # below target/8 first, then finer ones until the slack below the
-        # target holds them
-        bits = (target_width.denominator // target_width.numerator).bit_length() + 3
-        while True:
-            alo, _ = _bounds(a, bits)
-            _, bhi = _bounds(b, bits)
-            if (alo, bhi) == (a, b) or bhi - alo <= target_width:
+    # rational affine ends are their own bounds; irrational ones and smooth
+    # images get bounds at about target/8 first, then finer ones until the
+    # slack below the target holds them
+    bits = (target_width.denominator // target_width.numerator).bit_length() + 3
+    while True:
+        if ifs.is_affine:
+            alo, bhi = _bounds(a, bits)[0], _bounds(b, bits)[1]
+            if (alo, bhi) == (a, b):
                 break
-            bits *= 2
-    else:
-        # working precision follows the target so the rounding pad stays
-        # an order of magnitude below the requested width
-        dps = max(_SMOOTH_DPS, int(math.ceil(max(0, -log_target / math.log(10)))) + 15)
-        with mpmath.workdps(dps):
-            a = g.mp_call(mpmath.mpf(float(lo)))
-            b = g.mp_call(mpmath.mpf(float(hi)))
-            if b < a:
-                a, b = b, a
-            pad = Fraction(10) ** (-dps + 10)
-            alo, _ = _mpf_bounds(a, pad)
-            _, bhi = _mpf_bounds(b, pad)
+        else:  # f_prefix(I), applied from the innermost symbol outward
+            images, ends = _fixed_point_maps(ifs, bits)
+            lo, hi = ends
+            for s in reversed(prefix):
+                lo, hi = _image_hull(images[s - 1], lo, hi, ends)
+            alo, bhi = Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+        if bhi - alo <= target_width:
+            break
+        bits *= 2
     enc = Enclosure(alo, bhi)
     enc.prefix_extended = extended
     return enc
@@ -547,30 +568,28 @@ def attractor_interval(ifs, depth=64):
 
     H_0 = I and H_d = hull(U_i f_i(H_{d-1})); the H_d are nested decreasing
     and every one contains K, so the result is a certified over-approximation.
+    Systems with a smooth map take the hull steps in fixed point at
+    2^-_FIX_BITS, rounded outward.
     """
-    lo, hi = ifs.interval
     exact = ifs.is_affine
-    if not exact:
-        lo, hi = mpmath.mpf(float(lo)), mpmath.mpf(float(hi))
+    if exact:
+        lo, hi = ifs.interval
+    else:
+        images, ends = _fixed_point_maps(ifs, _FIX_BITS)
+        lo, hi = ends
     for _ in range(depth):
-        pts = []
-        for m in ifs.maps:
-            if exact:
-                pts.extend([m(lo), m(hi)])
-            else:
-                with mpmath.workdps(_SMOOTH_DPS):
-                    if isinstance(m, SmoothMap):
-                        pts.extend([m.mp_f(lo), m.mp_f(hi)])
-                    else:
-                        pts.extend([float(m.ratio) * x + float(m.translation) for x in (lo, hi)])
-        nlo, nhi = min(pts), max(pts)
+        if exact:
+            pts = [m(x) for m in ifs.maps for x in (lo, hi)]
+            nlo, nhi = min(pts), max(pts)
+        else:
+            hulls = [_image_hull(image, lo, hi, ends) for image in images]
+            nlo, nhi = min(h[0] for h in hulls), max(h[1] for h in hulls)
         if nlo == lo and nhi == hi:
             break
         lo, hi = nlo, nhi
     if exact:
         return Enclosure(_bounds(lo, _FIX_BITS)[0], _bounds(hi, _FIX_BITS)[1])
-    pad = Fraction(10) ** (-_SMOOTH_DPS + 10)
-    return Enclosure(_mpf_bounds(lo, pad)[0], _mpf_bounds(hi, pad)[1])
+    return Enclosure(Fraction(lo, 1 << _FIX_BITS), Fraction(hi, 1 << _FIX_BITS))
 
 
 class DistortionEstimate:

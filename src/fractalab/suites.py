@@ -518,10 +518,6 @@ BUILTIN_SUITES = {
 }
 
 
-def list_builtin_suites():
-    return list(BUILTIN_SUITES)
-
-
 def run_suite(name, **kwargs):
     if name not in BUILTIN_SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(BUILTIN_SUITES)}")

@@ -31,6 +31,7 @@ from fractalab.ifs_core import (
     log_derivative_holder_check,
     moebius_example,
     pow2_pair,
+    quadratic_map,
     registered_affine,
     registered_smooth,
     smooth_example,
@@ -321,6 +322,89 @@ def test_golden_digits_of_sample_certifies_200_base_2_digits():
     assert set(stream.digits) <= {0, 1}
     short = digits_of_sample(ifs, WeightVector.uniform(2), 2, 100, rng_seed=3)
     assert stream.digits[:100] == short.digits
+
+
+# Exact rational maps of the two smooth builtins, for references evaluated
+# in mpmath only: smooth-example {x/3 + x^2/20, (x+2)/3} and moebius-example
+# {1/(x+2), (x+2)/3}, both on [0, 1].
+_SMOOTH_REFERENCE_MAPS = {
+    "smooth-example": (lambda x: x / 3 + x * x / 20, lambda x: (x + 2) / 3),
+    "moebius-example": (lambda x: 1 / (x + 2), lambda x: (x + 2) / 3),
+}
+_SMOOTH_SYSTEMS = {"smooth-example": smooth_example, "moebius-example": moebius_example}
+
+
+def _mpf(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _reference_cylinder(name, word):
+    """The ends of f_word([0, 1]); every map here is monotone on [0, 1]."""
+    lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+    for s in reversed(word):
+        f = _SMOOTH_REFERENCE_MAPS[name][s - 1]
+        lo, hi = sorted((f(lo), f(hi)))
+    return lo, hi
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(_SMOOTH_SYSTEMS)),
+    st.lists(st.integers(1, 2), min_size=1, max_size=200),
+    st.integers(5, 80),
+)
+def test_smooth_coding_point_contains_the_high_precision_cylinder(name, word, exp10):
+    target = F(1, 10**exp10)
+    enc = coding_point(_SMOOTH_SYSTEMS[name](), word, target)
+    assert enc.width <= target
+    with mpmath.workdps(400):
+        lo, hi = _reference_cylinder(name, word + word[-1:] * enc.prefix_extended)
+        assert _mpf(enc.lo) <= lo and hi <= _mpf(enc.hi)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_smooth_digits_of_sample_match_the_high_precision_point(seed):
+    n = 512
+    stream = digits_of_sample(smooth_example(), WeightVector.uniform(2), 2, n, rng_seed=seed)
+    # the same draws as the sampler: one uniform per symbol, symbol 1 below 1/2
+    u = np.random.default_rng(seed).random(stream.prefix_len)
+    word = [1 if x < 0.5 else 2 for x in u]
+    with mpmath.workdps(400):
+        x = mpmath.mpf(word[-1] - 1)  # fix(x/3 + x^2/20) = 0, fix((x+2)/3) = 1
+        for s in reversed(word):
+            x = _SMOOTH_REFERENCE_MAPS["smooth-example"][s - 1](x)
+        scaled = int(mpmath.floor(x * 2**n))
+    assert stream.digits == [int(b) for b in format(scaled, f"0{n}b")]
+
+
+def test_smooth_attractor_hulls_contain_their_fixed_points():
+    enc = attractor_interval(smooth_example())
+    assert 1 in enc  # fixed point of (x+2)/3
+    enc = attractor_interval(moebius_example())
+    assert 1 in enc and F(1, 3) in enc  # 1/3 = f1(1)
+    with mpmath.workdps(60):  # sqrt(2) - 1, the fixed point of 1/(x+2)
+        assert _mpf(enc.lo) <= mpmath.sqrt(2) - 1 <= _mpf(enc.hi)
+
+
+def test_smooth_map_into_interval_check_is_exact():
+    third = AffineMap(F(1, 3), 0)
+    # x/3 + x^2/20 + 37/60 maps [0, 1] onto [37/60, 1] exactly
+    Ifs([quadratic_map(F(1, 3), F(37, 60), F(1, 20), (0, 1)), third], (0, 1))
+    # x/4 + x^2/8 + 5/8 + 1e-20 sends 1 past 1 by 1e-20
+    over = quadratic_map(F(1, 4), F(5, 8) + F(1, 10**20), F(1, 8), (0, 1))
+    with pytest.raises(ValueError, match="does not map I into I"):
+        Ifs([over, third], (0, 1))
+
+
+def test_smooth_system_with_a_quadratic_field_map_raises_a_named_error():
+    ifs = Ifs(
+        [quadratic_map(F(1, 3), 0, F(1, 20), (0, 1)), AffineMap(F(1, 3), golden_ratio_conjugate())],
+        (0, 1),
+    )
+    with pytest.raises(PreconditionError, match="quadratic-field"):
+        coding_point(ifs, [1, 2], F(1, 10**12))
+    with pytest.raises(PreconditionError, match="quadratic-field"):
+        attractor_interval(ifs)
 
 
 @pytest.mark.parametrize(
