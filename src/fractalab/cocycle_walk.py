@@ -52,18 +52,20 @@ def _walk_matrix(ifs, p, n_paths, length, rng):
     x = _pull_back(ifs, sym[:, length:], np.full(n_paths, float(ifs.x0)))
     xnext = np.empty(n_paths)
     incs = np.empty((n_paths, length))
+    masks = [sym[:, :length] == i for i in range(ifs.n)]
+    present = [mask.any(axis=0).tolist() for mask in masks]
+    for mask, m in zip(masks, ifs.maps):
+        if m.kind == "affine":
+            incs[mask] = -math.log(float(abs(m.ratio)))
     # the pull-back through the first `length` columns is fused with the
-    # increments, which need each map's argument
+    # smooth maps' increments, which need each map's argument
     for j in range(length - 1, -1, -1):
-        col = sym[:, j]
         xnext[:] = x
         for i, m in enumerate(ifs.maps):
-            mask = col == i
-            if mask.any():
+            if present[i][j]:
+                mask = masks[i][:, j]
                 x[mask] = m(xnext[mask])
-                if m.kind == "affine":
-                    incs[mask, j] = -math.log(float(abs(m.ratio)))
-                else:
+                if m.kind != "affine":
                     incs[mask, j] = -np.log(np.abs(m.deriv(xnext[mask])))
     return sym[:, :length], incs
 
@@ -254,21 +256,32 @@ class LltReport:
     min_cell: int
 
 
-def _ks_uniform(samples, kchi, x1):
-    """KS distance between samples and the uniform law on [kchi, kchi+x1]."""
-    u = np.sort((samples - kchi) / x1)
-    n = len(u)
-    grid_hi = np.arange(1, n + 1) / n
-    grid_lo = np.arange(0, n) / n
-    u = np.clip(u, 0.0, 1.0)
-    return float(max(np.max(grid_hi - u), np.max(u - grid_lo)))
-
-
 def _weighted_median(values, weights):
     order = np.argsort(values)
     v, w = np.asarray(values)[order], np.asarray(weights, dtype=float)[order]
     cum = np.cumsum(w)
     return float(v[int(np.searchsorted(cum, 0.5 * cum[-1]))])
+
+
+def _first_at_least(S, target):
+    """Per row of the non-decreasing S, the first column with S >= target
+    (a scalar or a column), or S.shape[1] where the row never gets there."""
+    hit = S >= target
+    return np.where(hit[:, -1], hit.argmax(axis=1), S.shape[1])
+
+
+def _gather_words(words, start, stop):
+    """Rows words[r, start[r] : stop[r] + 1] of 1-based symbols, left-aligned
+    and padded with 0, so that row order is the order of the word tuples."""
+    stop = np.minimum(stop, words.shape[1] - 1)
+    cols = start[:, None] + np.arange(int((stop - start).max()) + 1)
+    out = np.take_along_axis(words, np.minimum(cols, words.shape[1] - 1), axis=1)
+    return np.where(cols <= stop[:, None], out, 0)
+
+
+def _stack_padded(blocks):
+    width = max(b.shape[1] for b in blocks)
+    return np.vstack([np.pad(b, ((0, 0), (0, width - b.shape[1]))) for b in blocks])
 
 
 def conditional_llt_experiment(
@@ -281,11 +294,19 @@ def conditional_llt_experiment(
     with the P-weighted median over cells holding at least min_cell samples.
     Only affine systems are supported: the cell partition needs the exact
     tilde walk, which is only available symbol-wise in the affine case.
+
+    Each key is a row of 1-based symbols, prefix then suffix, each
+    left-aligned and padded with 0, so that row order is tuple order.  One
+    lexsort on (key, S_tau) puts every cell in a contiguous run sorted by
+    S_tau, and each cell's distance to the uniform law on
+    [k*chi, k*chi + X_1] is the sorted-sample formula reduced over its run.
     """
     if not ifs.is_affine:
         raise PreconditionError(
             "conditional LLT cells require an affine IFS (exact tilde walk)"
         )
+    if not h_prime > 0:
+        raise ValueError("h_prime must be positive")
     if chi is None:
         chi = lyapunov(ifs, p, "exact").value
     logr = _neg_log_ratios(ifs)
@@ -294,41 +315,44 @@ def conditional_llt_experiment(
     length = int(math.ceil(((k + h + h_prime) * chi + 3 * dp) / d)) + 4
     rng = np.random.default_rng(rng_seed)
 
-    cells = {}
+    values, prefixes, suffixes = [], [], []
     done = 0
     while done < paths:
         m = min(_CHUNK, paths - done)
         sym = _draw_symbols(ifs, p, rng, (m, length))
         S = np.cumsum(logr[sym], axis=1)
-        # tau_k: first 0-based column j with S >= k*chi
-        j = np.argmax(S >= k * chi, axis=1)
-        s_tau = S[np.arange(m), j]
-        base = np.where(j > 0, S[np.arange(m), np.maximum(j - 1, 0)], 0.0)
-        for row in range(m):
-            jr = int(j[row])
-            if h > 0:
-                ph = int(np.searchsorted(S[row], h * chi, side="left"))
-                prefix = tuple(int(s) + 1 for s in sym[row, : ph + 1])
-            else:
-                prefix = ()
-            target = base[row] + h_prime * chi
-            q = int(np.searchsorted(S[row], target, side="left"))
-            suffix = tuple(int(s) + 1 for s in sym[row, jr : q + 1])
-            cells.setdefault((prefix, suffix), []).append(float(s_tau[row]))
+        words = sym.astype(np.min_scalar_type(ifs.n)) + 1  # narrow keys sort faster
+        rows = np.arange(m)
+        j = _first_at_least(S, k * chi)  # tau_k - 1
+        base = np.where(j > 0, S[rows, np.maximum(j - 1, 0)], 0.0)
+        q = _first_at_least(S, (base + h_prime * chi)[:, None])
+        ph = _first_at_least(S, h * chi) if h > 0 else np.full(m, -1)
+        values.append(S[rows, j])
+        prefixes.append(_gather_words(words, np.zeros(m, dtype=np.intp), ph))
+        suffixes.append(_gather_words(words, j, q))
         done += m
 
-    stats = []
-    excluded = 0
-    for (prefix, suffix), vals in sorted(cells.items()):
-        arr = np.array(vals)
-        x1 = logr[suffix[0] - 1]
-        ks = _ks_uniform(arr, k * chi, x1)
-        stats.append(CellStat(prefix=prefix, suffix=suffix, count=len(vals), ks=ks))
-        if len(vals) < min_cell:
-            excluded += len(vals)
-    included = [c for c in stats if c.count >= min_cell]
-    if included:
-        med = _weighted_median([c.ks for c in included], [c.count for c in included])
+    s_tau = np.concatenate(values)
+    prefix = _stack_padded(prefixes)
+    pw = prefix.shape[1]
+    keys = np.hstack([prefix, _stack_padded(suffixes)])
+    order = np.lexsort((s_tau, *keys.T[::-1]))
+    keys, s_tau = keys[order], s_tau[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, paths])
+    x1 = logr[keys[starts, pw] - 1]
+    u = np.clip((s_tau - k * chi) / np.repeat(x1, counts), 0.0, 1.0)
+    n = np.repeat(counts, counts)
+    rank = np.arange(paths) - np.repeat(starts, counts)
+    ks = np.maximum.reduceat(np.maximum((rank + 1) / n - u, u - rank / n), starts)
+
+    stats = [
+        CellStat(tuple(filter(None, key[:pw])), tuple(filter(None, key[pw:])), c, v)
+        for key, c, v in zip(keys[starts].tolist(), counts.tolist(), ks.tolist())
+    ]
+    included = counts >= min_cell
+    if included.any():
+        med = _weighted_median(ks[included], counts[included])
     else:
         med = float("nan")
     return LltReport(
@@ -338,7 +362,7 @@ def conditional_llt_experiment(
         paths=paths,
         cells=stats,
         weighted_median_ks=med,
-        excluded_mass=excluded / paths,
+        excluded_mass=int(counts[~included].sum()) / paths,
         min_cell=min_cell,
     )
 
@@ -354,7 +378,7 @@ class CltReport:
 
 def clt_experiment(ifs, p, n, paths, rng_seed=0):
     """Empirical law of (S_n - n*chi)/sqrt(n) vs the best-fit Gaussian."""
-    from scipy import stats as sps
+    from scipy.special import ndtr
 
     rng = np.random.default_rng(rng_seed)
     if ifs.is_affine:
@@ -377,7 +401,10 @@ def clt_experiment(ifs, p, n, paths, rng_seed=0):
     var = float(z.var())
     if var < 1e-20:
         return CltReport(n=n, paths=paths, ks=1.0, fitted_var=var, zero_variance=True)
-    ks = float(sps.kstest(z, "norm", args=(0.0, math.sqrt(var))).statistic)
+    # kstest's two-sided statistic, without its exact p-value
+    c = ndtr(np.sort(z) / math.sqrt(var))
+    grid = np.arange(paths + 1) / paths
+    ks = float(max((grid[1:] - c).max(), (c - grid[:-1]).max()))
     return CltReport(n=n, paths=paths, ks=ks, fitted_var=var, zero_variance=False)
 
 

@@ -721,11 +721,16 @@ def log_derivative_holder_check(ifs, eta, x, y):
 
 
 def _draw_symbols(ifs, p, rng, shape):
-    """0-based symbols of the given shape with P(symbol = i) = p_{i+1}."""
+    """0-based symbols of the given shape with P(symbol = i) = p_{i+1}: the
+    count of cumulative weights <= u, leaving out the last, which may fall
+    short of 1 in floats; the last symbol takes that round-off."""
     if len(p) != ifs.n:
         raise ValueError("weight vector length does not match the IFS")
-    cumw = np.cumsum([float(w) for w in p])
-    return np.searchsorted(cumw, rng.random(shape), side="right")
+    u = rng.random(shape)
+    sym = np.zeros(u.shape, dtype=np.intp)
+    for c in np.cumsum([float(w) for w in p])[:-1]:
+        sym += u >= c
+    return sym
 
 
 def _pull_back(ifs, sym, x):
@@ -841,19 +846,24 @@ def moebius_example():
     )
 
 
+# name -> (constructor, default weights), so that one system can be built alone
+AFFINE_CATALOG = {
+    "cantor": (cantor, WeightVector.uniform(2)),
+    "aperiodic-125": (aperiodic_125, WeightVector([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])),
+    "dyadic-pair": (dyadic_pair, WeightVector.uniform(2)),
+    "pow2-pair": (pow2_pair, WeightVector([Fraction(1, 3), Fraction(2, 3)])),
+    "bernoulli-1/3": (lambda: bernoulli_convolution(Fraction(1, 3)), WeightVector.uniform(2)),
+}
+SMOOTH_CATALOG = {
+    "smooth-example": (smooth_example, WeightVector.uniform(2)),
+    "moebius-example": (moebius_example, WeightVector.uniform(2)),
+}
+
+
 def registered_affine():
     """Named affine IFSs with default weights, used by the packaged suites."""
-    return {
-        "cantor": (cantor(), WeightVector.uniform(2)),
-        "aperiodic-125": (aperiodic_125(), WeightVector([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])),
-        "dyadic-pair": (dyadic_pair(), WeightVector.uniform(2)),
-        "pow2-pair": (pow2_pair(), WeightVector([Fraction(1, 3), Fraction(2, 3)])),
-        "bernoulli-1/3": (bernoulli_convolution(Fraction(1, 3)), WeightVector.uniform(2)),
-    }
+    return {name: (make(), w) for name, (make, w) in AFFINE_CATALOG.items()}
 
 
 def registered_smooth():
-    return {
-        "smooth-example": (smooth_example(), WeightVector.uniform(2)),
-        "moebius-example": (moebius_example(), WeightVector.uniform(2)),
-    }
+    return {name: (make(), w) for name, (make, w) in SMOOTH_CATALOG.items()}

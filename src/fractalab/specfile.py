@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .ifs_core import AffineMap, Ifs, WeightVector, registered_affine, registered_smooth
+from .ifs_core import AFFINE_CATALOG, SMOOTH_CATALOG, AffineMap, Ifs, WeightVector, golden_bernoulli
 
 
 class SpecFileError(ValueError):
@@ -45,14 +45,15 @@ def _lines(path):
             yield i, line
 
 
-def builtin_system(name):
-    table = {**registered_affine(), **registered_smooth()}
-    from .ifs_core import golden_bernoulli
+_BUILTINS = {**AFFINE_CATALOG, **SMOOTH_CATALOG,
+             "bernoulli-golden": (golden_bernoulli, WeightVector.uniform(2))}
 
-    table["bernoulli-golden"] = (golden_bernoulli(), WeightVector.uniform(2))
-    if name not in table:
-        raise KeyError(f"unknown builtin system {name!r}; known: {', '.join(sorted(table))}")
-    return IfsSpec(ifs=table[name][0], weights=table[name][1])
+
+def builtin_system(name):
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown builtin system {name!r}; known: {', '.join(sorted(_BUILTINS))}")
+    make, weights = _BUILTINS[name]
+    return IfsSpec(ifs=make(), weights=weights)
 
 
 def resolve_system(ref):

@@ -1,5 +1,6 @@
 """Log-derivative walk: Lyapunov exponent, stopping times, Gamma law, CLT."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -180,6 +181,21 @@ def test_clt_aperiodic_ks_small():
     assert rep.fitted_var > 0
 
 
+@pytest.mark.parametrize("paths, seed", [(2_000, 0), (7_000, 1), (12_000, 2), (30_000, 3)])
+def test_clt_ks_is_the_kstest_statistic(paths, seed):
+    from scipy import stats as sps
+
+    ifs, p, n = aperiodic_125(), W125, 300
+    rep = clt_experiment(ifs, p, n=n, paths=paths, rng_seed=seed)
+    # the same sample, rebuilt from the seed as clt_experiment draws it
+    rng = np.random.default_rng(seed)
+    logr = np.array([-math.log(float(abs(m.ratio))) for m in ifs.maps])
+    counts = rng.multinomial(n, [float(w) for w in p], size=paths)
+    z = (counts @ logr - n * lyapunov(ifs, p).value) / math.sqrt(n)
+    assert rep.fitted_var == float(z.var())
+    assert rep.ks == sps.kstest(z, "norm", args=(0.0, math.sqrt(z.var()))).statistic
+
+
 def test_clt_homogeneous_zero_variance():
     rep = clt_experiment(cantor(), HALF, n=200, paths=5_000, rng_seed=0)
     assert rep.zero_variance
@@ -210,6 +226,98 @@ def test_llt_lattice_case_far_from_gamma_law():
     # continuous law stays large
     rep = conditional_llt_experiment(cantor(), HALF, k=12, h=0, h_prime=3.0, paths=4_000, rng_seed=1)
     assert rep.weighted_median_ks >= 0.2
+
+
+def test_llt_rejects_nonpositive_h_prime():
+    with pytest.raises(ValueError, match="h_prime"):
+        conditional_llt_experiment(aperiodic_125(), W125, k=5, h=0, h_prime=0.0, paths=100)
+
+
+def _reference_llt_cells(symbol_blocks, logr, k, h, h_prime, chi, paths, min_cell):
+    """The LLT cells binned path by path from the definition: tau_k is the
+    first n with S_n >= k*chi, the suffix runs from symbol tau_k to the first
+    n with S_n >= S_{tau_k - 1} + h'*chi, and for h > 0 the prefix runs to
+    the first n with S_n >= h*chi.  Returns (cells, median, excluded_mass,
+    longest suffix of each block) with cells as (prefix, suffix, count, ks)
+    in tuple order."""
+    cells = {}
+    widths = []
+    for block in symbol_blocks:
+        widths.append(0)
+        for row in block.tolist():
+            S = list(itertools.accumulate(float(logr[s]) for s in row))
+
+            def first(target):
+                return next(i for i, v in enumerate(S) if v >= target)
+
+            j = first(k * chi)
+            q = first((S[j - 1] if j > 0 else 0.0) + h_prime * chi)
+            prefix = tuple(s + 1 for s in row[: first(h * chi) + 1]) if h > 0 else ()
+            suffix = tuple(s + 1 for s in row[j : q + 1])
+            widths[-1] = max(widths[-1], len(suffix))
+            cells.setdefault((prefix, suffix), []).append(S[j])
+    out = []
+    for (prefix, suffix), vals in sorted(cells.items()):
+        x1 = float(logr[suffix[0] - 1])
+        u = [min(max((v - k * chi) / x1, 0.0), 1.0) for v in sorted(vals)]
+        n = len(u)
+        ks = max(max((i + 1) / n - ui, ui - i / n) for i, ui in enumerate(u))
+        out.append((prefix, suffix, n, ks))
+    kept = sorted((ks, n) for _, _, n, ks in out if n >= min_cell)
+    median = float("nan")
+    if kept:
+        half = 0.5 * sum(n for _, n in kept)
+        cum = itertools.accumulate(n for _, n in kept)
+        median = next(ks for (ks, _), c in zip(kept, cum) if c >= half)
+    excluded = sum(n for _, _, n, _ in out if n < min_cell)
+    return out, median, excluded / paths, widths
+
+
+@pytest.mark.parametrize(
+    "system, k, h, paths, chunk, min_cell",
+    [
+        ("aperiodic-125", 12, 0, 3_000, None, 30),
+        ("aperiodic-125", 12, 2, 3_000, None, 30),
+        ("cantor", 10, 0, 2_000, None, 30),
+        ("cantor", 10, 1.5, 2_000, None, 30),
+        ("aperiodic-125", 20, 1, 2_001, 1_000, 30),
+        ("aperiodic-125", 6, 0, 300, None, 10**6),
+    ],
+)
+def test_llt_cells_match_a_per_path_reference(monkeypatch, system, k, h, paths, chunk, min_cell):
+    # the symbols are drawn by searchsorted on the cumulative weights, not by
+    # _draw_symbols, and recorded for the reference; the chunked case joins
+    # chunks whose keys have different widths
+    ifs, p = registered_affine()[system]
+    blocks = []
+
+    def draw(ifs_, p_, rng, shape):
+        cumw = np.cumsum([float(w) for w in p_])
+        blocks.append(np.searchsorted(cumw, rng.random(shape), side="right"))
+        return blocks[-1]
+
+    monkeypatch.setattr(cocycle_walk, "_draw_symbols", draw)
+    if chunk is not None:
+        monkeypatch.setattr(cocycle_walk, "_CHUNK", chunk)
+    h_prime = math.sqrt(k)
+    rep = conditional_llt_experiment(
+        ifs, p, k=k, h=h, h_prime=h_prime, paths=paths, rng_seed=11, min_cell=min_cell
+    )
+    assert len(blocks) == (1 if chunk is None else -(-paths // chunk))
+    chi = lyapunov(ifs, p).value
+    logr = np.array([-math.log(float(abs(m.ratio))) for m in ifs.maps])
+    cells, median, excluded, widths = _reference_llt_cells(
+        blocks, logr, k, h, h_prime, chi, paths, min_cell
+    )
+    if chunk is not None:
+        # the short last chunk has narrower suffix keys than the others
+        assert len(set(widths)) > 1
+    assert [(c.prefix, c.suffix, c.count, c.ks) for c in rep.cells] == cells
+    if math.isnan(median):
+        assert math.isnan(rep.weighted_median_ks)
+    else:
+        assert rep.weighted_median_ks == median
+    assert rep.excluded_mass == excluded
 
 
 def test_registered_affine_consistent_with_walks():

@@ -423,3 +423,19 @@ def test_nu_sampling_rejects_a_weight_vector_of_the_wrong_length(run):
     # two weights for three maps would silently sample another measure
     with pytest.raises(ValueError, match="weight vector length"):
         run(aperiodic_125(), (F(1, 2), F(1, 2)))
+
+
+def test_draw_symbols_gives_the_last_symbol_the_cumulative_round_off():
+    # the float cumulative sum of seven 1/7 weights ends at 0.9999999999999998,
+    # so a draw just below 1 lies beyond it
+    from fractalab.ifs_core import _draw_symbols
+
+    class Stub:
+        def random(self, shape):
+            return np.full(shape, np.nextafter(1.0, 0.0))
+
+    maps = [AffineMap(F(1, 8), F(i, 7)) for i in range(7)]
+    ifs = Ifs(maps, (0, 1))
+    sym = _draw_symbols(ifs, WeightVector.uniform(7), Stub(), (3, 4))
+    assert sym.shape == (3, 4)
+    assert (sym == 6).all()
