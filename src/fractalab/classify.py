@@ -755,7 +755,7 @@ class ClassificationReport:
     periodicity: PeriodicityVerdict
     lattice: LatticeVerdict
     diophantine: ScanReport | None
-    integer_form: IntegerFormReport | None
+    integer_form: IntegerFormReport
 
     def to_text(self):
         lines = [f"ifs: {self.name}"]
@@ -779,30 +779,28 @@ class ClassificationReport:
                 f"diophantine_scan: positive={str(d.positive).lower()} "
                 f"C={d.fitted_c:.4g} l={d.fitted_l:.4g} x_max={d.xs[-1]:.4g}"
             )
-        if self.integer_form is not None:
-            f = self.integer_form
-            if f.in_form:
-                lines.append(
-                    f"integer_form: base={f.base} exponents={f.exponents} gcd={f.gcd}"
-                )
-            else:
-                lines.append(f"integer_form: none ({f.note})")
+        f = self.integer_form
+        if f.in_form:
+            lines.append(f"integer_form: base={f.base} exponents={f.exponents} gcd={f.gcd}")
+        else:
+            lines.append(f"integer_form: none ({f.note})")
         return "\n".join(lines) + "\n"
 
 
 def classify_ifs(ifs):
+    if not ifs.is_affine:
+        raise PreconditionError(f"classification requires an affine IFS; {ifs.name} has a smooth map")
     ratios = [m.ratio for m in ifs.maps]
     periodicity = is_periodic(ratios)
     lattice = lattice_check_fixed_point_set(ifs)
     dio = None
-    if ifs.is_affine and not any(isinstance(r, QuadExact) for r in ratios):
+    if not any(isinstance(r, QuadExact) for r in ratios):
         logs = sorted({abs(math.log(float(abs(Fraction(r))))) for r in ratios})
         dio = diophantine_scan(logs)
-    integer_form = integer_pisot_form_check(ifs) if ifs.is_affine else None
     return ClassificationReport(
         name=ifs.name,
         periodicity=periodicity,
         lattice=lattice,
         diophantine=dio,
-        integer_form=integer_form,
+        integer_form=integer_pisot_form_check(ifs),
     )

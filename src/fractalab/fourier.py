@@ -185,14 +185,18 @@ class DecayProfile:
     degenerate: bool
 
     def per_decade_max(self):
-        """{decade j: max |F_q| over q in [10^j, 10^{j+1})}."""
-        out = {}
-        for s in self.samples:
-            if s.q <= 0:
-                continue
-            j = int(math.floor(math.log10(s.q) + 1e-12))
-            out[j] = max(out.get(j, 0.0), abs(s.value))
-        return out
+        return per_decade_max(self.samples)
+
+
+def per_decade_max(samples):
+    """{decade j: max |F_q| over q in [10^j, 10^{j+1})}; q <= 0 is skipped."""
+    out = {}
+    for s in samples:
+        if s.q <= 0:
+            continue
+        j = int(math.floor(math.log10(s.q) + 1e-12))
+        out[j] = max(out.get(j, 0.0), abs(s.value))
+    return out
 
 
 def decay_profile(ifs, p, q_grid, tol, method="word_tree", samples=100_000, rng_seed=0):

@@ -1,18 +1,19 @@
-"""Packaged verification suites.
+"""Experiments: the packaged verification suites and the config runners.
 
-Each suite runs one of the headline desk-scale experiments end to end and
-returns a SuiteResult with named pass/fail assertions plus CSV-ready tables.
-The CLI exposes them via `fractalab run` (experiment kind "suite") and
-`fractalab suites`.
+A suite runs a headline experiment with fixed parameters; a runner runs one
+`fractalab run` experiment kind from a config (`run_config`).  Both return a
+SuiteResult of named pass/fail assertions plus CSV-ready tables.  A suite and
+a runner that measure the same thing share one helper and one pass rule, and
+keep their own tables and assertion texts.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -20,24 +21,8 @@ from . import classify as cls
 from . import cocycle_walk as cw
 from . import fourier as fr
 from . import normality as nm
-from .ifs_core import (
-    WeightVector,
-    aperiodic_125,
-    bernoulli_convolution,
-    cantor,
-    compose_word,
-    golden_bernoulli,
-    registered_affine,
-    smooth_example,
-)
-
-_PINS_PATH = Path(__file__).with_name("pins.json")
-
-
-def _load_pins():
-    if _PINS_PATH.exists():
-        return json.loads(_PINS_PATH.read_text())
-    return {}
+from .ifs_core import WeightVector, aperiodic_125, cantor, compose_word, registered_affine
+from .specfile import builtin_system, resolve_system
 
 
 @dataclass
@@ -69,6 +54,60 @@ class SuiteResult:
             lines.append(f"{mark}  {a.desc}" + (f"  [{a.detail}]" if a.detail else ""))
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         return lines
+
+
+# -- measurements and pass rules shared by suites and runners -----------------
+
+
+def _builtin(name):
+    """A builtin system with its catalog weights."""
+    spec = builtin_system(name)
+    return spec.ifs, spec.weights
+
+
+def _decreasing(seq):
+    return all(b < a for a, b in zip(seq, seq[1:]))
+
+
+def _llt_reports(ifs, w, ks, paths, seed, h=0, h_prime=None):
+    """The LltReport at each k, with h' = sqrt(k) unless h_prime is given."""
+    return [cw.conditional_llt_experiment(ifs, w, k, h, math.sqrt(k) if h_prime is None else h_prime, paths,
+                                          rng_seed=seed) for k in ks]
+
+
+def _energy_grid(ifs, w, qs, ks, rs, seed):
+    """Rows (q, k, r, lhs, rhs, ok) of the scaled-energy inequality on the grid."""
+    chi = cw.lyapunov(ifs, w, "exact").value
+    rows = []
+    for q, k, r in itertools.product(qs, ks, rs):
+        out = fr.scaled_energy_check(ifs, w, q, k, r, chi, rng_seed=seed)
+        rows.append((q, k, r, f"{out.lhs:.6g}", f"{out.rhs:.6g}", int(out.holds())))
+    return rows
+
+
+def _chi2_pass(ifs, w, base, n_digits, block_len, seed, p_floor):
+    """(min p-value, passed) of the block chi-square test on one sampled point."""
+    stream = nm.digits_of_sample(ifs, w, base, n_digits, rng_seed=seed)
+    p = nm.digit_frequency_test(stream, n_digits, block_len).min_p_value
+    return p, p > p_floor
+
+
+def _scan_table(inst):
+    return ("x", "m"), [(f"{x:.5g}", f"{m:.6g}") for x, m in zip(inst.scan.xs, inst.scan.ms)]
+
+
+def _golden_nondecay(n_max):
+    """|F_{r^-n}|, n = 1..n_max, of the golden Bernoulli convolution in closed form.
+
+    The maps r x -+ 1 with weights 1/2 give F_q = prod_{k>=0} cos(2 pi q r^k).
+    With phi = 1/r and the Lucas numbers L_m, phi^m = L_m - (-r)^m, and cosine
+    is even, so F_{r^-n} = prod_{m=1..n} cos(2 pi r^m) * prod_{k>=0} cos(2 pi r^k):
+    the Jessen-Wintner product with every large phase reduced exactly.
+    """
+    r = (math.sqrt(5) - 1) / 2
+    tail = math.prod(math.cos(2 * math.pi * r**k) for k in range(80))
+    heads = itertools.accumulate((math.cos(2 * math.pi * r**m) for m in range(1, n_max + 1)), operator.mul)
+    return [abs(h * tail) for h in heads]
 
 
 # -- 1: word tree vs Monte Carlo --------------------------------------------
@@ -147,8 +186,7 @@ def suite_pisot_nondecay(tol=1e-6, n_max=25):
         "pisot-nondecay",
         "golden Bernoulli convolution: |F_q| stays above a positive floor at q = r^{-n}",
     )
-    ifs = golden_bernoulli()
-    w = WeightVector.uniform(2)
+    ifs, w = _builtin("bernoulli-golden")
     r = ifs.maps[0].ratio
     rows = []
     mags = []
@@ -160,16 +198,13 @@ def suite_pisot_nondecay(tol=1e-6, n_max=25):
     floor = min(mags)
     res.tables["pisot"] = (("n", "q", "abs_F"), rows)
     res.check("min |F_{r^{-n}}| > 0 for n <= 25", floor > 0, f"floor {floor:.6g}")
-    pinned = _load_pins().get("pisot-floor")
-    if pinned is None:
-        ok, detail = False, f"floor {floor:.8g}, but {_PINS_PATH.name} has no pisot-floor entry"
-    else:
-        ok = abs(floor - pinned) <= 1e-6
-        detail = (
-            f"floor {floor:.8g}, pinned {pinned:.8g}; the non-decay limit "
-            f"prod cos(2 pi r^k)^2 ~ 4.87e-4 sits below the nominal 1e-2 scale"
-        )
-    res.check("floor matches the value pinned at first run (tol 1e-6)", ok, detail)
+    closed = min(_golden_nondecay(n_max))
+    res.check(
+        "floor matches the closed-form Jessen-Wintner product (tol 1e-6)",
+        abs(floor - closed) <= 1e-6,
+        f"floor {floor:.8g}, product {closed:.8g}; the non-decay floor ~ 4.87e-4 "
+        f"sits below the nominal 1e-2 scale",
+    )
     return res
 
 
@@ -191,7 +226,7 @@ def suite_aperiodic_decay(tol=1e-4, per_decade=30):
     res.tables["decades"] = (("decade", "max_abs_F"), rows)
     res.check(
         "per-decade max |F_q| strictly decreasing over decades up to 1e5",
-        all(b < a for a, b in zip(seq, seq[1:])),
+        _decreasing(seq),
         " > ".join(f"{v:.4g}" for v in seq),
     )
     res.check(
@@ -210,31 +245,22 @@ def suite_llt_trend(rng_seed=7, paths=100_000, ks=(20, 40, 80)):
         "llt-trend",
         "per-cell law of S_{tau_k}: Gamma-law agreement trend (aperiodic) and lattice floor (periodic)",
     )
-    ap = aperiodic_125()
-    wap = WeightVector([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
-    ca = cantor()
-    wca = WeightVector.uniform(2)
     rows = []
-    medians = []
-    for k in ks:
-        rep = cw.conditional_llt_experiment(
-            ap, wap, k=k, h=0, h_prime=math.sqrt(k), paths=paths, rng_seed=rng_seed
-        )
-        medians.append(rep.weighted_median_ks)
-        rows.append(("aperiodic-125", k, f"{rep.weighted_median_ks:.5f}", f"{rep.excluded_mass:.4f}", len(rep.cells)))
-    cantor_meds = []
-    for k in ks:
-        rep = cw.conditional_llt_experiment(
-            ca, wca, k=k, h=0, h_prime=math.sqrt(k), paths=paths, rng_seed=rng_seed
-        )
-        cantor_meds.append(rep.weighted_median_ks)
-        rows.append(("cantor", k, f"{rep.weighted_median_ks:.5f}", f"{rep.excluded_mass:.4f}", len(rep.cells)))
+    medians = {}
+    for name in ("aperiodic-125", "cantor"):
+        reps = _llt_reports(*_builtin(name), ks, paths, rng_seed)
+        medians[name] = [rep.weighted_median_ks for rep in reps]
+        rows += [
+            (name, k, f"{rep.weighted_median_ks:.5f}", f"{rep.excluded_mass:.4f}", len(rep.cells))
+            for k, rep in zip(ks, reps)
+        ]
     res.tables["llt"] = (("ifs", "k", "weighted_median_ks", "excluded_mass", "cells"), rows)
     res.check(
         f"aperiodic weighted-median KS strictly decreasing over k={list(ks)} at {paths} paths",
-        all(b < a for a, b in zip(medians, medians[1:])),
-        " -> ".join(f"{v:.4f}" for v in medians),
+        _decreasing(medians["aperiodic-125"]),
+        " -> ".join(f"{v:.4f}" for v in medians["aperiodic-125"]),
     )
+    cantor_meds = medians["cantor"]
     res.check(
         "periodic Cantor median KS >= 0.2 at every k (lattice law)",
         all(v >= 0.2 for v in cantor_meds),
@@ -253,11 +279,8 @@ def suite_stopping_bracket(rng_seed=3, pairs=1_000_000):
     )
     rows = []
     total_v = 0
-    for name, (ifs, w) in (
-        ("cantor", (cantor(), WeightVector.uniform(2))),
-        ("aperiodic-125", (aperiodic_125(), WeightVector([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]))),
-    ):
-        v, n = cw.bracket_check(ifs, w, pairs // 2, rng_seed=rng_seed)
+    for name in ("cantor", "aperiodic-125"):
+        v, n = cw.bracket_check(*_builtin(name), pairs // 2, rng_seed=rng_seed)
         rows.append((name, n, v))
         total_v += v
     res.tables["bracket"] = (("ifs", "pairs", "violations"), rows)
@@ -274,11 +297,7 @@ def suite_gamma_law(rng_seed=5, cells=100):
         "Gamma cell laws: unit mass, density capped by 1/D",
     )
     rng = np.random.default_rng(rng_seed)
-    systems = [
-        (cantor(), WeightVector.uniform(2)),
-        (aperiodic_125(), WeightVector([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])),
-        (smooth_example(), WeightVector.uniform(2)),
-    ]
+    systems = [_builtin(name) for name in ("cantor", "aperiodic-125", "smooth-example")]
     chis = []
     for ifs, w in systems:
         if ifs.is_affine:
@@ -317,20 +336,17 @@ def suite_digit_normality(rng_seed=100, seeds=100, n_digits=4096):
         "cantor-digit-normality",
         "base-2 digit blocks of Cantor samples look uniform; base-3 never shows digit 1",
     )
-    ifs = cantor()
-    w = WeightVector.uniform(2)
+    ifs, w = _builtin("cantor")
     pass2 = 0
     ones3 = 0
     rows = []
     for s in range(seeds):
-        st2 = nm.digits_of_sample(ifs, w, 2, n_digits, rng_seed=rng_seed + s)
-        rep = nm.digit_frequency_test(st2, n_digits, block_len=3)
-        ok = rep.min_p_value > 1e-3
+        p, ok = _chi2_pass(ifs, w, 2, n_digits, 3, rng_seed + s, 1e-3)
         pass2 += ok
         st3 = nm.digits_of_sample(ifs, w, 3, n_digits, rng_seed=rng_seed + s)
         n_ones = st3.digits.count(1)
         ones3 += n_ones
-        rows.append((rng_seed + s, f"{rep.min_p_value:.5f}", int(ok), n_ones))
+        rows.append((rng_seed + s, f"{p:.5f}", int(ok), n_ones))
     res.tables["normality"] = (("seed", "min_p_base2", "pass", "ones_base3"), rows)
     res.check(
         f"base-2 chi-square p > 1e-3 in >= 95 of {seeds} seeds (blocks <= 3, N={n_digits})",
@@ -349,13 +365,7 @@ def suite_digit_certification(rng_seed=500, seeds=100, n_digits=40):
         "digit-certification",
         "doubling the requested precision never changes certified digits",
     )
-    from .ifs_core import dyadic_pair
-
-    systems = [
-        (cantor(), WeightVector.uniform(2)),
-        (aperiodic_125(), WeightVector([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])),
-        (dyadic_pair(), WeightVector.uniform(2)),
-    ]
+    systems = [_builtin(name) for name in ("cantor", "aperiodic-125", "dyadic-pair")]
     bad = 0
     total = 0
     for ifs, w in systems:
@@ -386,13 +396,12 @@ def suite_classification(tol=1e-6):
     v1 = cls.is_periodic([m.ratio for m in cantor().maps])
     res.check("Cantor IFS is periodic with exact certificate", v1.periodic and v1.exact,
               f"generator {v1.generator:.6f}")
-    ap = aperiodic_125()
+    ap, w = _builtin("aperiodic-125")
     v2 = cls.is_periodic([m.ratio for m in ap.maps])
     res.check("{1/2,1/3,1/5} is aperiodic with exact certificate",
               (not v2.periodic) and v2.exact and v2.witness is not None,
               v2.certificate)
 
-    w = WeightVector([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     ind = cls.induce_aperiodic(ap, w)
     res.check("induced weight vector sums to exactly 1", sum(ind.q) == 1,
               f"{[str(x) for x in ind.q]}")
@@ -457,20 +466,10 @@ def suite_scaled_energy(rng_seed=21):
         "scaled-energy inequality: frequency-band energy vs ball-mass bound",
     )
     rows = []
-    bad = 0
-    systems = [
-        ("cantor", cantor(), WeightVector.uniform(2)),
-        ("bernoulli-1/3", bernoulli_convolution(Fraction(1, 3)), WeightVector.uniform(2)),
-    ]
-    for name, ifs, w in systems:
-        chi = cw.lyapunov(ifs, w, "exact").value
-        for q in (1e2, 1e3, 1e5):
-            for k in (2, 4, 6):
-                for r in (1e-1, 1e-3, 3e-5):
-                    out = fr.scaled_energy_check(ifs, w, q, k, r, chi, rng_seed=rng_seed)
-                    ok = out.holds()
-                    bad += not ok
-                    rows.append((name, q, k, r, f"{out.lhs:.6g}", f"{out.rhs:.6g}", int(ok)))
+    for name in ("cantor", "bernoulli-1/3"):
+        grid = _energy_grid(*_builtin(name), (1e2, 1e3, 1e5), (2, 4, 6), (1e-1, 1e-3, 3e-5), rng_seed)
+        rows += [(name, *row) for row in grid]
+    bad = sum(not row[-1] for row in rows)
     res.tables["energy"] = (("ifs", "q", "k", "r", "lhs", "rhs", "ok"), rows)
     res.check("lhs <= rhs + error budget on the full (q, k, r) grid x 2 measures",
               bad == 0, f"{bad} violations of {len(rows)}")
@@ -497,8 +496,7 @@ def suite_moser(rng_seed=42):
         inst.scan.positive and inst.scan.fitted_l <= inst.tau + 1,
         f"min m {inst.scan.min_m:.3e}, fitted l {inst.scan.fitted_l:.3f}",
     )
-    rows = [(f"{x:.5g}", f"{m:.6g}") for x, m in zip(inst.scan.xs, inst.scan.ms)]
-    res.tables["scan"] = (("x", "m"), rows)
+    res.tables["scan"] = _scan_table(inst)
     return res
 
 
@@ -522,3 +520,236 @@ def run_suite(name, **kwargs):
     if name not in BUILTIN_SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(BUILTIN_SUITES)}")
     return BUILTIN_SUITES[name](**kwargs)
+
+
+# -- config runners: one per `fractalab run` experiment kind ------------------
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def _need(cfg, key):
+    if key not in cfg or not cfg[key]:
+        raise ConfigError(f"missing config field: {key}")
+    return cfg[key]
+
+
+def parse_flag(key, text):
+    """A boolean config value or `--expect` value: true or false, in any case."""
+    if text.lower() not in ("true", "false"):
+        raise ConfigError(f"{key} must be true or false, not {text!r}")
+    return text.lower() == "true"
+
+
+def _flag(cfg, key):
+    return key in cfg and parse_flag(key, cfg[key])
+
+
+def _load_system(cfg):
+    spec = resolve_system(_need(cfg, "ifs"))
+    weights = spec.weights
+    if "weights" in cfg:
+        weights = WeightVector([Fraction(w) for w in cfg["weights"].split()])
+    if weights is None:
+        raise ConfigError("missing config field: weights (not provided by the ifs file either)")
+    if len(weights) != spec.ifs.n:
+        raise ConfigError("weights length does not match the ifs")
+    return spec.ifs, weights
+
+
+def _parse_q_grid(text):
+    """a:b:N-log -> N log-spaced frequencies in [a, b]."""
+    try:
+        a, b, tail = text.split(":")
+        n, mode = tail.split("-")
+        a, b, n = float(a), float(b), int(n)
+        if mode != "log" or a <= 0 or b <= a or n < 2:
+            raise ValueError
+    except ValueError as exc:
+        raise ConfigError(f"bad q-grid {text!r}; expected a:b:N-log") from exc
+    return [Fraction(q).limit_denominator(10**7) for q in np.geomspace(a, b, n)]
+
+
+def _run_suite(cfg, seed):
+    return run_suite(_need(cfg, "suite"))
+
+
+def _run_fourier_decay(cfg, seed):
+    ifs, w = _load_system(cfg)
+    tol = float(cfg.get("tol", "1e-4"))
+    res = SuiteResult("fourier-decay", f"decay profile of {ifs.name}")
+    if "q-ratio-powers" in cfg:
+        # q = r^-n alternates in sign for a negative ratio, so this is no
+        # increasing grid for decay_profile
+        n_max = int(cfg["q-ratio-powers"])
+        r = ifs.maps[0].ratio
+        samples = [fr.fourier_word_tree(ifs, w, r ** (-n), tol) for n in range(1, n_max + 1)]
+    else:
+        grid = _parse_q_grid(_need(cfg, "q-grid"))
+        method = cfg.get("method", "word_tree")
+        samples = fr.decay_profile(ifs, w, grid, tol, method, int(cfg.get("samples", "100000")), seed).samples
+    rows = [
+        (f"{s.q:.10g}", f"{s.value.real:.10f}", f"{s.value.imag:.10f}",
+         f"{abs(s.value):.10f}", f"{s.error_bound:.3g}", s.method)
+        for s in samples
+    ]
+    res.tables["profile"] = (("q", "re", "im", "abs", "error_bound", "method"), rows)
+    if cfg.get("assert-min-abs"):
+        floor = float(cfg["assert-min-abs"])
+        mn = min(abs(s.value) for s in samples)
+        res.check(f"min |F_q| >= {floor}", mn >= floor, f"min {mn:.6g}")
+    if _flag(cfg, "assert-decades-decreasing"):
+        decades = fr.per_decade_max(samples)
+        seq = [decades[j] for j in sorted(decades)]
+        res.check("per-decade max strictly decreasing", _decreasing(seq), " > ".join(f"{v:.4g}" for v in seq))
+    return res
+
+
+def _run_llt(cfg, seed):
+    ifs, w = _load_system(cfg)
+    ks = [float(k) for k in _need(cfg, "k-list").split()]
+    h = float(cfg.get("h", "0"))
+    paths = int(cfg.get("paths", "100000"))
+    h_prime = cfg.get("h-prime", "sqrt")
+    reps = _llt_reports(ifs, w, ks, paths, seed, h, None if h_prime == "sqrt" else float(h_prime))
+    res = SuiteResult("llt", f"conditional law of S_tau for {ifs.name}")
+    rows = []
+    for k, rep in zip(ks, reps):
+        for c in rep.cells:
+            rows.append((k, "".join(map(str, c.prefix)), "".join(map(str, c.suffix)), c.count, f"{c.ks:.6f}"))
+        rows.append((k, "summary", "weighted_median", rep.paths, f"{rep.weighted_median_ks:.6f}"))
+    res.tables["cells"] = (("k", "prefix", "suffix", "count", "ks"), rows)
+    medians = [rep.weighted_median_ks for rep in reps]
+    if _flag(cfg, "assert-trend"):
+        res.check("weighted median KS strictly decreasing in k", _decreasing(medians),
+                  " -> ".join(f"{v:.4f}" for v in medians))
+    if cfg.get("assert-median-floor"):
+        floor = float(cfg["assert-median-floor"])
+        res.check(f"weighted median KS >= {floor} at every k",
+                  all(v >= floor for v in medians),
+                  " , ".join(f"{v:.4f}" for v in medians))
+    return res
+
+
+def _run_clt(cfg, seed):
+    ifs, w = _load_system(cfg)
+    n = int(cfg.get("n", "400"))
+    paths = int(cfg.get("paths", "100000"))
+    rep = cw.clt_experiment(ifs, w, n, paths, rng_seed=seed)
+    res = SuiteResult("clt", f"normalized walk law for {ifs.name}")
+    res.tables["clt"] = (
+        ("n", "paths", "ks", "fitted_var", "zero_variance"),
+        [(rep.n, rep.paths, f"{rep.ks:.6f}", f"{rep.fitted_var:.8f}", int(rep.zero_variance))],
+    )
+    if cfg.get("assert-ks-below"):
+        cap = float(cfg["assert-ks-below"])
+        res.check(f"KS distance <= {cap}", rep.ks <= cap, f"ks {rep.ks:.5f}")
+    if _flag(cfg, "assert-zero-variance"):
+        res.check("zero-variance degenerate walk flagged", rep.zero_variance)
+    return res
+
+
+def _run_normality(cfg, seed):
+    ifs, w = _load_system(cfg)
+    base = int(cfg.get("base", "2"))
+    n_digits = int(cfg.get("n-digits", "4096"))
+    seeds = int(cfg.get("seeds", "20"))
+    block_len = int(cfg.get("block-len", "3"))
+    p_floor = float(cfg.get("p-floor", "1e-3"))
+    res = SuiteResult("normality", f"digit statistics of {ifs.name} in base {base}")
+    rows = []
+    passes = 0
+    for s in range(seeds):
+        p, ok = _chi2_pass(ifs, w, base, n_digits, block_len, seed + s, p_floor)
+        passes += ok
+        rows.append((seed + s, f"{p:.6f}", int(ok)))
+    res.tables["digit-frequency"] = (("seed", "min_p_value", "pass"), rows)
+    if cfg.get("assert-pass-fraction"):
+        frac = float(cfg["assert-pass-fraction"])
+        res.check(f"chi-square pass fraction >= {frac}", passes >= frac * seeds,
+                  f"{passes}/{seeds}")
+    return res
+
+
+def _run_classify(cfg, seed):
+    ifs, _ = _load_system(cfg)
+    report = cls.classify_ifs(ifs)
+    res = SuiteResult("classify", f"structural classification of {ifs.name}")
+    res.tables["report"] = (("field",), [(line,) for line in report.to_text().splitlines()])
+    if "expect-periodic" in cfg:
+        want = parse_flag("expect-periodic", cfg["expect-periodic"])
+        res.check(f"periodic == {want}", report.periodicity.periodic == want,
+                  report.periodicity.certificate)
+    if "expect-in-integer-form" in cfg:
+        want = parse_flag("expect-in-integer-form", cfg["expect-in-integer-form"])
+        res.check(f"integer form == {want}", report.integer_form.in_form == want)
+    return res
+
+
+def _run_moser(cfg, seed):
+    tau = float(cfg.get("tau", "3"))
+    depth = int(cfg.get("depth", "3"))
+    inst = cls.moser_family(tau=tau, liouville_depth=depth, rng_seed=seed)
+    res = SuiteResult("moser", "generated Liouville-like frequency tuple")
+    res.tables["scan"] = _scan_table(inst)
+    res.check("tuple starts (1, 2)", inst.v[:2] == (1.0, 2.0))
+    res.check("Liouville-like continued fractions",
+              all(r.verdict == "liouville-like" for r in inst.li_reports))
+    res.check("positive scan envelope", inst.scan.positive and inst.scan.fitted_l <= tau + 1,
+              f"fitted l {inst.scan.fitted_l:.3f}")
+    return res
+
+
+def _run_scaled_energy(cfg, seed):
+    ifs, w = _load_system(cfg)
+    qs = [float(x) for x in cfg.get("q-list", "100 1000 100000").split()]
+    ks = [float(x) for x in cfg.get("k-list", "2 4 6").split()]
+    rs = [float(x) for x in cfg.get("r-list", "0.1 0.001 0.00003").split()]
+    res = SuiteResult("scaled-energy", f"scaled-energy inequality for {ifs.name}")
+    rows = _energy_grid(ifs, w, qs, ks, rs, seed)
+    res.tables["energy"] = (("q", "k", "r", "lhs", "rhs", "ok"), rows)
+    bad = sum(not row[-1] for row in rows)
+    res.check("inequality holds across the grid", bad == 0, f"{bad} violations")
+    return res
+
+
+def _run_del_criterion(cfg, seed):
+    ifs, w = _load_system(cfg)
+    base = int(cfg.get("base", "2"))
+    q = Fraction(cfg.get("q", "1"))
+    n_max = int(cfg.get("n-max", "4096"))
+    samples = int(cfg.get("samples", "200"))
+    rep = fr.del_criterion_diagnostic(ifs, w, base, q, n_max, samples, rng_seed=seed)
+    res = SuiteResult("del-criterion", f"L2 orbit averages of {ifs.name} in base {base}")
+    stride = max(1, n_max // 256)
+    rows = [
+        (int(rep.n_values[i]), f"{rep.e_n[i]:.8f}", f"{rep.partial_sums[i]:.6f}")
+        for i in range(0, n_max, stride)
+    ]
+    res.tables["partial-sums"] = (("N", "e_N", "partial_sum"), rows)
+    res.check("tail slope recorded", True, f"slope {rep.tail_slope:.4f} per log N")
+    if _flag(cfg, "assert-bounded"):
+        res.check("partial sums look bounded", rep.bounded_verdict(), f"slope {rep.tail_slope:.4f}")
+    return res
+
+
+RUNNERS = {
+    "suite": _run_suite,
+    "fourier-decay": _run_fourier_decay,
+    "normality": _run_normality,
+    "llt": _run_llt,
+    "clt": _run_clt,
+    "classify": _run_classify,
+    "moser": _run_moser,
+    "scaled-energy": _run_scaled_energy,
+    "del-criterion": _run_del_criterion,
+}
+
+
+def run_config(cfg):
+    """Run a parsed experiment config; raises ConfigError on a bad config."""
+    kind = _need(cfg, "experiment")
+    if kind not in RUNNERS:
+        raise ConfigError(f"unknown experiment kind {kind!r}; known: {', '.join(RUNNERS)}")
+    return RUNNERS[kind](cfg, int(cfg.get("seed", "0")))

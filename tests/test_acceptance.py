@@ -46,7 +46,7 @@ def test_criterion_02_self_similarity_recursion():
 def test_criterion_03_pisot_nondecay_pinned_floor():
     """Golden-ratio Bernoulli convolution at q = r^{-n}, n = 1..25, exact
     quadratic-field frequencies: the floor min |F_q| is strictly positive and
-    reproduces the value pinned at first run to 1e-6."""
+    matches the closed-form Jessen-Wintner product over the same n to 1e-6."""
     run_and_report("pisot-nondecay")
 
 

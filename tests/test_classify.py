@@ -21,9 +21,11 @@ from fractalab.fourier import fourier_word_tree
 from fractalab.ifs_core import (
     AffineMap,
     Ifs,
+    PreconditionError,
     aperiodic_125,
     cantor,
     golden_bernoulli,
+    moebius_example,
     smooth_example,
 )
 from fractalab.quadfield import golden_ratio_conjugate
@@ -274,6 +276,12 @@ def test_classify_ifs_report_roundtrip():
     text = rep.to_text()
     assert "periodic: false" in text
     assert "certificate" in text
+
+
+@pytest.mark.parametrize("make", [smooth_example, moebius_example])
+def test_classify_ifs_rejects_smooth_systems(make):
+    with pytest.raises(PreconditionError, match="affine"):
+        classify_ifs(make())
 
 
 def test_golden_bernoulli_classified_periodic():

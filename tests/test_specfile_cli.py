@@ -215,6 +215,68 @@ def test_cli_run_suite_kind(tmp_path):
     assert main(["run", cfg]) == 0
 
 
+def test_cli_ratio_powers_of_a_negative_ratio_alternate_in_sign(tmp_path, capsys):
+    """q = r^-n for r = -1/2 is -2, 4, -8, ...: no increasing grid, and the
+    decade check reads only q > 0 (4 in decade 0; 16 and 64 in decade 1)."""
+    ifs = write(tmp_path / "alt.ifs",
+                "kind affine\ninterval -1 1\nmap -1/2 1/2\nmap 1/3 -1/3\nweights 2/3 1/3\n")
+    cfg = write(
+        tmp_path / "p.cfg",
+        f"experiment fourier-decay\nifs {ifs}\nq-ratio-powers 6\n"
+        f"assert-decades-decreasing true\nout {tmp_path / 'o'}\n",
+    )
+    assert main(["run", cfg]) == 0
+    rows = (tmp_path / "o" / "fourier-decay-profile.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [(-2.0) ** n for n in range(1, 7)]
+    decades = [line for line in capsys.readouterr().out.splitlines() if "per-decade" in line]
+    assert len(decades) == 1 and decades[0].startswith("PASS") and decades[0].count(" > ") == 1
+
+
+@pytest.mark.parametrize("value", ["yes", "1", "TRUE"])
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["experiment classify", "ifs builtin:cantor", "expect-periodic {}"],
+        ["experiment llt", "ifs builtin:cantor", "k-list 20", "paths 500", "assert-trend {}"],
+    ],
+    ids=["expect-periodic", "assert-trend"],
+)
+def test_cli_run_boolean_values_are_true_or_false(tmp_path, capsys, lines, value):
+    text = "\n".join(lines).format(value)
+    cfg = write(tmp_path / "b.cfg", f"{text}\nout {tmp_path / 'o'}\n")
+    if value == "TRUE":
+        assert main(["run", cfg]) == 0
+        return
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "true or false" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["yes", "1", "TRUE"])
+def test_cli_classify_expect_values_are_true_or_false(capsys, value):
+    rc = main(["classify", "builtin:cantor", "--expect", f"periodic={value}"])
+    err = capsys.readouterr().err
+    if value == "TRUE":
+        assert rc == 0 and err == ""
+    else:
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "true or false" in err
+
+
+@pytest.mark.parametrize("name", ["smooth-example", "moebius-example"])
+def test_cli_classify_smooth_system_exits_2(tmp_path, capsys, name):
+    assert main(["classify", f"builtin:{name}"]) == 2
+    cfg = write(tmp_path / "c.cfg", f"experiment classify\nifs builtin:{name}\nout {tmp_path / 'o'}\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: ") and "affine" in line for line in err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_entry_point_installed():
     proc = subprocess.run(["fractalab", "suites"], capture_output=True, text=True)
     assert proc.returncode == 0
