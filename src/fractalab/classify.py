@@ -21,7 +21,6 @@ import numpy as np
 from sympy import factorint
 
 from .ifs_core import (
-    AffineMap,
     Ifs,
     PreconditionError,
     WeightVector,
@@ -47,23 +46,27 @@ def _exponent_vector(x):
     return {k: v for k, v in vec.items() if v}
 
 
-def _vectors_parallel(v, w):
-    """True iff v = (a/b) w for a rational a/b; both assumed nonzero."""
-    keys = set(v) | set(w)
-    if set(v) != set(w):
-        return False
-    anchor = next(iter(keys))
-    for k in keys:
-        if v[anchor] * w[k] != w[anchor] * v[k]:
-            return False
-    return True
+def _exponent_lattice(xs):
+    """Prime-exponent vectors of the positive rationals xs and whether they
+    lie on one line through the origin.
 
-
-def _content(vec):
-    g = 0
-    for e in vec.values():
-        g = math.gcd(g, abs(e))
-    return g
+    Returns (vecs, pair, u, cs).  When some vector is not proportional to
+    vecs[0], pair = (0, j) for the first such j, which is also the first
+    non-proportional pair (i, j), i < j, and u = cs = None.  Otherwise pair
+    is None, u is the primitive direction of vecs[0] and vecs[i] = cs[i] * u;
+    every cs[i] is an integer because u is primitive.
+    """
+    vecs = [_exponent_vector(x) for x in xs]
+    g = math.gcd(*vecs[0].values())
+    u = {p: e // g for p, e in vecs[0].items()}
+    anchor = next(iter(u))
+    cs = []
+    for j, v in enumerate(vecs):
+        c = v.get(anchor, 0) // u[anchor]
+        if v != {p: c * e for p, e in u.items()}:
+            return vecs, (0, j), None, None
+        cs.append(c)
+    return vecs, None, u, cs
 
 
 @dataclass
@@ -124,22 +127,19 @@ def is_periodic(ratios):
                 )
         if not rats:
             # all quadratic: exact when every ratio is an integer power of
-            # the largest one (the catalog's r, r^2, ... pattern)
+            # the largest one (the catalog's r, r^2, ... pattern); g < 1 for
+            # contraction ratios, so its powers fall to x or below it
             g = max(quads, key=float)
             exps = []
             for x in abs_ratios:
                 k, acc = 1, g
-                while float(acc) > float(x) - 1e-15 and k < 64:
-                    if acc == x:
-                        exps.append(k)
-                        break
+                while acc > x:
                     acc = acc * g
                     k += 1
-                else:
-                    exps = None
-                if exps is None:
+                if acc != x:
                     break
-            if exps is not None and len(exps) == len(abs_ratios):
+                exps.append(k)
+            if len(exps) == len(abs_ratios):
                 c = math.gcd(*exps)
                 gen = -c * math.log(float(g))
                 return PeriodicityVerdict(
@@ -151,27 +151,20 @@ def is_periodic(ratios):
                 )
         return _is_periodic_heuristic([float(x) for x in abs_ratios])
 
-    vecs = [_exponent_vector(x) for x in abs_ratios]
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if not _vectors_parallel(vecs[i], vecs[j]):
-                return PeriodicityVerdict(
-                    periodic=False,
-                    exact=True,
-                    witness=(i + 1, j + 1),
-                    certificate=(
-                        f"prime exponent vectors {dict(vecs[i])} and {dict(vecs[j])} "
-                        "are not proportional, so r_i^m = r_j^k has no solution"
-                    ),
-                )
-    # all parallel: primitive direction u with vecs[i] = c_i * u
-    u = {k: v // _content(vecs[0]) for k, v in vecs[0].items()}
-    anchor = next(iter(u))
-    cs = [Fraction(v[anchor], u[anchor]) for v in vecs]
-    g = Fraction(math.gcd(*[c.numerator for c in cs]), math.lcm(*[c.denominator for c in cs]))
-    base_val = Fraction(1)
-    for prime, e in u.items():
-        base_val *= Fraction(prime) ** e
+    vecs, pair, u, cs = _exponent_lattice(abs_ratios)
+    if pair:
+        i, j = pair
+        return PeriodicityVerdict(
+            periodic=False,
+            exact=True,
+            witness=(i + 1, j + 1),
+            certificate=(
+                f"prime exponent vectors {dict(vecs[i])} and {dict(vecs[j])} "
+                "are not proportional, so r_i^m = r_j^k has no solution"
+            ),
+        )
+    g = math.gcd(*cs)
+    base_val = math.prod(Fraction(prime) ** e for prime, e in u.items())
     gen = abs(float(g) * math.log(float(base_val)))
     return PeriodicityVerdict(
         periodic=True,
@@ -211,7 +204,7 @@ class LatticeVerdict:
     trivially: bool
     exact: bool
     certificate: str = ""
-    witness: tuple | None = None
+    witness: tuple | None = None  # 1-based maps (i, j, k) whose log|r| fit no translated lattice
     heuristic: bool = False
 
 
@@ -232,21 +225,20 @@ def lattice_check_fixed_point_set(ifs):
                 exact=True,
                 certificate=f"{len(vals)} distinct derivative values always fit a translated lattice",
             )
-        base = vals[0]
-        diff_vecs = [_exponent_vector(v / base) for v in vals[1:]]
-        for i in range(len(diff_vecs)):
-            for j in range(i + 1, len(diff_vecs)):
-                if not _vectors_parallel(diff_vecs[i], diff_vecs[j]):
-                    return LatticeVerdict(
-                        contained=False,
-                        trivially=False,
-                        exact=True,
-                        witness=(1, i + 2, j + 2),
-                        certificate=(
-                            f"difference exponent vectors {dict(diff_vecs[i])} and "
-                            f"{dict(diff_vecs[j])} are not proportional"
-                        ),
-                    )
+        diff_vecs, pair, _, _ = _exponent_lattice([v / vals[0] for v in vals[1:]])
+        if pair:
+            i, j = pair
+            moduli = [abs(Fraction(m.ratio)) for m in ifs.maps]
+            return LatticeVerdict(
+                contained=False,
+                trivially=False,
+                exact=True,
+                witness=tuple(moduli.index(vals[k]) + 1 for k in (0, i + 1, j + 1)),
+                certificate=(
+                    f"difference exponent vectors {dict(diff_vecs[i])} and "
+                    f"{dict(diff_vecs[j])} are not proportional"
+                ),
+            )
         return LatticeVerdict(
             contained=True,
             trivially=False,
@@ -476,49 +468,55 @@ class CfReport:
     l_bound: float
 
 
-def _cf_of_fraction(x, q_max):
-    out = []
+def _convergents(terms, q_max):
+    """Yield (a_k, p_k, q_k) for the continued fraction [a_0; a_1, ...] of
+    `terms`, stopping after the first q_k > q_max."""
     p0, q0, p1, q1 = 0, 1, 1, 0  # p_{-2}/q_{-2}, p_{-1}/q_{-1} seeds
+    for a in terms:
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        yield a, p1, q1
+        if q1 > q_max:
+            return
+
+
+def _fraction_terms(x):
+    """Continued-fraction terms of a Fraction, by Euclid's algorithm."""
     num, den = x.numerator, x.denominator
     while den != 0:
         a = num // den
+        yield a
         num, den = den, num - a * den
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        out.append((a, p1, q1))
-        if q1 > q_max:
-            break
-    return out
 
 
-def _cf_of_real(x_mpf, q_max, dps):
-    out = []
-    with mpmath.workdps(dps):
-        x = mpmath.mpf(x_mpf)
-        p0, q0, p1, q1 = 0, 1, 1, 0
-        rem = x
-        for _ in range(10_000):
-            a = int(mpmath.floor(rem))
-            p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-            out.append((a, p1, q1))
-            if q1 > q_max:
-                break
-            frac = rem - a
-            if frac < mpmath.mpf(10) ** (-dps + 10):
-                break  # precision exhausted; stop rather than invent terms
-            rem = 1 / frac
-    return out
+def _real_terms(x, dps):
+    """Continued-fraction terms of an mpmath real at `dps` digits."""
+    for _ in range(10_000):
+        with mpmath.workdps(dps):
+            a = int(mpmath.floor(x))
+            frac = x - a
+            # precision exhausted: stop rather than invent terms
+            exhausted = frac < mpmath.mpf(10) ** (-dps + 10)
+            if not exhausted:
+                x = 1 / frac
+        yield a
+        if exhausted:
+            return
 
 
-def li_sahlsten_check(r_i, r_j=None, q_max=10**6, rational_is_exact=True):
-    """Continued-fraction profile of x = log r_i / log r_j (or of a directly
-    supplied real x when r_j is None).
+def li_sahlsten_check(r_i, r_j=None, q_max=10**6):
+    """Continued-fraction profile of x = log r_i / log r_j, or of the exact
+    rational x = r_i when r_j is None (a finite stand-in for a real number,
+    such as a truncated Liouville series).
 
     mu_k = -log|x - p_k/q_k| / log q_k estimates the irrationality exponent
     along convergents; bounded mu is consistent with the polynomial
     condition at l = max mu_k, exploding mu is reported Liouville-like.
     Exact rational log-ratios fail the condition outright.
     """
-    if r_j is not None:
+    if r_j is None:
+        x = Fraction(r_i)
+        convs = list(_convergents(_fraction_terms(x), q_max))
+    else:
         # rationality decided exactly first
         verdict = is_periodic([Fraction(abs(Fraction(r_i))), Fraction(abs(Fraction(r_j)))])
         if verdict.periodic:
@@ -530,31 +528,20 @@ def li_sahlsten_check(r_i, r_j=None, q_max=10**6, rational_is_exact=True):
             x = (mpmath.log(ri.numerator) - mpmath.log(ri.denominator)) / (
                 mpmath.log(rj.numerator) - mpmath.log(rj.denominator)
             )
-        convs = _cf_of_real(x, q_max, dps)
-        x_for_mu = x
-    elif isinstance(r_i, Fraction) and rational_is_exact:
-        return CfReport(convergents=[], mus=[], max_mu=float("inf"),
-                        verdict="rational", l_bound=float("inf"))
-    elif isinstance(r_i, Fraction):
-        convs = _cf_of_fraction(r_i, q_max)
-        x_for_mu = mpmath.mpf(r_i.numerator) / r_i.denominator
-    else:
-        dps = 40 + 2 * int(math.log10(q_max))
-        x_for_mu = mpmath.mpf(r_i)
-        convs = _cf_of_real(r_i, q_max, dps)
+        convs = list(_convergents(_real_terms(x, dps), q_max))
 
     mus = []
     with mpmath.workdps(60):
         for _, pk, qk in convs:
             if qk < 2:
                 continue
-            if isinstance(r_i, Fraction) and r_j is None:
-                diff = abs(r_i - Fraction(pk, qk))
+            if r_j is None:
+                diff = abs(x - Fraction(pk, qk))
                 if diff == 0:
                     continue  # the terminating convergent of a finite stand-in
                 d = float(mpmath.log(mpmath.mpf(diff.numerator)) - mpmath.log(diff.denominator))
             else:
-                diff = abs(x_for_mu - mpmath.mpf(pk) / qk)
+                diff = abs(x - mpmath.mpf(pk) / qk)
                 if diff == 0:
                     continue
                 d = float(mpmath.log(diff))
@@ -627,8 +614,6 @@ class IntegerFormReport:
     base: int | None = None
     exponents: list | None = None
     gcd: int | None = None
-    reduced_base: int | None = None
-    t_rational: list | None = None
     note: str = ""
 
     def roundtrip_ok(self, ratios):
@@ -649,29 +634,16 @@ def integer_pisot_form_check(phi):
         return IntegerFormReport(
             in_form=False, note="some ratio is not the reciprocal of an integer"
         )
-    vecs = [_exponent_vector(Fraction(1) / r) for r in ratios]  # denominators
-    w0 = {k: v // _content(vecs[0]) for k, v in vecs[0].items()}
-    anchor = next(iter(w0))
-    ks = []
-    for v in vecs:
-        if set(v) != set(w0):
-            return IntegerFormReport(in_form=False, note="no common integer base")
-        k, rem = divmod(v[anchor], w0[anchor])
-        if rem or any(v[p] != k * w0[p] for p in w0):
-            return IntegerFormReport(in_form=False, note="no common integer base")
-        ks.append(k)
-    base = 1
-    for prime, e in w0.items():
-        base *= prime**e
+    _, pair, u, ks = _exponent_lattice(ratios)
+    if pair:
+        return IntegerFormReport(in_form=False, note="no common integer base")
+    base = math.prod(prime ** -e for prime, e in u.items())
     g = math.gcd(*ks)
-    t_rat = [not isinstance(m.translation, QuadExact) for m in phi.maps]
     return IntegerFormReport(
         in_form=True,
         base=base,
         exponents=ks,
         gcd=g,
-        reduced_base=base**g if g > 1 else base,
-        t_rational=t_rat,
         note="" if g == 1 else f"exponents share the factor {g}; reduced base {base ** g}",
     )
 
@@ -692,26 +664,19 @@ class MoserInstance:
 
 def _cf_build(terms):
     """Fraction value of [0; a_1, a_2, ...]."""
-    p0, q0, p1, q1 = 1, 0, 0, 1
-    for a in terms:
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-    return Fraction(p1, q1)
+    *_, (_, p, q) = _convergents([0, *terms], math.inf)
+    return Fraction(p, q)
 
 
 def _liouville_terms(start, depth, digit_cap=400):
     """CF terms with q_{k+1} >= q_k^k: denominators explode super-polynomially."""
     terms = list(start)
-    p0, q0, p1, q1 = 1, 0, 0, 1
-    for a in terms:
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-    k = len(terms)
-    while True:
-        nxt = max(q1 ** max(k, 2), 2)
-        if len(str(nxt)) > digit_cap or len(terms) >= len(start) + depth:
+    while len(terms) < len(start) + depth:
+        *_, (_, _, q) = _convergents([0, *terms], math.inf)
+        nxt = max(q ** max(len(terms), 2), 2)
+        if len(str(nxt)) > digit_cap:
             break
         terms.append(nxt)
-        p0, q0, p1, q1 = p1, q1, nxt * p1 + p0, nxt * q1 + q0
-        k += 1
     return terms
 
 
@@ -732,8 +697,8 @@ def moser_family(tau=3.0, liouville_depth=3, rng_seed=0, x_max=1000.0):
         t1 = _liouville_terms(s1, liouville_depth)
         t2 = _liouville_terms(s2, liouville_depth)
         a1, a2 = _cf_build(t1), _cf_build(t2)
-        rep1 = li_sahlsten_check(a1, q_max=10**9, rational_is_exact=False)
-        rep2 = li_sahlsten_check(a2, q_max=10**9, rational_is_exact=False)
+        rep1 = li_sahlsten_check(a1, q_max=10**9)
+        rep2 = li_sahlsten_check(a2, q_max=10**9)
         if rep1.verdict != "liouville-like" or rep2.verdict != "liouville-like":
             continue
         v = (1.0, 2.0, 1.0 + float(a1), 1.0 + float(a2))

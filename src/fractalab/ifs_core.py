@@ -239,14 +239,6 @@ class ComposedMap:
             d *= float(m.deriv(v))
         return d
 
-    def deriv_range(self):
-        lo = hi = 1.0
-        for m in self.factors:
-            a, b = m.deriv_range()
-            lo *= a
-            hi *= b
-        return lo, hi
-
 
 class WeightVector(tuple):
     """Strictly positive exact probability vector over the maps."""

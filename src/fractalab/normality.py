@@ -199,19 +199,21 @@ def weyl_sums(source, base, q_set, n, block_len=3):
     else:
         x = Fraction(source)
         frac = x - math.floor(x)
-        num0, den = frac.numerator, frac.denominator
+        num, den = frac.numerator, frac.denominator
         angles = np.empty(n)
-        num = num0
+        dig = []
         seen = {num: 0}
         period = 0
+        num = (num * base) % den
         for m in range(n):
-            num = (num * base) % den
+            # num / den = T^{m+1} x, whose first digit comes with T^{m+2} x
             angles[m] = num / den
             if num in seen and period == 0:
                 period = m + 1 - seen[num]
             elif period == 0:
                 seen[num] = m + 1
-        dig = [int(v) for v in np.floor(angles * base)]
+            digit, num = divmod(num * base, den)
+            dig.append(digit)
         digit_counts = {}
         for d in dig:
             digit_counts[d] = digit_counts.get(d, 0) + 1

@@ -21,7 +21,7 @@ from . import classify as cls
 from . import cocycle_walk as cw
 from . import fourier as fr
 from . import normality as nm
-from .ifs_core import WeightVector, aperiodic_125, cantor, compose_word, registered_affine
+from .ifs_core import PreconditionError, WeightVector, aperiodic_125, cantor, compose_word, registered_affine
 from .specfile import builtin_system, resolve_system
 
 
@@ -583,6 +583,8 @@ def _run_fourier_decay(cfg, seed):
         # q = r^-n alternates in sign for a negative ratio, so this is no
         # increasing grid for decay_profile
         n_max = int(cfg["q-ratio-powers"])
+        if not ifs.is_affine:
+            raise PreconditionError("q-ratio-powers requires an affine IFS")
         r = ifs.maps[0].ratio
         samples = [fr.fourier_word_tree(ifs, w, r ** (-n), tol) for n in range(1, n_max + 1)]
     else:

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalab.classify import (
     classify_ifs,
@@ -67,6 +69,45 @@ def test_quadratic_unit_ratio_periodic():
     assert v.periodic and v.exact
 
 
+def test_high_quadratic_power_is_exact():
+    r = golden_ratio_conjugate()
+    v = is_periodic([r, r**100])
+    assert v.periodic and v.exact and not v.heuristic
+    assert v.generator == pytest.approx(-math.log(float(r)), rel=1e-12)
+
+
+def _spread_ifs(ratios):
+    """Maps with the given ratios whose fixed points are 0, 1/(n-1), ..., 1."""
+    n = len(ratios)
+    maps = [AffineMap(r, F(i, n - 1) * (1 - r)) for i, r in enumerate(ratios)]
+    return Ifs(maps, (F(0), F(1)), name="spread")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.sampled_from([2, 3, 5, 6, 7, 10, 12]),
+    exps=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+    prime=st.sampled_from([11, 13]),
+    data=st.data(),
+)
+def test_powers_of_one_base_are_decided_exactly(base, exps, prime, data):
+    # none of the bases is a perfect power, so base^-e_i is the whole story
+    ratios = [F(1, base**e) for e in exps]
+    v = is_periodic(ratios)
+    assert v.periodic and v.exact
+    assert v.generator == pytest.approx(math.gcd(*exps) * math.log(base), rel=1e-12)
+    rep = integer_pisot_form_check(_spread_ifs(ratios))
+    assert rep.in_form and rep.base == base and rep.exponents == exps
+
+    # a prime the base lacks breaks every common base
+    k = data.draw(st.integers(0, len(exps) - 1))
+    ratios[k] /= prime
+    v = is_periodic(ratios)
+    assert not v.periodic and v.exact
+    rep = integer_pisot_form_check(_spread_ifs(ratios))
+    assert not rep.in_form and rep.note == "no common integer base"
+
+
 def test_float_input_flagged_heuristic():
     v = is_periodic([0.5, 0.25])
     assert v.heuristic
@@ -83,6 +124,13 @@ def test_two_map_lattice_is_trivial():
 def test_aperiodic_three_map_lattice_not_contained():
     v = lattice_check_fixed_point_set(aperiodic_125())
     assert not v.contained and v.exact
+
+
+def test_lattice_witness_names_maps():
+    # sorted moduli are 1/7, 1/5, 1/3, 1/2: the witness triple is maps 2, 4, 3
+    v = lattice_check_fixed_point_set(_spread_ifs([F(1, 2), F(1, 7), F(1, 3), F(1, 5)]))
+    assert not v.contained and v.exact
+    assert v.witness == (2, 4, 3)
 
 
 def test_smooth_lattice_is_heuristic():
@@ -164,7 +212,7 @@ def test_li_sahlsten_log23_consistent():
 def test_li_sahlsten_liouville_number():
     # sum 10^{-k!}: continued-fraction denominators explode
     x = sum(F(1, 10 ** math.factorial(k)) for k in range(1, 6))
-    rep = li_sahlsten_check(x, q_max=10**30, rational_is_exact=False)
+    rep = li_sahlsten_check(x, q_max=10**30)
     assert rep.verdict == "liouville-like"
     assert rep.max_mu >= 4
 

@@ -86,6 +86,16 @@ def test_weyl_sums_periodic_rational():
     assert w.imag == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("x, base", [(F(2**62 - 1, 2**63), 2), (F(5, 17), 3)])
+def test_weyl_sums_rational_digits_are_the_exact_digits(x, base):
+    # 2^62 - 1 over 2^63 puts every orbit value within 2^-62 of a cell end
+    n = 40
+    exact = weyl_sums(x, base, (1,), n)
+    ref = weyl_sums(digit_stream_of_rational(x, base, n + 13), base, (1,), n)
+    assert exact.digit_counts == ref.digit_counts
+    assert exact.block_counts == ref.block_counts
+
+
 def test_weyl_sums_modulus_bounds():
     stats = weyl_sums(F(5, 17), 3, (1, 2, 5), 500)
     for q, w in stats.weyl.items():

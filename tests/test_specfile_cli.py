@@ -136,8 +136,10 @@ def test_cli_run_unknown_kind_exits_2(tmp_path, capsys):
         (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:100:4-log", "tol abc"], "abc"),
         # a PreconditionError from the experiment
         (["experiment llt", "ifs builtin:smooth-example", "k-list 5", "paths 100"], "affine"),
+        # ratio powers read the first map's ratio, which a smooth map lacks
+        (["experiment fourier-decay", "ifs builtin:smooth-example", "q-ratio-powers 3"], "affine"),
     ],
-    ids=["bad-value", "precondition"],
+    ids=["bad-value", "precondition", "smooth-ratio-powers"],
 )
 def test_cli_run_rejected_value_exits_2(tmp_path, capsys, lines, needle):
     cfg = write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
