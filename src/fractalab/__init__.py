@@ -3,7 +3,7 @@
 Exact iterated-function-system arithmetic, certified coding-point
 enclosures, word-tree and Monte Carlo Fourier transforms, derivative-cocycle
 random walks with stopping-time laws, digit/orbit normality statistics, and
-exact structural classification (periodicity, Pisot, Diophantine scans).
+exact structural classification (periodicity, Diophantine scans).
 """
 
 from .ifs_core import (

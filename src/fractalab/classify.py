@@ -1,12 +1,13 @@
 """Decidable structure of an IFS: periodicity, lattice containment of the
-fixed-point derivative set, Pisot detection, Diophantine/continued-fraction
-conditions, the induced system Psi, the derived systems Phi_m, the
-integer-power form, and a concrete Moser-style Diophantine-but-Liouville
-frequency tuple.
+fixed-point derivative set, Diophantine/continued-fraction conditions, the
+induced system Psi, the derived systems Phi_m, the integer-power form, and a
+concrete Moser-style Diophantine-but-Liouville frequency tuple.
 
-Log-ratio rationality is decided by exact prime-exponent arithmetic:
-log r_i / log r_j is rational iff r_i^m = r_j^k has a nonzero integer
-solution, i.e. iff the prime-exponent vectors of the ratios are parallel.
+Log-ratio rationality is decided by exact exponent arithmetic: log r_i /
+log r_j is rational iff r_i^m = r_j^k has a nonzero integer solution, i.e.
+iff the exponent vectors of the ratios are parallel.  The vectors are taken
+over a coprime base built from the ratios by gcds alone (factor refinement,
+Bach, Driscoll & Shallit 1993), so no integer is ever factored into primes.
 Floating-point inputs only ever get verdicts labeled heuristic.
 """
 
@@ -15,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import numpy as np
-from sympy import factorint
 
 from .ifs_core import (
     Ifs,
@@ -33,22 +34,58 @@ from .quadfield import QuadExact
 # -- exact multiplicative structure -----------------------------------------
 
 
-def _exponent_vector(x):
-    """Prime exponent map of a positive rational (denominator negative)."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("need a positive rational")
-    vec = {}
-    for prime, e in factorint(x.numerator).items():
-        vec[prime] = vec.get(prime, 0) + e
-    for prime, e in factorint(x.denominator).items():
-        vec[prime] = vec.get(prime, 0) - e
-    return {k: v for k, v in vec.items() if v}
+def _least_root(n):
+    """The least integer m with m**k == n for some k >= 1, for n >= 2."""
+    k = 2
+    while 1 << k <= n:
+        m = 1 << -(-n.bit_length() // k)  # Newton from above to floor(n ** (1/k))
+        while (y := ((k - 1) * m + n // m ** (k - 1)) // k) < m:
+            m = y
+        if m**k == n:
+            n = m
+        else:
+            k += 1
+    return n
+
+
+def _exponent_vectors(xs):
+    """Exponent vectors of the positive rationals xs (1 excluded) over one
+    coprime base, built from gcds alone (factor refinement).
+
+    The base elements are pairwise coprime and none is a perfect power, so
+    the vectors have the same linear relations and the same primitive
+    directions as prime-exponent vectors.  Keys run over the numerator's
+    base elements ascending, then the denominator's (negative exponents).
+    """
+    xs = [Fraction(x) for x in xs]
+    if any(x <= 0 or x == 1 for x in xs):
+        raise ValueError("need positive rationals other than 1")
+    base = {n for x in xs for n in (x.numerator, x.denominator) if n > 1}
+    # replace two elements sharing g > 1 by g, a/g, b/g; every input stays a
+    # product of powers of the base, and the product of the base falls
+    while pair := next(((a, b) for a, b in combinations(base, 2) if math.gcd(a, b) > 1), None):
+        a, b = pair
+        g = math.gcd(a, b)
+        base = ((base - {a, b}) | {g, a // g, b // g}) - {1}
+    base = sorted({_least_root(b) for b in base})
+    vecs = []
+    for x in xs:
+        vec = {}
+        for sign, n in ((1, x.numerator), (-1, x.denominator)):
+            for b in base:
+                e = 0
+                while n % b == 0:
+                    n //= b
+                    e += 1
+                if e:
+                    vec[b] = sign * e
+        vecs.append(vec)
+    return vecs
 
 
 def _exponent_lattice(xs):
-    """Prime-exponent vectors of the positive rationals xs and whether they
-    lie on one line through the origin.
+    """Exponent vectors of the positive rationals xs over their coprime base
+    (`_exponent_vectors`) and whether they lie on one line through the origin.
 
     Returns (vecs, pair, u, cs).  When some vector is not proportional to
     vecs[0], pair = (0, j) for the first such j, which is also the first
@@ -56,7 +93,7 @@ def _exponent_lattice(xs):
     is None, u is the primitive direction of vecs[0] and vecs[i] = cs[i] * u;
     every cs[i] is an integer because u is primitive.
     """
-    vecs = [_exponent_vector(x) for x in xs]
+    vecs = _exponent_vectors(xs)
     g = math.gcd(*vecs[0].values())
     u = {p: e // g for p, e in vecs[0].items()}
     anchor = next(iter(u))
@@ -83,7 +120,7 @@ class PeriodicityVerdict:
 def is_periodic(ratios):
     """Decide whether {log|r_i|} lies in a single lattice r*Z.
 
-    Exact rationals go through prime-exponent vectors; quadratic-field
+    Exact rationals go through coprime-base exponent vectors; quadratic-field
     ratios are handled in the cases the catalog produces (all equal, or a
     field unit against a rational); bare floats fall back to a flagged
     continued-fraction heuristic.
@@ -159,12 +196,12 @@ def is_periodic(ratios):
             exact=True,
             witness=(i + 1, j + 1),
             certificate=(
-                f"prime exponent vectors {dict(vecs[i])} and {dict(vecs[j])} "
+                f"exponent vectors {dict(vecs[i])} and {dict(vecs[j])} "
                 "are not proportional, so r_i^m = r_j^k has no solution"
             ),
         )
     g = math.gcd(*cs)
-    base_val = math.prod(Fraction(prime) ** e for prime, e in u.items())
+    base_val = math.prod(Fraction(b) ** e for b, e in u.items())
     gen = abs(float(g) * math.log(float(base_val)))
     return PeriodicityVerdict(
         periodic=True,
@@ -213,7 +250,7 @@ def lattice_check_fixed_point_set(ifs):
 
     Affine maps give e_i = log|r_i| exactly; containment of n >= 3 distinct
     values reduces to rationality of the difference ratios
-    (e_i - e_1)/(e_2 - e_1), decided on exact prime-exponent vectors of the
+    (e_i - e_1)/(e_2 - e_1), decided on exact exponent vectors of the
     quotients r_i/r_1.
     """
     if ifs.is_affine and not any(isinstance(m.ratio, QuadExact) for m in ifs.maps):
@@ -279,90 +316,6 @@ def lattice_check_fixed_point_set(ifs):
         contained=True, trivially=False, exact=False, heuristic=True,
         certificate="difference ratios numerically rational (heuristic)",
     )
-
-
-# -- Pisot detection ---------------------------------------------------------
-
-
-class MinimalPolynomial:
-    """Monic integer polynomial, irreducible over Q, degree <= 8."""
-
-    def __init__(self, coeffs):
-        coeffs = [int(c) for c in coeffs]
-        if not coeffs or coeffs[0] != 1:
-            raise ValueError("polynomial must be monic (leading coefficient first)")
-        if len(coeffs) - 1 > 8:
-            raise ValueError("degree above the supported bound 8")
-        from sympy import Poly, Symbol
-
-        x = Symbol("x")
-        poly = Poly(sum(c * x ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)), x)
-        if poly.degree() >= 2 and not poly.is_irreducible:
-            raise ValueError("polynomial is reducible, not a minimal polynomial")
-        self.coeffs = coeffs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        out = 0
-        for c in self.coeffs:
-            out = out * z + c
-        return out
-
-
-@dataclass
-class PisotVerdict:
-    pisot: bool
-    undecided: bool
-    roots: list  # (complex root, certified radius)
-    dominant: complex | None = None
-
-
-def is_pisot(poly, margin=1e-10, max_dps=240):
-    """Pisot test: one real root > 1, all conjugates strictly inside the
-    unit circle with certified separation.
-
-    Root radii come from the bound min_j |z - lambda_j| <= deg * |p(z)/p'(z)|;
-    precision doubles until every root clears the unit circle by `margin`
-    or the cap is reached (then: undecided).
-    """
-    if not isinstance(poly, MinimalPolynomial):
-        poly = MinimalPolynomial(poly)
-    deg = poly.degree
-    if deg == 0:
-        raise ValueError("constant polynomial")
-    dps = 30
-    while True:
-        with mpmath.workdps(dps):
-            roots = mpmath.polyroots([mpmath.mpf(c) for c in poly.coeffs], maxsteps=200)
-            certified = []
-            for z in roots:
-                pz = mpmath.polyval([mpmath.mpf(c) for c in poly.coeffs], z)
-                dcoeffs = [
-                    c * (deg - i) for i, c in enumerate(poly.coeffs[:-1])
-                ]
-                dpz = mpmath.polyval([mpmath.mpf(c) for c in dcoeffs], z)
-                rad = float(deg * abs(pz) / abs(dpz)) if dpz != 0 else float("inf")
-                certified.append((complex(z), rad))
-        straddles = [
-            (z, r) for z, r in certified if abs(abs(z) - 1.0) <= r + margin and abs(z) != 0
-        ]
-        if not straddles or dps >= max_dps:
-            break
-        dps *= 2
-    if straddles:
-        return PisotVerdict(pisot=False, undecided=True, roots=certified)
-    real_big = [
-        (z, r)
-        for z, r in certified
-        if abs(z.imag) <= r + 1e-15 and z.real > 1
-    ]
-    inside = [(z, r) for z, r in certified if abs(z) + r < 1]
-    ok = len(real_big) == 1 and len(inside) == deg - 1
-    dom = real_big[0][0] if real_big else None
-    return PisotVerdict(pisot=ok, undecided=False, roots=certified, dominant=dom)
 
 
 # -- Diophantine scans -------------------------------------------------------
@@ -637,7 +590,7 @@ def integer_pisot_form_check(phi):
     _, pair, u, ks = _exponent_lattice(ratios)
     if pair:
         return IntegerFormReport(in_form=False, note="no common integer base")
-    base = math.prod(prime ** -e for prime, e in u.items())
+    base = math.prod(b ** -e for b, e in u.items())
     g = math.gcd(*ks)
     return IntegerFormReport(
         in_form=True,

@@ -1,19 +1,23 @@
-"""Periodicity, lattices, Pisot roots, Diophantine scans, induced systems."""
+"""Periodicity, lattices, Diophantine scans, induced systems."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fractalab
 from fractalab.classify import (
     classify_ifs,
     diophantine_scan,
     induce_aperiodic,
     integer_pisot_form_check,
     is_periodic,
-    is_pisot,
     lattice_check_fixed_point_set,
     li_sahlsten_check,
     moser_family,
@@ -113,6 +117,117 @@ def test_float_input_flagged_heuristic():
     assert v.heuristic
 
 
+@pytest.mark.parametrize("ratios", [[F(1), F(1, 2)], [F(1, 2), F(1)]])
+def test_modulus_one_ratio_is_rejected(ratios):
+    # log 1 = 0 lies in every lattice, so there is no aperiodicity witness
+    with pytest.raises(ValueError, match="other than 1"):
+        is_periodic(ratios)
+
+
+def _trial_division(n):
+    """Prime exponents of the integer n >= 1."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _prime_vector(r):
+    vec = _trial_division(r.numerator)
+    vec.update({p: -e for p, e in _trial_division(r.denominator).items()})
+    return vec
+
+
+def _proportional(u, v):
+    keys = u.keys() | v.keys()
+    return all(u.get(p, 0) * v.get(q, 0) == u.get(q, 0) * v.get(p, 0) for p in keys for q in keys)
+
+
+_ratio = st.builds(F, st.integers(1, 10**4), st.integers(2, 10**4)).filter(lambda r: r < 1)
+_power = st.builds(lambda b, k: F(1, b**k), st.integers(2, 21), st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_ratio, _power), min_size=2, max_size=5))
+def test_verdicts_match_trial_division(ratios):
+    vecs = [_prime_vector(r) for r in ratios]
+    periodic = all(_proportional(vecs[0], v) for v in vecs)
+    v = is_periodic(ratios)
+    assert v.exact and v.periodic == periodic
+    if periodic:
+        # every log r_i is an integer multiple of the generator, coprimely
+        ms = [math.log(r) / v.generator for r in ratios]
+        ks = [round(m) for m in ms]
+        assert ms == pytest.approx(ks, abs=1e-9) and math.gcd(*ks) == 1
+    else:
+        i, j = v.witness
+        assert not _proportional(vecs[i - 1], vecs[j - 1])
+
+    rep = integer_pisot_form_check(_spread_ifs(ratios))
+    if any(r.numerator != 1 for r in ratios):
+        assert not rep.in_form
+        return
+    # the base is the least integer root of the first denominator
+    exps = _trial_division(ratios[0].denominator)
+    g = math.gcd(*exps.values())
+    base = math.prod(p ** (e // g) for p, e in exps.items())
+    ks = []
+    for r in ratios:
+        d, k = r.denominator, 0
+        while d % base == 0:
+            d, k = d // base, k + 1
+        ks.append(k if d == 1 else None)
+    if None in ks:
+        assert not rep.in_form and rep.note == "no common integer base"
+    else:
+        assert rep.in_form and rep.base == base and rep.exponents == ks
+
+
+def test_perfect_powers_reduce_to_their_least_root():
+    rep = integer_pisot_form_check(_spread_ifs([F(1, 4), F(1, 16)]))
+    assert (rep.base, rep.exponents, rep.gcd) == (2, [2, 4], 2)
+    rep = integer_pisot_form_check(_spread_ifs([F(1, 36), F(1, 216)]))
+    assert (rep.base, rep.exponents, rep.gcd) == (6, [2, 3], 1)
+
+
+def _run_fresh(code):
+    """Run `code` in a new interpreter on this fractalab; a hang fails the
+    test through the timeout instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(fractalab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_ratios_with_large_prime_factors_are_exact():
+    # N = M89 * M107 has 196 bits; factoring it into primes does not finish
+    out = _run_fresh(
+        "import json, math\n"
+        "from fractions import Fraction as F\n"
+        "from fractalab.classify import is_periodic\n"
+        "N = (2**89 - 1) * (2**107 - 1)\n"
+        "a = is_periodic([F(1, N), F(1, 2)])\n"
+        "b = is_periodic([F(1, N**2), F(1, N**3)])\n"
+        "print(json.dumps([a.exact, a.periodic, a.witness, b.exact, b.periodic,\n"
+        "                  b.generator / math.log(N)]))\n"
+    )
+    assert out[:5] == [True, False, [1, 2], True, True]
+    assert out[5] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_cli_import_loads_no_sympy():
+    assert _run_fresh("import json, sys, fractalab.cli; print(json.dumps('sympy' in sys.modules))") is False
+
+
 # -- fixed-point lattice -------------------------------------------------------
 
 
@@ -136,36 +251,6 @@ def test_lattice_witness_names_maps():
 def test_smooth_lattice_is_heuristic():
     v = lattice_check_fixed_point_set(smooth_example())
     assert v.heuristic
-
-
-# -- Pisot ---------------------------------------------------------------------
-
-
-def test_golden_ratio_is_pisot():
-    v = is_pisot([1, -1, -1])  # x^2 - x - 1
-    assert v.pisot and not v.undecided
-    assert v.dominant == pytest.approx((1 + 5**0.5) / 2, abs=1e-9)
-
-
-def test_plastic_number_is_pisot():
-    v = is_pisot([1, 0, -1, -1])  # x^3 - x - 1, the smallest Pisot number
-    assert v.pisot
-    assert v.dominant == pytest.approx(1.3247179572, abs=1e-8)
-
-
-def test_salem_like_polynomial_not_pisot():
-    # x^2 - 3x + 1: roots (3±sqrt5)/2, the small root is 0.38 < 1 -> Pisot
-    assert is_pisot([1, -3, 1]).pisot
-    # x^2 - x - 3: second root ≈ -1.30 outside the unit disc -> not Pisot
-    v = is_pisot([1, -1, -3])
-    assert not v.pisot and not v.undecided
-
-
-def test_pisot_reversed_polynomial_consistency():
-    # the reciprocal polynomial's roots are the inverses: x^2 + x - 1 has
-    # roots 1/phi and -phi, so it is not Pisot
-    assert is_pisot([1, -1, -1]).pisot
-    assert not is_pisot([1, 1, -1]).pisot
 
 
 # -- Diophantine scan ----------------------------------------------------------
