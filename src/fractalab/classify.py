@@ -123,8 +123,10 @@ def is_periodic(ratios):
     Exact rationals go through coprime-base exponent vectors; quadratic-field
     ratios are handled in the cases the catalog produces (all equal, or a
     field unit against a rational); bare floats fall back to a flagged
-    continued-fraction heuristic.
+    continued-fraction heuristic.  Modulus 1 is rejected, as 0 is in every lattice.
     """
+    if any(abs(r) == 1 for r in ratios):
+        raise ValueError("need positive rationals other than 1")
     if any(isinstance(r, float) for r in ratios):
         return _is_periodic_heuristic([float(abs(r)) for r in ratios])
 
@@ -284,10 +286,9 @@ def lattice_check_fixed_point_set(ifs):
         )
     # smooth or quadratic-field: numeric fixed points, flagged heuristic
     es = []
-    for m in ifs.maps:
+    for m, step in zip(ifs.maps, ifs.steps.tolist()):
         if m.kind == "affine":
-            y = float(m.fixed_point())
-            es.append(math.log(float(abs(m.ratio))))
+            es.append(-step)
         else:
             y = _smooth_fixed_point(m, ifs)
             es.append(math.log(abs(m.deriv(y))))
@@ -713,7 +714,7 @@ def classify_ifs(ifs):
     lattice = lattice_check_fixed_point_set(ifs)
     dio = None
     if not any(isinstance(r, QuadExact) for r in ratios):
-        logs = sorted({abs(math.log(float(abs(Fraction(r))))) for r in ratios})
+        logs = sorted(set(ifs.steps.tolist()))
         dio = diophantine_scan(logs)
     return ClassificationReport(
         name=ifs.name,

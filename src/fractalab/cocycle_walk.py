@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,14 +22,6 @@ _CHUNK = 100_000  # paths simulated per chunk to bound peak memory
 
 class TraceTooShortError(ValueError):
     pass
-
-
-def _neg_log_ratios(ifs):
-    return np.array([-math.log(float(abs(m.ratio))) for m in ifs.maps])
-
-
-def _neg_log_sup_deriv(ifs):
-    return np.array([-math.log(m.deriv_range()[1]) for m in ifs.maps])
 
 
 def _smooth_tail_length(ifs):
@@ -46,17 +37,14 @@ def _walk_matrix(ifs, p, n_paths, length, rng):
     """
     if ifs.is_affine:
         sym = _draw_symbols(ifs, p, rng, (n_paths, length))
-        return sym, _neg_log_ratios(ifs)[sym]
+        return sym, ifs.steps[sym]
 
     sym = _draw_symbols(ifs, p, rng, (n_paths, length + _smooth_tail_length(ifs)))
     x = _pull_back(ifs, sym[:, length:], np.full(n_paths, float(ifs.x0)))
     xnext = np.empty(n_paths)
-    incs = np.empty((n_paths, length))
+    incs = ifs.steps[sym[:, :length]]  # exact for affine maps; smooth ones are set below
     masks = [sym[:, :length] == i for i in range(ifs.n)]
     present = [mask.any(axis=0).tolist() for mask in masks]
-    for mask, m in zip(masks, ifs.maps):
-        if m.kind == "affine":
-            incs[mask] = -math.log(float(abs(m.ratio)))
     # the pull-back through the first `length` columns is fused with the
     # smooth maps' increments, which need each map's argument
     for j in range(length - 1, -1, -1):
@@ -75,10 +63,7 @@ class WalkTrace:
     symbols: np.ndarray  # 1-based symbols, shape (n,)
     X: np.ndarray
     S: np.ndarray
-
-    @property
-    def word(self):
-        return tuple(int(s) for s in self.symbols)
+    X_tilde: np.ndarray  # -log sup|f'_{omega_i}|, the sup-derivative walk's steps
 
     def __len__(self):
         return len(self.symbols)
@@ -107,7 +92,7 @@ def lyapunov(ifs, p, mode="exact", n=100_000, rng_seed=0):
             raise PreconditionError("exact Lyapunov exponent requires an affine IFS")
         if len(p) != ifs.n:
             raise ValueError("weight vector length does not match the IFS")
-        chi = -sum(float(w) * math.log(float(abs(m.ratio))) for w, m in zip(p, ifs.maps))
+        chi = sum(float(w) * step for w, step in zip(p, ifs.steps.tolist()))
         return LyapunovEstimate(chi, 0.0, "exact")
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
@@ -132,14 +117,16 @@ def simulate_walk(ifs, p, omega_length, rng_seed=0):
     rng = np.random.default_rng(rng_seed)
     sym, inc = _walk_matrix(ifs, p, 1, omega_length, rng)
     X = inc[0]
-    return WalkTrace(symbols=sym[0] + 1, X=X, S=np.cumsum(X))
+    return WalkTrace(symbols=sym[0] + 1, X=X, S=np.cumsum(X), X_tilde=ifs.steps[sym[0]])
 
 
 def stop(trace, k, chi):
     """StopRecord with tau_k minimal s.t. S_{tau_k} >= k*chi.
 
-    tau-tilde uses the per-factor supremum bound on the composite derivative
-    (exact for affine maps, a valid earlier-stopping bound for smooth ones).
+    tau-tilde is the same stopping time for the sup-derivative walk
+    S~_n = sum_i -log sup|f'_{omega_i}|.  Since |f'_eta(x)| <= prod_i
+    sup|f'_{eta_i}|, S~_n <= S_n and so tau-tilde >= tau; for affine maps
+    the two walks coincide.
     """
     target = k * chi
     S = trace.S
@@ -149,17 +136,11 @@ def stop(trace, k, chi):
     # searchsorted('left') returns the first index with S >= target
     tau = j + 1
     s_tau = float(S[j])
-    st = np.cumsum(_tilde_increments(trace))
+    st = np.cumsum(trace.X_tilde)
     if st[-1] < target:
         raise TraceTooShortError("tilde walk did not reach k*chi")
     jt = int(np.searchsorted(st, target, side="left"))
     return StopRecord(k=k, tau=tau, S_tau=s_tau, tau_tilde=jt + 1, S_tilde_tau=float(st[jt]))
-
-
-def _tilde_increments(trace):
-    # for affine traces X depends only on the symbol, and sup|f'| = |r|,
-    # so the tilde increments coincide with X; trace carries enough info
-    return trace.X
 
 
 @dataclass
@@ -219,8 +200,7 @@ def gamma_law(ifs, p, eta_prime, k, chi, n_atoms=256, rng_seed=0):
     kchi = float(k) * float(chi)
     dp = ifs.big_d_prime
     if ifs.is_affine:
-        x1 = -math.log(float(abs(ifs.maps[first - 1].ratio)))
-        return GammaLaw(kchi=kchi, d_prime=dp, atoms=[(1.0, x1)])
+        return GammaLaw(kchi=kchi, d_prime=dp, atoms=[(1.0, float(ifs.steps[first - 1]))])
     # smooth: X_1 = -log|f'_{first}(x)| with x a coding point of sequences
     # extending the rest of eta_prime
     rng = np.random.default_rng(rng_seed)
@@ -229,7 +209,7 @@ def gamma_law(ifs, p, eta_prime, k, chi, n_atoms=256, rng_seed=0):
     x = _pull_back(ifs, np.hstack([body, tail]), np.full(n_atoms, float(ifs.x0)))
     fm = ifs.maps[first - 1]
     if fm.kind == "affine":
-        xs = np.full(n_atoms, -math.log(float(abs(fm.ratio))))
+        xs = np.full(n_atoms, ifs.steps[first - 1])
     else:
         xs = -np.log(np.abs(fm.deriv(x)))
     w = 1.0 / n_atoms
@@ -309,7 +289,6 @@ def conditional_llt_experiment(
         raise ValueError("h_prime must be positive")
     if chi is None:
         chi = lyapunov(ifs, p, "exact").value
-    logr = _neg_log_ratios(ifs)
     d = ifs.big_d
     dp = ifs.big_d_prime
     length = int(math.ceil(((k + h + h_prime) * chi + 3 * dp) / d)) + 4
@@ -320,7 +299,7 @@ def conditional_llt_experiment(
     while done < paths:
         m = min(_CHUNK, paths - done)
         sym = _draw_symbols(ifs, p, rng, (m, length))
-        S = np.cumsum(logr[sym], axis=1)
+        S = np.cumsum(ifs.steps[sym], axis=1)
         words = sym.astype(np.min_scalar_type(ifs.n)) + 1  # narrow keys sort faster
         rows = np.arange(m)
         j = _first_at_least(S, k * chi)  # tau_k - 1
@@ -340,7 +319,7 @@ def conditional_llt_experiment(
     keys, s_tau = keys[order], s_tau[order]
     starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
     counts = np.diff(np.r_[starts, paths])
-    x1 = logr[keys[starts, pw] - 1]
+    x1 = ifs.steps[keys[starts, pw] - 1]
     u = np.clip((s_tau - k * chi) / np.repeat(x1, counts), 0.0, 1.0)
     n = np.repeat(counts, counts)
     rank = np.arange(paths) - np.repeat(starts, counts)
@@ -383,10 +362,9 @@ def clt_experiment(ifs, p, n, paths, rng_seed=0):
     rng = np.random.default_rng(rng_seed)
     if ifs.is_affine:
         chi = lyapunov(ifs, p, "exact").value
-        logr = _neg_log_ratios(ifs)
         w = np.array([float(x) for x in p])
         counts = rng.multinomial(n, w, size=paths)
-        s_n = counts @ logr
+        s_n = counts @ ifs.steps
     else:
         chi = lyapunov(ifs, p, "monte_carlo", n=1_000_000, rng_seed=rng_seed + 1).value
         s_chunks = []

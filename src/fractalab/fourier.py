@@ -23,7 +23,7 @@ from math import gcd
 import numpy as np
 
 from .ifs_core import PreconditionError, _draw_symbols, _pull_back, compose_word
-from .quadfield import QuadExact, _field, _ratio, _times, _to_float, _triple, is_exact
+from .quadfield import QuadExact, _ratio, _times, _to_float, _triple, is_exact
 
 TWO_PI = 2 * math.pi
 
@@ -67,9 +67,10 @@ def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
     F_{qs} = sum_i p_i e(q s t_i) F_{q s r_i} over exact scales s, memoised on
     s, down to leaves where 2*pi*|q s|*width <= tol and F_{qs} is replaced by
     the phase at the interval centre.  An exact q keeps every phase exact
-    (see _unit); a float q uses float(q)*float(s).  The tree is walked with an
-    explicit stack, so its depth is unbounded; more than max_nodes distinct
-    scales raise BudgetError.
+    (see _unit); a float q uses float(q)*float(s).  The triples, field and
+    width are those the Ifs derived; only q's field is reconciled here.  The
+    tree is walked with an explicit stack, so its depth is unbounded; more
+    than max_nodes distinct scales raise BudgetError.
     """
     if not ifs.is_affine:
         raise PreconditionError("word-tree Fourier evaluation requires an affine IFS")
@@ -79,11 +80,11 @@ def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
     if len(weights) != ifs.n:
         raise ValueError("weight vector length does not match the IFS")
     tol = float(tol)
-    center, width = ifs.interval_mid(), ifs.interval_width()
-    d = _field((*ifs.ratios, *ifs.translations, center, width, q))
-    ratios = [_triple(r) for r in ifs.ratios]
-    factors = [_triple(t) for t in (*ifs.translations, center)]
-    width = _to_float(_triple(width), d)
+    d = (q.d if isinstance(q, QuadExact) else 0) or ifs.field
+    if ifs.field not in (0, d):
+        raise ValueError("mixed quadratic fields")
+    ratios, width = ifs.ratio_triples, ifs.width_float
+    factors = (*ifs.translation_triples, ifs.centre_triple)
     if is_exact(q):
         q3 = _triple(q)
         q = _to_float(q3, d)
@@ -149,9 +150,7 @@ def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
 
 def sample_points(ifs, p, n_points, rng, eps):
     """n_points approximate nu-samples, each within eps of a true x_omega."""
-    dmin, dmax = ifs.deriv_bounds()
-    width = float(ifs.interval_width())
-    length = max(1, int(math.ceil(math.log(max(width / eps, 2.0)) / -math.log(dmax))))
+    length = max(1, int(math.ceil(math.log(max(ifs.width_float / eps, 2.0)) / ifs.big_d)))
     sym = _draw_symbols(ifs, p, rng, (n_points, length))
     return _pull_back(ifs, sym, np.full(n_points, float(ifs.x0)))
 
@@ -302,13 +301,12 @@ def del_criterion_diagnostic(ifs, p, base, q, n_max, samples=200, rng_seed=0):
     every orbit value base^n x mod 1 (n <= N_max) is exact for the
     representative; bounded partial sums support nu-a.e. base-normality.
     """
-    if not ifs.is_affine or any(isinstance(m.ratio, QuadExact) for m in ifs.maps):
+    if not ifs.is_affine or ifs.field:
         raise PreconditionError("exact orbit arithmetic requires rational affine maps")
     if base < 2:
         raise ValueError("integer base >= 2 required")
-    dmax = max(float(abs(m.ratio)) for m in ifs.maps)
     # digits of accuracy needed at shift n_max plus slack
-    length = int(math.ceil(n_max * math.log(base) / -math.log(dmax))) + 64
+    length = int(math.ceil(n_max * math.log(base) / ifs.big_d)) + 64
     rng = np.random.default_rng(rng_seed)
     qi = Fraction(q)
 

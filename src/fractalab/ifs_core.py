@@ -4,7 +4,9 @@ Maps are either exact affine contractions (rational or quadratic-field
 ratio/translation) or smooth maps drawn from a small parametric catalog
 (quadratic perturbations of affine maps, Moebius maps) that carries
 hand-declared derivative and Hoelder constants.  Every map is also f = P/Q
-with exact coefficient lists num and den, constant term first.
+with exact coefficient lists num and den, constant term first.  An Ifs
+derives once what the engines read: each map's walk step and, for an affine
+system, its field, integer forms and integer triples (see Ifs).
 
 Affine arithmetic is exact.  A word of affine maps is composed as integer
 maps x -> ((ra + rb*sqrt(d))*x + ta + tb*sqrt(d))/c (d = 0 for rational
@@ -257,7 +259,15 @@ class WeightVector(tuple):
 
 
 class Ifs:
-    """Ordered contractions of a compact ambient interval I = [a, b]."""
+    """Ordered contractions of a compact ambient interval I = [a, b].
+
+    Derived once at construction: steps, -log sup|f_i'| per map (read-only),
+    and width_float.  For an affine system also field, the d of the Q(sqrt d)
+    of every ratio, translation and end of I (0 if all are rational), forms,
+    the integer forms (ra, rb, ta, tb, c) with f_i(x) = ((ra + rb*sqrt d)*x +
+    ta + tb*sqrt d)/c, and the integer triples (a, b, den) ratio_triples,
+    translation_triples and centre_triple; these five are None with a smooth map.
+    """
 
     def __init__(self, maps, interval, x0=None, name=None):
         if len(maps) < 2:
@@ -270,6 +280,21 @@ class Ifs:
         self.x0 = self.interval_mid() if x0 is None else x0
         self.name = name or "ifs"
         self._validate()
+        self.steps = np.array([-math.log(m.deriv_range()[1]) for m in self.maps])
+        self.steps.flags.writeable = False
+        self.width_float = float(self.interval_width())
+        self.field = self.forms = self.ratio_triples = self.translation_triples = self.centre_triple = None
+        if not self.is_affine:
+            return
+        self.field = _field((*self.ratios, *self.translations, *self.interval))
+        self.ratio_triples = tuple(_triple(r) for r in self.ratios)
+        self.translation_triples = tuple(_triple(t) for t in self.translations)
+        self.centre_triple = _triple(self.interval_mid())
+        forms = []
+        for (ra, rb, rc), (ta, tb, tc) in zip(self.ratio_triples, self.translation_triples):
+            c = lcm(rc, tc)
+            forms.append((ra * (c // rc), rb * (c // rc), ta * (c // tc), tb * (c // tc), c))
+        self.forms = tuple(forms)
 
     # -- basic structure --------------------------------------------------
 
@@ -362,13 +387,6 @@ def validate_word(ifs, eta):
 # -- operations ------------------------------------------------------------
 
 
-def _integer_form(m):
-    """(ra, rb, ta, tb, c) with m(x) = ((ra + rb*sqrt(d))*x + ta + tb*sqrt(d))/c."""
-    (ra, rb, rc), (ta, tb, tc) = _triple(m.ratio), _triple(m.translation)
-    c = lcm(rc, tc)
-    return ra * (c // rc), rb * (c // rc), ta * (c // tc), tb * (c // tc), c
-
-
 def _compose_forms(f, g, d):
     """f o g for integer forms: ratio Rf Rg and translation Rf Tg + cg Tf,
     over cf cg.  One flat tuple per map keeps the word's forms small."""
@@ -382,16 +400,15 @@ def _compose_forms(f, g, d):
 def _compose_affine(ifs, eta):
     """f_eta for a validated word of length >= 2 over affine maps.
 
-    Each distinct map becomes an integer form (_integer_form) once; adjacent
+    The word's maps are the system's integer forms (Ifs.forms); adjacent
     pairs are composed round by round (_compose_forms) with products in
     Q(sqrt d) and no gcd, so a word of length m costs O(log m) rounds of
     big-integer products.  The result is reduced once and has the
     coefficient types of the left fold of AffineMap.compose.
     """
     used = {s: ifs.maps[s - 1] for s in set(eta)}
-    d = _field(x for m in used.values() for x in (m.ratio, m.translation))
-    form = {s: _integer_form(m) for s, m in used.items()}
-    maps = [form[s] for s in eta]
+    d = ifs.field
+    maps = [ifs.forms[s - 1] for s in eta]
     while len(maps) > 1:
         # a loop, not a recursive closure: no reference cycle keeps the
         # word's integer maps alive until the next full collection
@@ -435,12 +452,10 @@ def _appended_symbols(ifs, eta, shrink, target_width, strict):
         w = shrink * last**k * width_i
         return w < target_width if strict else w <= target_width
 
-    log_shrink = sum(
-        c * math.log(float(abs(ifs.maps[s - 1].ratio))) for s, c in Counter(eta).items()
-    )
+    log_shrink = -sum(c * ifs.steps[s - 1] for s, c in Counter(eta).items())
     log_target = math.log(target_width.numerator) - math.log(target_width.denominator)
     excess = log_shrink + math.log(float(width_i)) - log_target
-    k = max(0, math.ceil(excess / -math.log(float(last))))
+    k = max(0, math.ceil(excess / ifs.steps[eta[-1] - 1]))
     while not fits(k):
         k += 1
     while k and fits(k - 1):
@@ -522,11 +537,11 @@ def coding_point(ifs, omega_prefix, target_width):
     else:
         prefix = list(validate_word(ifs, omega_prefix))
         # log-space so that very small targets never underflow a float
-        log_shrink = sum(math.log(ifs.maps[s - 1].deriv_range()[1]) for s in prefix)
-        log_width = math.log(float(ifs.interval_width()))
+        log_shrink = -sum(ifs.steps[s - 1] for s in prefix)
+        log_width = math.log(ifs.width_float)
         log_target = math.log(target_width.numerator) - math.log(target_width.denominator)
         extended = 0
-        log_last = math.log(ifs.maps[prefix[-1] - 1].deriv_range()[1])
+        log_last = -ifs.steps[prefix[-1] - 1]
         while log_shrink + log_width > log_target - 1e-9:
             prefix.append(prefix[-1])
             log_shrink += log_last
@@ -654,12 +669,12 @@ def linearization_threshold(ifs, beta):
     if not 0 < beta < gamma:
         raise PreconditionError(f"beta must lie in (0, gamma={gamma})")
     if c == 0:
-        return float(ifs.interval_width())
+        return ifs.width_float
     kappa = math.exp(-ifs.big_d_prime)
     beta1 = gamma - (1 - math.exp(-ifs.big_d * gamma)) * (gamma - beta)
     target = min(1 - 1 / math.e, beta / 2)
     eps = (target * kappa / (4 * c)) ** (1 / (gamma - beta1))
-    return 0.9 * min(eps, float(ifs.interval_width()))
+    return 0.9 * min(eps, ifs.width_float)
 
 
 def linearization_error(ifs, eta, x, y, beta):
@@ -738,13 +753,15 @@ def _pull_back(ifs, sym, x):
             s = sym[:, j]
             x = r[s] * x + t[s]
         return x
-    x = np.array(x, dtype=float)
+    # every map is evaluated elementwise on all rows and each row keeps its own
+    # map's value: the floats of a per-map gather, without its gather and scatter
+    *rest, last = ifs.maps
+    masks = [np.equal(sym.T, i, order="C") for i in range(ifs.n - 1)]
     for j in range(sym.shape[1] - 1, -1, -1):
-        col = sym[:, j]
-        for i, m in enumerate(ifs.maps):
-            mask = col == i
-            if mask.any():
-                x[mask] = m(x[mask])
+        y = last(x)
+        for m, mask in zip(rest, masks):
+            y = np.where(mask[j], m(x), y)
+        x = y
     return x
 
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from .cocycle_walk import lyapunov
 from .ifs_core import PreconditionError, _draw_symbols, compose_word
-from .quadfield import QuadExact
 
 GUARD_DIGITS = 8
 
@@ -82,11 +81,9 @@ def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=
     if base < 2:
         raise ValueError("base must be >= 2")
     rng = np.random.default_rng(rng_seed)
-    dmax = ifs.deriv_bounds()[1]
-    width = float(ifs.interval_width())
     need = Fraction(base) ** -(n_digits + GUARD_DIGITS)
     log_need = -(n_digits + GUARD_DIGITS) * math.log(base)
-    base_len = max(1, int(math.ceil((math.log(width) - log_need) / -math.log(dmax))))
+    base_len = max(1, int(math.ceil((math.log(ifs.width_float) - log_need) / ifs.big_d)))
 
     prefix = [int(s) + 1 for s in _draw_symbols(ifs, p_weights, rng, base_len)]
     for attempt in range(max_extensions + 1):
@@ -282,7 +279,7 @@ def martingale_pieces(ifs, p_weights, omega_prefix, base, n_count, h=0.0, chi=No
     The convention tau~_0 = 0 makes the h = 0 pieces the plain stopping
     moment where the word's derivative first drops to base^{-n}.
     """
-    if not ifs.is_affine or any(isinstance(m.ratio, QuadExact) for m in ifs.maps):
+    if not ifs.is_affine or ifs.field:
         raise PreconditionError("martingale pieces require rational affine maps")
     if chi is None:
         chi = lyapunov(ifs, p_weights, "exact").value

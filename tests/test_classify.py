@@ -117,9 +117,12 @@ def test_float_input_flagged_heuristic():
     assert v.heuristic
 
 
-@pytest.mark.parametrize("ratios", [[F(1), F(1, 2)], [F(1, 2), F(1)]])
+@pytest.mark.parametrize(
+    "ratios", [[F(1), F(1, 2)], [F(1, 2), F(1)], [F(1), F(1)], [1.0, 0.5], [0.5, 1.0]]
+)
 def test_modulus_one_ratio_is_rejected(ratios):
-    # log 1 = 0 lies in every lattice, so there is no aperiodicity witness
+    # log 1 = 0 lies in every lattice, so there is no aperiodicity witness;
+    # the shared-modulus shortcut and the float heuristic reject it as well
     with pytest.raises(ValueError, match="other than 1"):
         is_periodic(ratios)
 

@@ -100,9 +100,24 @@ def test_stop_bracket_and_monotonicity():
     for k in (1.0, 2.5, 5.0, 10.0, 20.0):
         rec = stop(trace, k, chi)
         assert k * chi - 1e-9 <= rec.S_tau <= k * chi + dp + 1e-9
-        assert rec.tau_tilde <= rec.tau
+        assert rec.tau_tilde == rec.tau  # affine: the sup-derivative walk is the walk
         taus.append(rec.tau)
     assert taus == sorted(taus)
+
+
+def test_stop_tilde_walk_of_a_smooth_trace_stops_later():
+    # |f'_eta(x)| <= prod sup|f'_{eta_i}|, so S~_n <= S_n and tau~ >= tau;
+    # the quadratic map's |f'| is below its sup off x = 1, so some tau~ > tau
+    ifs = smooth_example()
+    trace = simulate_walk(ifs, HALF, 400, rng_seed=3)
+    assert (np.cumsum(trace.X_tilde) <= trace.S).all()
+    chi = float(trace.X.mean())
+    later = 0
+    for k in np.arange(1.0, 100.0, 0.5):
+        rec = stop(trace, k, chi)
+        assert rec.tau_tilde >= rec.tau and rec.S_tilde_tau >= k * chi
+        later += rec.tau_tilde > rec.tau
+    assert later > 0
 
 
 def test_stop_requires_long_enough_trace():

@@ -21,6 +21,8 @@ from fractalab.fourier import (
 )
 from fractalab.cocycle_walk import lyapunov
 from fractalab.ifs_core import (
+    AffineMap,
+    Ifs,
     PreconditionError,
     aperiodic_125,
     bernoulli_convolution,
@@ -29,7 +31,7 @@ from fractalab.ifs_core import (
     golden_bernoulli,
     smooth_example,
 )
-from fractalab.quadfield import golden_ratio_conjugate
+from fractalab.quadfield import QuadExact, golden_ratio_conjugate
 
 F = Fraction
 HALF = (F(1, 2), F(1, 2))
@@ -179,6 +181,28 @@ def test_word_tree_matches_the_product_formula_at_golden_pisot_frequencies():
             assert abs(s.value - _mp_cos_product(rho**-n, rho)) <= s.error_bound
 
 
+SQRT2_SHIFT = QuadExact(0, F(1, 10), 2)  # sqrt(2)/10
+
+
+def _sqrt2_shift():
+    """{x/3, x/3 + sqrt(2)/10} on [0, 1]: rational ratios, a translation in Q(sqrt 2)."""
+    return Ifs([AffineMap(F(1, 3), 0), AffineMap(F(1, 3), SQRT2_SHIFT)], (0, 1), name="sqrt2-shift")
+
+
+@pytest.mark.parametrize("q", [F(1), F(7, 2), F(1234, 7), 3**8, QuadExact(F(5), F(3, 7), 2), 1e3 + 0.25])
+def test_word_tree_matches_the_product_formula_with_a_quadratic_translation(q):
+    # equal ratios r: F_q = prod_{k>=0} sum_i p_i e(q r^k t_i) (Jessen-Wintner)
+    s = fourier_word_tree(_sqrt2_shift(), HALF, q, 1e-10)
+    with mpmath.workdps(30):
+        # x = q r^k t, exact until the conversion
+        x = mpmath.mpf(q) * SQRT2_SHIFT.to_mpf(30) if isinstance(q, float) else (q * SQRT2_SHIFT).to_mpf(30)
+        ref = mpmath.mpc(1)
+        while abs(x) > mpmath.mpf(10) ** -25:
+            ref *= (1 + mpmath.expjpi(2 * x)) / 2
+            x /= 3
+    assert abs(s.value - complex(ref)) <= s.error_bound
+
+
 def test_decay_profile_aperiodic_vs_periodic():
     q_grid = np.logspace(0, 4, 60)
     ap = decay_profile(aperiodic_125(), W125, q_grid, 1e-6)
@@ -218,5 +242,6 @@ def test_del_criterion_dyadic_bounded():
 
 
 def test_del_criterion_requires_rational_affine():
-    with pytest.raises(PreconditionError):
-        del_criterion_diagnostic(smooth_example(), HALF, base=2, q=1.0, n_max=100)
+    for ifs in (smooth_example(), _sqrt2_shift()):
+        with pytest.raises(PreconditionError):
+            del_criterion_diagnostic(ifs, HALF, base=2, q=1.0, n_max=100)

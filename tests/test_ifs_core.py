@@ -244,6 +244,11 @@ _COMPOSE_SYSTEMS = {
         (F(0), F(2)),
         name="mixed",
     ),
+    "sqrt2-shift": Ifs(  # rational ratios, a translation in Q(sqrt 2)
+        [AffineMap(F(1, 3), 0), AffineMap(F(1, 2), QuadExact(0, F(1, 10), 2))],
+        (F(0), F(1)),
+        name="sqrt2-shift",
+    ),
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalab.cocycle_walk import lyapunov
-from fractalab.ifs_core import PreconditionError, aperiodic_125, cantor, smooth_example
+from fractalab.ifs_core import AffineMap, Ifs, PreconditionError, aperiodic_125, cantor, smooth_example
 from fractalab.normality import (
     digit_frequency_test,
     digit_stream_of_rational,
@@ -19,6 +19,7 @@ from fractalab.normality import (
     star_discrepancy,
     weyl_sums,
 )
+from fractalab.quadfield import QuadExact
 
 F = Fraction
 HALF = (F(1, 2), F(1, 2))
@@ -163,6 +164,15 @@ def test_martingale_pieces_h_extends_words():
     for p0, p2 in zip(base0, deep):
         assert p2.beta >= p0.beta
         assert float(p2.ratio) <= float(p0.ratio) + 1e-12
+
+
+def test_martingale_pieces_require_rational_affine():
+    # rational ratios are not enough: a translation in Q(sqrt 2) has no exact
+    # Fraction offset
+    sqrt2_shift = Ifs([AffineMap(F(1, 3), 0), AffineMap(F(1, 3), QuadExact(0, F(1, 10), 2))], (0, 1))
+    for ifs in (smooth_example(), sqrt2_shift):
+        with pytest.raises(PreconditionError):
+            martingale_pieces(ifs, HALF, [1, 2] * 20, 2, 4, chi=1.0)
 
 
 def test_martingale_piece_words_are_prefixes():
