@@ -642,6 +642,8 @@ def moser_family(tau=3.0, liouville_depth=3, rng_seed=0, x_max=1000.0):
     The returned instance is verified only on the scanned range; the general
     existence statement is taken as given, not re-proved here.
     """
+    if liouville_depth < 1:
+        raise ValueError("liouville_depth must be >= 1")
     rng = np.random.default_rng(rng_seed)
     for _ in range(8):
         s1 = [int(rng.integers(2, 6)), int(rng.integers(2, 6))]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ifs_core import PreconditionError, _draw_symbols, _pull_back
+from .ifs_core import PreconditionError, _column_maps, _draw_symbols, _pull_back
 
 _CHUNK = 100_000  # paths simulated per chunk to bound peak memory
 
@@ -40,21 +40,15 @@ def _walk_matrix(ifs, p, n_paths, length, rng):
         return sym, ifs.steps[sym]
 
     sym = _draw_symbols(ifs, p, rng, (n_paths, length + _smooth_tail_length(ifs)))
-    x = _pull_back(ifs, sym[:, length:], np.full(n_paths, float(ifs.x0)))
-    xnext = np.empty(n_paths)
+    apply, present, masks = _column_maps(ifs, sym)
+    x = np.full(n_paths, float(ifs.x0))
     incs = ifs.steps[sym[:, :length]]  # exact for affine maps; smooth ones are set below
-    masks = [sym[:, :length] == i for i in range(ifs.n)]
-    present = [mask.any(axis=0).tolist() for mask in masks]
-    # the pull-back through the first `length` columns is fused with the
-    # smooth maps' increments, which need each map's argument
-    for j in range(length - 1, -1, -1):
-        xnext[:] = x
-        for i, m in enumerate(ifs.maps):
-            if present[i][j]:
-                mask = masks[i][:, j]
-                x[mask] = m(xnext[mask])
-                if m.kind != "affine":
-                    incs[mask, j] = -np.log(np.abs(m.deriv(xnext[mask])))
+    # tail, then head columns; a smooth map takes its increment before its column
+    for j in range(sym.shape[1] - 1, -1, -1):
+        for i in present[j] if j < length else ():
+            if ifs.maps[i].kind != "affine":
+                incs[:, j] = np.where(masks[i, j], -np.log(np.abs(ifs.maps[i].deriv(x))), incs[:, j])
+        x = apply(j, x)
     return sym[:, :length], incs
 
 

@@ -204,6 +204,8 @@ def decay_profile(ifs, p, q_grid, tol, method="word_tree", samples=100_000, rng_
     The fit runs over the top decade of the grid only (the model is
     asymptotic); alpha is reported with its residual, never asserted tight.
     """
+    if method not in ("word_tree", "monte_carlo"):
+        raise ValueError(f"unknown method {method!r}; known: word_tree, monte_carlo")
     qs = list(q_grid)
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise ValueError("q grid must be strictly increasing")
@@ -250,6 +252,8 @@ def scaled_energy_check(ifs, p, q, k, r, chi, samples=20_000, rng_seed=0, tol=1e
 
     if r <= 0:
         raise ValueError("r must be positive")
+    if q == 0:
+        raise ValueError("q must be nonzero")
     qf = float(q)
     dp = ifs.big_d_prime
 
@@ -305,6 +309,8 @@ def del_criterion_diagnostic(ifs, p, base, q, n_max, samples=200, rng_seed=0):
         raise PreconditionError("exact orbit arithmetic requires rational affine maps")
     if base < 2:
         raise ValueError("integer base >= 2 required")
+    if n_max < 4:
+        raise ValueError("n_max must be >= 4: the tail slope spans the last two octaves")
     # digits of accuracy needed at shift n_max plus slack
     length = int(math.ceil(n_max * math.log(base) / ifs.big_d)) + 64
     rng = np.random.default_rng(rng_seed)

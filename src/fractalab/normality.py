@@ -128,6 +128,8 @@ def digit_frequency_test(stream, n, block_len):
     """Chi-square uniformity test over digit blocks of length 1..block_len."""
     from scipy import stats as sps
 
+    if not 1 <= block_len <= n:
+        raise ValueError(f"need 1 <= block_len <= N, got block_len {block_len} and N {n}")
     if n > stream.certified_upto:
         raise PreconditionError("N exceeds the certified digit count")
     digits = stream.digits[:n]

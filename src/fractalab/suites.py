@@ -550,7 +550,10 @@ def _load_system(cfg):
     spec = resolve_system(_need(cfg, "ifs"))
     weights = spec.weights
     if "weights" in cfg:
-        weights = WeightVector([Fraction(w) for w in cfg["weights"].split()])
+        try:
+            weights = WeightVector([Fraction(w) for w in cfg["weights"].split()])
+        except ZeroDivisionError as exc:
+            raise ConfigError(f"bad weights {cfg['weights']!r}: {exc}") from exc
     if weights is None:
         raise ConfigError("missing config field: weights (not provided by the ifs file either)")
     if len(weights) != spec.ifs.n:

@@ -23,7 +23,9 @@ from fractalab.ifs_core import (
     PreconditionError,
     aperiodic_125,
     cantor,
+    _draw_symbols,
     compose_word,
+    moebius_example,
     registered_affine,
     smooth_example,
 )
@@ -78,6 +80,29 @@ def test_walk_smooth_matches_composite_derivative():
     enc = coding_point(ifs, tail, F(1, 10**25))
     x_tail = float((enc.lo + enc.hi) / 2)
     assert trace.S[n - 1] == pytest.approx(-math.log(abs(g.deriv(x_tail))), abs=1e-7)
+
+
+@pytest.mark.parametrize("make", [smooth_example, moebius_example])
+def test_smooth_walk_matrix_matches_a_per_row_reference(make):
+    # each row pulled back alone through the maps' own float calls, with the
+    # increments -log|f'| of 1-element arrays: elementwise numpy gives the
+    # same bits on 1-element and long arrays, so equality is exact
+    ifs = make()
+    rows, length = 64, 40
+    sym, incs = cocycle_walk._walk_matrix(ifs, HALF, rows, length, np.random.default_rng(3))
+    width = length + cocycle_walk._smooth_tail_length(ifs)
+    full = _draw_symbols(ifs, HALF, np.random.default_rng(3), (rows, width))
+    assert np.array_equal(sym, full[:, :length])
+    ref = np.empty((rows, length))
+    for r, word in enumerate(full):
+        x = np.array([float(ifs.x0)])
+        for j in range(len(word) - 1, -1, -1):
+            m = ifs.maps[word[j]]
+            if j < length:
+                ref[r, j] = ifs.steps[word[j]] if m.kind == "affine" else -np.log(np.abs(m.deriv(x)))[0]
+            x = m(x)
+    assert len(np.unique(sym[:, 0])) == 2  # both maps occur in one column
+    assert np.array_equal(incs, ref)
 
 
 def test_stop_homogeneous_walk():

@@ -150,6 +150,31 @@ def test_cli_run_rejected_value_exits_2(tmp_path, capsys, lines, needle):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "lines, needle",
+    [
+        (["experiment del-criterion", "ifs builtin:cantor", "n-max 0"], "n_max"),
+        (["experiment del-criterion", "ifs builtin:cantor", "n-max 3"], "n_max"),
+        (["experiment normality", "ifs builtin:cantor", "seeds 1", "n-digits 0"], "block_len"),
+        (["experiment normality", "ifs builtin:cantor", "seeds 1", "n-digits 2", "block-len 3"], "block_len"),
+        (["experiment normality", "ifs builtin:cantor", "seeds 1", "n-digits 64", "block-len 0"], "block_len"),
+        (["experiment scaled-energy", "ifs builtin:cantor", "q-list 0", "k-list 2", "r-list 0.1"], "nonzero"),
+        (["experiment clt", "ifs builtin:cantor", "weights 1/0 1", "paths 100"], "weights"),
+        (["experiment moser", "depth 0"], "liouville_depth"),
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:100:4-log", "method bogus"], "bogus"),
+    ],
+    ids=["n-max-0", "n-max-3", "n-digits-0", "n-below-block-len", "block-len-0", "q-zero",
+         "weight-over-zero", "moser-depth-0", "unknown-method"],
+)
+def test_cli_run_edge_parameter_exits_2(tmp_path, capsys, lines, needle):
+    cfg = write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and needle in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_run_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
     err = capsys.readouterr().err
