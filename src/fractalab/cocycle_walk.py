@@ -281,6 +281,8 @@ def conditional_llt_experiment(
         )
     if not h_prime > 0:
         raise ValueError("h_prime must be positive")
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
     if chi is None:
         chi = lyapunov(ifs, p, "exact").value
     d = ifs.big_d
@@ -353,6 +355,8 @@ def clt_experiment(ifs, p, n, paths, rng_seed=0):
     """Empirical law of (S_n - n*chi)/sqrt(n) vs the best-fit Gaussian."""
     from scipy.special import ndtr
 
+    if n < 1 or paths < 1:
+        raise ValueError(f"need n >= 1 and paths >= 1, got n {n} and paths {paths}")
     rng = np.random.default_rng(rng_seed)
     if ifs.is_affine:
         chi = lyapunov(ifs, p, "exact").value

@@ -157,6 +157,8 @@ def sample_points(ifs, p, n_points, rng, eps):
 
 def fourier_mc(ifs, p, q, samples, rng_seed=0):
     """Monte Carlo F_q(nu) as the empirical mean of e(q x_omega)."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     qf = float(q)
     if qf == 0:
         return FourierSample(q=0.0, value=1 + 0j, error_bound=0.0, method="monte_carlo")
@@ -311,6 +313,8 @@ def del_criterion_diagnostic(ifs, p, base, q, n_max, samples=200, rng_seed=0):
         raise ValueError("integer base >= 2 required")
     if n_max < 4:
         raise ValueError("n_max must be >= 4: the tail slope spans the last two octaves")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     # digits of accuracy needed at shift n_max plus slack
     length = int(math.ceil(n_max * math.log(base) / ifs.big_d)) + 64
     rng = np.random.default_rng(rng_seed)

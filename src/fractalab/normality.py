@@ -1,11 +1,16 @@
 """Digit statistics of sampled points: certified digit extraction, base-p
 orbit Weyl sums, star discrepancy and the stopped-word piece decomposition
 used to transfer Fourier decay to orbit equidistribution.
+
+A digit is certified by one cell per enclosure end: every x in [lo, hi] has
+the same first n base-b digits of frac(x) (and integer part) exactly when
+floor(lo * b**n) == floor(hi * b**n).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,16 +26,19 @@ class DigitExtractionError(RuntimeError):
     """Boundary-straddle retry budget exhausted."""
 
 
-def _digits_of_fraction(x, base, count):
-    """First `count` digits of frac(x) in the given base (exact)."""
+def _cell(x, base, n):
+    """The depth-n base-`base` cell floor(x * base**n) of x (exact)."""
     x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    num -= (num // den) * den  # frac(x), exact even for huge denominators
-    digits = []
-    for _ in range(count):
-        num *= base
-        d, num = divmod(num, den)
-        digits.append(int(d))
+    return x.numerator * base**n // x.denominator
+
+
+def _digits(cell, base, n):
+    """The n base-`base` digits of cell mod base**n, most significant first:
+    for the cell of x, the first n digits of frac(x)."""
+    rest = cell % base**n
+    digits = [0] * n
+    for i in reversed(range(n)):
+        rest, digits[i] = divmod(rest, base)
     return digits
 
 
@@ -50,22 +58,8 @@ class DigitStream:
 
 def digit_stream_of_rational(x, base, n_digits):
     """Exact digit stream of a rational number (digits of frac(x))."""
-    digits = _digits_of_fraction(x, base, n_digits)
+    digits = _digits(_cell(x, base, n_digits), base, n_digits)
     return DigitStream(base=base, digits=digits, certified_upto=n_digits, source=f"rational {x}")
-
-
-def _common_digits(lo, hi, base, count):
-    """Digits shared by every point of [lo, hi], up to count."""
-    dlo = _digits_of_fraction(lo, base, count)
-    if math.floor(lo) != math.floor(hi):
-        return []
-    dhi = _digits_of_fraction(hi, base, count)
-    out = []
-    for a, b in zip(dlo, dhi):
-        if a != b:
-            break
-        out.append(a)
-    return out
 
 
 def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=64):
@@ -74,7 +68,7 @@ def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=
     Draws the symbol sequence from the seed and keeps lengthening the
     drawn prefix (the same stream, so certified digits never change) until
     the enclosure f_eta(I) lies inside a single digit cell at depth
-    n_digits; GUARD_DIGITS extra digits are resolved before certifying.
+    n_digits; the enclosure is asked for GUARD_DIGITS digits more.
     """
     from .ifs_core import coding_point
 
@@ -88,11 +82,11 @@ def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=
     prefix = [int(s) + 1 for s in _draw_symbols(ifs, p_weights, rng, base_len)]
     for attempt in range(max_extensions + 1):
         enc = coding_point(ifs, prefix, need)
-        digits = _common_digits(enc.lo, enc.hi, base, n_digits + GUARD_DIGITS)
-        if len(digits) >= n_digits:
+        cell = _cell(enc.lo, base, n_digits)
+        if cell == _cell(enc.hi, base, n_digits):
             return DigitStream(
                 base=base,
-                digits=digits[:n_digits],
+                digits=_digits(cell, base, n_digits),
                 certified_upto=n_digits,
                 source=f"{ifs.name} seed={rng_seed}",
                 prefix_len=len(prefix),
@@ -137,13 +131,10 @@ def digit_frequency_test(stream, n, block_len):
     reports = []
     for ell in range(1, block_len + 1):
         m = n // ell
-        counts = {}
-        for i in range(m):
-            block = tuple(digits[i * ell : (i + 1) * ell])
-            counts[block] = counts.get(block, 0) + 1
+        counts = Counter(tuple(digits[i * ell : (i + 1) * ell]) for i in range(m))
         cells = base**ell
         expected = m / cells
-        stat = sum((counts.get(b, 0) - expected) ** 2 for b in counts) / expected
+        stat = sum((c - expected) ** 2 for c in counts.values()) / expected
         stat += (cells - len(counts)) * expected  # empty cells
         dof = cells - 1
         pval = float(sps.chi2.sf(stat, dof))
@@ -172,6 +163,7 @@ def weyl_sums(source, base, q_set, n, block_len=3):
     `source` is an exact rational x (big-integer modular orbit, any N) or a
     DigitStream (orbit read off certified digits; N is capped so that every
     orbit value is accurate to base^-(certified - n - 12))."""
+    period = 0
     if isinstance(source, DigitStream):
         if source.base != base:
             raise ValueError("digit stream base mismatch")
@@ -180,21 +172,15 @@ def weyl_sums(source, base, q_set, n, block_len=3):
             raise PreconditionError(
                 f"N={n} needs {n + slack} certified digits, have {source.certified_upto}"
             )
-        digits = source.digits
-        # orbit value T^m x ~ 0.d_{m+1} d_{m+2} ... up to `slack` digits
-        angles = np.empty(n)
-        for m in range(1, n + 1):
-            v = 0.0
-            scale = 1.0
-            for j in range(m, min(m + 40, len(digits))):
-                scale /= base
-                v += digits[j] * scale
-            angles[m - 1] = v
-        period = 0
-        digit_counts = {}
-        for m in range(1, n + 1):
-            digit_counts[digits[m]] = digit_counts.get(digits[m], 0) + 1
-        block_counts = _orbit_blocks(digits[1 : n + 1], base, block_len)
+        # orbit value T^m x ~ 0.d_{m+1} d_{m+2} ... d_{m+40}, digits past the
+        # stream read as 0; pass j adds the (j+1)-th digit of every value
+        padded = np.array(source.digits[: n + 40] + [0] * 40, dtype=float)
+        angles = np.zeros(n)
+        scale = 1.0
+        for j in range(40):
+            scale /= base
+            angles += padded[1 + j : n + 1 + j] * scale
+        dig = source.digits[1 : n + 1]
     else:
         x = Fraction(source)
         frac = x - math.floor(x)
@@ -202,7 +188,6 @@ def weyl_sums(source, base, q_set, n, block_len=3):
         angles = np.empty(n)
         dig = []
         seen = {num: 0}
-        period = 0
         num = (num * base) % den
         for m in range(n):
             # num / den = T^{m+1} x, whose first digit comes with T^{m+2} x
@@ -213,10 +198,10 @@ def weyl_sums(source, base, q_set, n, block_len=3):
                 seen[num] = m + 1
             digit, num = divmod(num * base, den)
             dig.append(digit)
-        digit_counts = {}
-        for d in dig:
-            digit_counts[d] = digit_counts.get(d, 0) + 1
-        block_counts = _orbit_blocks(dig, base, block_len)
+    block_counts = {
+        ell: Counter(tuple(dig[i : i + ell]) for i in range(len(dig) - ell + 1))
+        for ell in range(1, block_len + 1)
+    }
 
     weyl = {}
     phases = np.exp(2j * np.pi * angles)
@@ -231,22 +216,11 @@ def weyl_sums(source, base, q_set, n, block_len=3):
     return OrbitStats(
         base=base,
         n=n,
-        digit_counts=digit_counts,
+        digit_counts=Counter(dig),
         block_counts=block_counts,
         weyl=weyl,
         orbit_period=period,
     )
-
-
-def _orbit_blocks(digits, base, block_len):
-    out = {}
-    for ell in range(1, block_len + 1):
-        counts = {}
-        for i in range(len(digits) - ell + 1):
-            b = tuple(digits[i : i + ell])
-            counts[b] = counts.get(b, 0) + 1
-        out[ell] = counts
-    return out
 
 
 def star_discrepancy(points):

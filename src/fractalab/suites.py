@@ -69,6 +69,14 @@ def _decreasing(seq):
     return all(b < a for a, b in zip(seq, seq[1:]))
 
 
+def _sci(n):
+    """n with three or more trailing zeros as mantissa and exponent (1000000 -> "1e6")."""
+    m, k = n, 0
+    while m and m % 10 == 0:
+        m, k = m // 10, k + 1
+    return f"{m}e{k}" if k >= 3 else str(n)
+
+
 def _llt_reports(ifs, w, ks, paths, seed, h=0, h_prime=None):
     """The LltReport at each k, with h' = sqrt(k) unless h_prime is given."""
     return [cw.conditional_llt_experiment(ifs, w, k, h, math.sqrt(k) if h_prime is None else h_prime, paths,
@@ -197,7 +205,7 @@ def suite_pisot_nondecay(tol=1e-6, n_max=25):
         rows.append((n, f"{float(q):.8g}", f"{abs(s.value):.10f}"))
     floor = min(mags)
     res.tables["pisot"] = (("n", "q", "abs_F"), rows)
-    res.check("min |F_{r^{-n}}| > 0 for n <= 25", floor > 0, f"floor {floor:.6g}")
+    res.check(f"min |F_{{r^{{-n}}}}| > 0 for n <= {n_max}", floor > 0, f"floor {floor:.6g}")
     closed = min(_golden_nondecay(n_max))
     res.check(
         "floor matches the closed-form Jessen-Wintner product (tol 1e-6)",
@@ -278,13 +286,15 @@ def suite_stopping_bracket(rng_seed=3, pairs=1_000_000):
         "S_{tau_k} in [k chi, k chi + D'] with zero violations",
     )
     rows = []
-    total_v = 0
+    total_v = total_n = 0
     for name in ("cantor", "aperiodic-125"):
         v, n = cw.bracket_check(*_builtin(name), pairs // 2, rng_seed=rng_seed)
         rows.append((name, n, v))
         total_v += v
+        total_n += n
     res.tables["bracket"] = (("ifs", "pairs", "violations"), rows)
-    res.check("zero bracket violations over 1e6 (path, k) pairs", total_v == 0, f"{total_v} violations")
+    res.check(f"zero bracket violations over {_sci(total_n)} (path, k) pairs", total_v == 0,
+              f"{total_v} violations")
     return res
 
 
@@ -323,8 +333,9 @@ def suite_gamma_law(rng_seed=5, cells=100):
             bad_density += 1
         rows.append((ifs.name, f"{k:.3f}", suffix, f"{mass:.15f}", f"{dmax:.8f}", f"{cap:.8f}"))
     res.tables["gamma"] = (("ifs", "k", "suffix", "mass", "max_density", "cap"), rows)
-    res.check("Gamma mass = 1 within 1e-12 on 100 random cells", bad_mass == 0, f"{bad_mass} failures")
-    res.check("Gamma density <= 1/D + 1e-12 on 100 random cells", bad_density == 0, f"{bad_density} failures")
+    res.check(f"Gamma mass = 1 within 1e-12 on {cells} random cells", bad_mass == 0, f"{bad_mass} failures")
+    res.check(f"Gamma density <= 1/D + 1e-12 on {cells} random cells", bad_density == 0,
+              f"{bad_density} failures")
     return res
 
 
@@ -660,6 +671,8 @@ def _run_normality(cfg, seed):
     base = int(cfg.get("base", "2"))
     n_digits = int(cfg.get("n-digits", "4096"))
     seeds = int(cfg.get("seeds", "20"))
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     block_len = int(cfg.get("block-len", "3"))
     p_floor = float(cfg.get("p-floor", "1e-3"))
     res = SuiteResult("normality", f"digit statistics of {ifs.name} in base {base}")

@@ -162,9 +162,17 @@ def test_cli_run_rejected_value_exits_2(tmp_path, capsys, lines, needle):
         (["experiment clt", "ifs builtin:cantor", "weights 1/0 1", "paths 100"], "weights"),
         (["experiment moser", "depth 0"], "liouville_depth"),
         (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:100:4-log", "method bogus"], "bogus"),
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:100:4-log", "method monte_carlo",
+          "samples 0"], "samples"),
+        (["experiment clt", "ifs builtin:cantor", "n 0", "paths 100"], "n >= 1"),
+        (["experiment clt", "ifs builtin:cantor", "n 20", "paths 0"], "paths"),
+        (["experiment llt", "ifs builtin:cantor", "k-list 5", "paths 0"], "paths"),
+        (["experiment del-criterion", "ifs builtin:cantor", "n-max 8", "samples 0"], "samples"),
+        (["experiment normality", "ifs builtin:cantor", "seeds 0", "assert-pass-fraction 0.9"], "seeds"),
     ],
     ids=["n-max-0", "n-max-3", "n-digits-0", "n-below-block-len", "block-len-0", "q-zero",
-         "weight-over-zero", "moser-depth-0", "unknown-method"],
+         "weight-over-zero", "moser-depth-0", "unknown-method", "mc-samples-0", "clt-n-0",
+         "clt-paths-0", "llt-paths-0", "del-samples-0", "normality-seeds-0"],
 )
 def test_cli_run_edge_parameter_exits_2(tmp_path, capsys, lines, needle):
     cfg = write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
