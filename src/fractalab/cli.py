@@ -19,7 +19,7 @@ from .ifs_core import PreconditionError
 from .specfile import SpecFileError, parse_config, resolve_system
 
 # run_suite stays bound here: perfbench's tracer wraps and restores it by name
-from .suites import BUILTIN_SUITES, ConfigError, parse_flag, run_config, run_suite  # noqa: F401
+from .suites import BUILTIN_SUITES, ConfigError, parse_flag, parse_value, run_config, run_suite  # noqa: F401
 
 
 def _write_tables(result, out_dir):
@@ -37,14 +37,13 @@ def _write_tables(result, out_dir):
 
 def cmd_run(args):
     try:
-        cfg = parse_config(args.config)
-        result = run_config(cfg)
+        result, resolved = run_config(parse_config(args.config))
     except (ValueError, KeyError, OSError) as exc:
         # config errors, unreadable files and values the experiment rejects
         # (PreconditionError)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_tables(result, Path(cfg.get("out", "fractalab-out")))
+    _write_tables(result, Path(resolved["out"]))
     print("\n".join(result.summary_lines()))
     return 0 if result.passed else 1
 
@@ -67,7 +66,7 @@ def cmd_classify(args):
             }.get(key)
             if got is None:
                 raise ConfigError(f"unknown expectation {key!r}")
-            if got != parse_flag(key, value):
+            if got != parse_value(key, parse_flag, value):
                 print(f"expectation failed: {key} is {str(got).lower()}, wanted {value}", file=sys.stderr)
                 status = 1
     except ConfigError as exc:

@@ -266,6 +266,7 @@ def conditional_llt_experiment(
     Paths are binned by cell key (prefix omega|tau~_h, suffix of length
     tau~_{h'} after tau_k - 1); per-cell Kolmogorov distances are reported
     with the P-weighted median over cells holding at least min_cell samples.
+    h_prime None means h' = sqrt(k).
     Only affine systems are supported: the cell partition needs the exact
     tilde walk, which is only available symbol-wise in the affine case.
 
@@ -279,6 +280,10 @@ def conditional_llt_experiment(
         raise PreconditionError(
             "conditional LLT cells require an affine IFS (exact tilde walk)"
         )
+    if not k > 0:
+        raise ValueError(f"k must be positive, got {k}")
+    if h_prime is None:
+        h_prime = math.sqrt(k)
     if not h_prime > 0:
         raise ValueError("h_prime must be positive")
     if paths < 1:

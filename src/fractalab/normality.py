@@ -58,6 +58,8 @@ class DigitStream:
 
 def digit_stream_of_rational(x, base, n_digits):
     """Exact digit stream of a rational number (digits of frac(x))."""
+    if base < 2:
+        raise ValueError("base must be >= 2")
     digits = _digits(_cell(x, base, n_digits), base, n_digits)
     return DigitStream(base=base, digits=digits, certified_upto=n_digits, source=f"rational {x}")
 
@@ -163,6 +165,10 @@ def weyl_sums(source, base, q_set, n, block_len=3):
     `source` is an exact rational x (big-integer modular orbit, any N) or a
     DigitStream (orbit read off certified digits; N is capped so that every
     orbit value is accurate to base^-(certified - n - 12))."""
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
     period = 0
     if isinstance(source, DigitStream):
         if source.base != base:

@@ -79,8 +79,7 @@ def _sci(n):
 
 def _llt_reports(ifs, w, ks, paths, seed, h=0, h_prime=None):
     """The LltReport at each k, with h' = sqrt(k) unless h_prime is given."""
-    return [cw.conditional_llt_experiment(ifs, w, k, h, math.sqrt(k) if h_prime is None else h_prime, paths,
-                                          rng_seed=seed) for k in ks]
+    return [cw.conditional_llt_experiment(ifs, w, k, h, h_prime, paths, rng_seed=seed) for k in ks]
 
 
 def _energy_grid(ifs, w, qs, ks, rs, seed):
@@ -534,101 +533,88 @@ def run_suite(name, **kwargs):
 
 
 # -- config runners: one per `fractalab run` experiment kind ------------------
+# A runner takes the resolved config p (see run_config) and reads nothing else.
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _need(cfg, key):
-    if key not in cfg or not cfg[key]:
-        raise ConfigError(f"missing config field: {key}")
-    return cfg[key]
-
-
-def parse_flag(key, text):
+def parse_flag(text):
     """A boolean config value or `--expect` value: true or false, in any case."""
     if text.lower() not in ("true", "false"):
-        raise ConfigError(f"{key} must be true or false, not {text!r}")
+        raise ValueError("expected true or false")
     return text.lower() == "true"
 
 
-def _flag(cfg, key):
-    return key in cfg and parse_flag(key, cfg[key])
+def parse_value(key, parse, text):
+    """parse(text), with a rejected value raised as a ConfigError naming the key."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad {key} {text!r}: {exc}") from exc
 
 
-def _load_system(cfg):
-    spec = resolve_system(_need(cfg, "ifs"))
-    weights = spec.weights
-    if "weights" in cfg:
-        try:
-            weights = WeightVector([Fraction(w) for w in cfg["weights"].split()])
-        except ZeroDivisionError as exc:
-            raise ConfigError(f"bad weights {cfg['weights']!r}: {exc}") from exc
-    if weights is None:
-        raise ConfigError("missing config field: weights (not provided by the ifs file either)")
-    if len(weights) != spec.ifs.n:
-        raise ConfigError("weights length does not match the ifs")
-    return spec.ifs, weights
+def _float(text):
+    """A finite float: float() also reads nan and inf, which no key takes."""
+    if not math.isfinite(x := float(text)):
+        raise ValueError("not a finite number")
+    return x
+
+
+def _floats(text):
+    return tuple(_float(x) for x in text.split())
 
 
 def _parse_q_grid(text):
     """a:b:N-log -> N log-spaced frequencies in [a, b]."""
-    try:
-        a, b, tail = text.split(":")
-        n, mode = tail.split("-")
-        a, b, n = float(a), float(b), int(n)
-        if mode != "log" or a <= 0 or b <= a or n < 2:
-            raise ValueError
-    except ValueError as exc:
-        raise ConfigError(f"bad q-grid {text!r}; expected a:b:N-log") from exc
+    a, b, tail = text.split(":")
+    n, mode = tail.split("-")
+    a, b, n = _float(a), _float(b), int(n)
+    if mode != "log" or not 0 < a < b or n < 2:
+        raise ValueError("expected a:b:N-log with 0 < a < b and N >= 2")
     return [Fraction(q).limit_denominator(10**7) for q in np.geomspace(a, b, n)]
 
 
-def _run_suite(cfg, seed):
-    return run_suite(_need(cfg, "suite"))
+def _run_suite(p):
+    return run_suite(p["suite"])
 
 
-def _run_fourier_decay(cfg, seed):
-    ifs, w = _load_system(cfg)
-    tol = float(cfg.get("tol", "1e-4"))
+def _run_fourier_decay(p):
+    ifs, w, tol = p["ifs"], p["weights"], p["tol"]
     res = SuiteResult("fourier-decay", f"decay profile of {ifs.name}")
-    if "q-ratio-powers" in cfg:
+    if (n_max := p["q-ratio-powers"]) is not None:
         # q = r^-n alternates in sign for a negative ratio, so this is no
         # increasing grid for decay_profile
-        n_max = int(cfg["q-ratio-powers"])
+        if n_max < 1:
+            raise ValueError(f"q-ratio-powers must be >= 1, got {n_max}")
         if not ifs.is_affine:
             raise PreconditionError("q-ratio-powers requires an affine IFS")
         r = ifs.maps[0].ratio
         samples = [fr.fourier_word_tree(ifs, w, r ** (-n), tol) for n in range(1, n_max + 1)]
+    elif p["q-grid"] is None:
+        raise ConfigError("missing config field: q-grid")
     else:
-        grid = _parse_q_grid(_need(cfg, "q-grid"))
-        method = cfg.get("method", "word_tree")
-        samples = fr.decay_profile(ifs, w, grid, tol, method, int(cfg.get("samples", "100000")), seed).samples
+        samples = fr.decay_profile(ifs, w, p["q-grid"], tol, p["method"], p["samples"], p["seed"]).samples
     rows = [
         (f"{s.q:.10g}", f"{s.value.real:.10f}", f"{s.value.imag:.10f}",
          f"{abs(s.value):.10f}", f"{s.error_bound:.3g}", s.method)
         for s in samples
     ]
     res.tables["profile"] = (("q", "re", "im", "abs", "error_bound", "method"), rows)
-    if cfg.get("assert-min-abs"):
-        floor = float(cfg["assert-min-abs"])
+    if (floor := p["assert-min-abs"]) is not None:
         mn = min(abs(s.value) for s in samples)
         res.check(f"min |F_q| >= {floor}", mn >= floor, f"min {mn:.6g}")
-    if _flag(cfg, "assert-decades-decreasing"):
+    if p["assert-decades-decreasing"]:
         decades = fr.per_decade_max(samples)
         seq = [decades[j] for j in sorted(decades)]
         res.check("per-decade max strictly decreasing", _decreasing(seq), " > ".join(f"{v:.4g}" for v in seq))
     return res
 
 
-def _run_llt(cfg, seed):
-    ifs, w = _load_system(cfg)
-    ks = [float(k) for k in _need(cfg, "k-list").split()]
-    h = float(cfg.get("h", "0"))
-    paths = int(cfg.get("paths", "100000"))
-    h_prime = cfg.get("h-prime", "sqrt")
-    reps = _llt_reports(ifs, w, ks, paths, seed, h, None if h_prime == "sqrt" else float(h_prime))
+def _run_llt(p):
+    ifs, ks = p["ifs"], p["k-list"]
+    reps = _llt_reports(ifs, p["weights"], ks, p["paths"], p["seed"], p["h"], p["h-prime"])
     res = SuiteResult("llt", f"conditional law of S_tau for {ifs.name}")
     rows = []
     for k, rep in zip(ks, reps):
@@ -637,78 +623,65 @@ def _run_llt(cfg, seed):
         rows.append((k, "summary", "weighted_median", rep.paths, f"{rep.weighted_median_ks:.6f}"))
     res.tables["cells"] = (("k", "prefix", "suffix", "count", "ks"), rows)
     medians = [rep.weighted_median_ks for rep in reps]
-    if _flag(cfg, "assert-trend"):
+    if p["assert-trend"]:
         res.check("weighted median KS strictly decreasing in k", _decreasing(medians),
                   " -> ".join(f"{v:.4f}" for v in medians))
-    if cfg.get("assert-median-floor"):
-        floor = float(cfg["assert-median-floor"])
+    if (floor := p["assert-median-floor"]) is not None:
         res.check(f"weighted median KS >= {floor} at every k",
                   all(v >= floor for v in medians),
                   " , ".join(f"{v:.4f}" for v in medians))
     return res
 
 
-def _run_clt(cfg, seed):
-    ifs, w = _load_system(cfg)
-    n = int(cfg.get("n", "400"))
-    paths = int(cfg.get("paths", "100000"))
-    rep = cw.clt_experiment(ifs, w, n, paths, rng_seed=seed)
+def _run_clt(p):
+    ifs = p["ifs"]
+    rep = cw.clt_experiment(ifs, p["weights"], p["n"], p["paths"], rng_seed=p["seed"])
     res = SuiteResult("clt", f"normalized walk law for {ifs.name}")
     res.tables["clt"] = (
         ("n", "paths", "ks", "fitted_var", "zero_variance"),
         [(rep.n, rep.paths, f"{rep.ks:.6f}", f"{rep.fitted_var:.8f}", int(rep.zero_variance))],
     )
-    if cfg.get("assert-ks-below"):
-        cap = float(cfg["assert-ks-below"])
+    if (cap := p["assert-ks-below"]) is not None:
         res.check(f"KS distance <= {cap}", rep.ks <= cap, f"ks {rep.ks:.5f}")
-    if _flag(cfg, "assert-zero-variance"):
+    if p["assert-zero-variance"]:
         res.check("zero-variance degenerate walk flagged", rep.zero_variance)
     return res
 
 
-def _run_normality(cfg, seed):
-    ifs, w = _load_system(cfg)
-    base = int(cfg.get("base", "2"))
-    n_digits = int(cfg.get("n-digits", "4096"))
-    seeds = int(cfg.get("seeds", "20"))
+def _run_normality(p):
+    ifs, base, seed, seeds = p["ifs"], p["base"], p["seed"], p["seeds"]
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-    block_len = int(cfg.get("block-len", "3"))
-    p_floor = float(cfg.get("p-floor", "1e-3"))
     res = SuiteResult("normality", f"digit statistics of {ifs.name} in base {base}")
     rows = []
     passes = 0
     for s in range(seeds):
-        p, ok = _chi2_pass(ifs, w, base, n_digits, block_len, seed + s, p_floor)
+        pv, ok = _chi2_pass(ifs, p["weights"], base, p["n-digits"], p["block-len"], seed + s, p["p-floor"])
         passes += ok
-        rows.append((seed + s, f"{p:.6f}", int(ok)))
+        rows.append((seed + s, f"{pv:.6f}", int(ok)))
     res.tables["digit-frequency"] = (("seed", "min_p_value", "pass"), rows)
-    if cfg.get("assert-pass-fraction"):
-        frac = float(cfg["assert-pass-fraction"])
+    if (frac := p["assert-pass-fraction"]) is not None:
         res.check(f"chi-square pass fraction >= {frac}", passes >= frac * seeds,
                   f"{passes}/{seeds}")
     return res
 
 
-def _run_classify(cfg, seed):
-    ifs, _ = _load_system(cfg)
+def _run_classify(p):
+    ifs = p["ifs"]
     report = cls.classify_ifs(ifs)
     res = SuiteResult("classify", f"structural classification of {ifs.name}")
     res.tables["report"] = (("field",), [(line,) for line in report.to_text().splitlines()])
-    if "expect-periodic" in cfg:
-        want = parse_flag("expect-periodic", cfg["expect-periodic"])
+    if (want := p["expect-periodic"]) is not None:
         res.check(f"periodic == {want}", report.periodicity.periodic == want,
                   report.periodicity.certificate)
-    if "expect-in-integer-form" in cfg:
-        want = parse_flag("expect-in-integer-form", cfg["expect-in-integer-form"])
+    if (want := p["expect-in-integer-form"]) is not None:
         res.check(f"integer form == {want}", report.integer_form.in_form == want)
     return res
 
 
-def _run_moser(cfg, seed):
-    tau = float(cfg.get("tau", "3"))
-    depth = int(cfg.get("depth", "3"))
-    inst = cls.moser_family(tau=tau, liouville_depth=depth, rng_seed=seed)
+def _run_moser(p):
+    tau = p["tau"]
+    inst = cls.moser_family(tau=tau, liouville_depth=p["depth"], rng_seed=p["seed"])
     res = SuiteResult("moser", "generated Liouville-like frequency tuple")
     res.tables["scan"] = _scan_table(inst)
     res.check("tuple starts (1, 2)", inst.v[:2] == (1.0, 2.0))
@@ -719,26 +692,19 @@ def _run_moser(cfg, seed):
     return res
 
 
-def _run_scaled_energy(cfg, seed):
-    ifs, w = _load_system(cfg)
-    qs = [float(x) for x in cfg.get("q-list", "100 1000 100000").split()]
-    ks = [float(x) for x in cfg.get("k-list", "2 4 6").split()]
-    rs = [float(x) for x in cfg.get("r-list", "0.1 0.001 0.00003").split()]
+def _run_scaled_energy(p):
+    ifs = p["ifs"]
     res = SuiteResult("scaled-energy", f"scaled-energy inequality for {ifs.name}")
-    rows = _energy_grid(ifs, w, qs, ks, rs, seed)
+    rows = _energy_grid(ifs, p["weights"], p["q-list"], p["k-list"], p["r-list"], p["seed"])
     res.tables["energy"] = (("q", "k", "r", "lhs", "rhs", "ok"), rows)
     bad = sum(not row[-1] for row in rows)
     res.check("inequality holds across the grid", bad == 0, f"{bad} violations")
     return res
 
 
-def _run_del_criterion(cfg, seed):
-    ifs, w = _load_system(cfg)
-    base = int(cfg.get("base", "2"))
-    q = Fraction(cfg.get("q", "1"))
-    n_max = int(cfg.get("n-max", "4096"))
-    samples = int(cfg.get("samples", "200"))
-    rep = fr.del_criterion_diagnostic(ifs, w, base, q, n_max, samples, rng_seed=seed)
+def _run_del_criterion(p):
+    ifs, base, n_max = p["ifs"], p["base"], p["n-max"]
+    rep = fr.del_criterion_diagnostic(ifs, p["weights"], base, p["q"], n_max, p["samples"], rng_seed=p["seed"])
     res = SuiteResult("del-criterion", f"L2 orbit averages of {ifs.name} in base {base}")
     stride = max(1, n_max // 256)
     rows = [
@@ -747,27 +713,76 @@ def _run_del_criterion(cfg, seed):
     ]
     res.tables["partial-sums"] = (("N", "e_N", "partial_sum"), rows)
     res.check("tail slope recorded", True, f"slope {rep.tail_slope:.4f} per log N")
-    if _flag(cfg, "assert-bounded"):
+    if p["assert-bounded"]:
         res.check("partial sums look bounded", rep.bounded_verdict(), f"slope {rep.tail_slope:.4f}")
     return res
 
 
+# Each kind's runner and its keys as {key: (parse, default)}: a parser takes
+# the value's text, and an optional key without a default has None.
+REQUIRED = object()  # the default of a key that must be given
+_COMMON = {"experiment": (str, REQUIRED), "out": (str, "fractalab-out")}
+_SYSTEM = {"ifs": (str, REQUIRED), "weights": (lambda t: WeightVector([Fraction(w) for w in t.split()]), None)}
+_FLAG = (parse_flag, False)
 RUNNERS = {
-    "suite": _run_suite,
-    "fourier-decay": _run_fourier_decay,
-    "normality": _run_normality,
-    "llt": _run_llt,
-    "clt": _run_clt,
-    "classify": _run_classify,
-    "moser": _run_moser,
-    "scaled-energy": _run_scaled_energy,
-    "del-criterion": _run_del_criterion,
+    "suite": (_run_suite, {"suite": (str, REQUIRED)}),
+    "fourier-decay": (_run_fourier_decay, {
+        **_SYSTEM, "seed": (int, 0), "tol": (_float, 1e-4), "q-grid": (_parse_q_grid, None),
+        "q-ratio-powers": (int, None), "method": (str, "word_tree"), "samples": (int, 100_000),
+        "assert-min-abs": (_float, None), "assert-decades-decreasing": _FLAG}),
+    "normality": (_run_normality, {
+        **_SYSTEM, "seed": (int, 0), "base": (int, 2), "n-digits": (int, 4096), "seeds": (int, 20),
+        "block-len": (int, 3), "p-floor": (_float, 1e-3), "assert-pass-fraction": (_float, None)}),
+    "llt": (_run_llt, {
+        **_SYSTEM, "seed": (int, 0), "k-list": (_floats, REQUIRED), "h": (_float, 0.0),
+        "h-prime": (lambda t: None if t == "sqrt" else _float(t), None),  # None: h' = sqrt(k)
+        "paths": (int, 100_000), "assert-trend": _FLAG, "assert-median-floor": (_float, None)}),
+    "clt": (_run_clt, {
+        **_SYSTEM, "seed": (int, 0), "n": (int, 400), "paths": (int, 100_000),
+        "assert-ks-below": (_float, None), "assert-zero-variance": _FLAG}),
+    "classify": (_run_classify, {
+        **_SYSTEM, "expect-periodic": (parse_flag, None), "expect-in-integer-form": (parse_flag, None)}),
+    "moser": (_run_moser, {"seed": (int, 0), "tau": (_float, 3.0), "depth": (int, 3)}),
+    "scaled-energy": (_run_scaled_energy, {
+        **_SYSTEM, "seed": (int, 0), "q-list": (_floats, (100.0, 1000.0, 100000.0)),
+        "k-list": (_floats, (2.0, 4.0, 6.0)), "r-list": (_floats, (0.1, 0.001, 0.00003))}),
+    "del-criterion": (_run_del_criterion, {
+        **_SYSTEM, "seed": (int, 0), "base": (int, 2), "q": (Fraction, Fraction(1)), "n-max": (int, 4096),
+        "samples": (int, 200), "assert-bounded": _FLAG}),
 }
 
 
 def run_config(cfg):
-    """Run a parsed experiment config; raises ConfigError on a bad config."""
-    kind = _need(cfg, "experiment")
+    """Run a parsed experiment config: (SuiteResult, resolved config).
+
+    The resolved config holds every key of the kind's table, parsed or set to
+    its default, with `ifs` and `weights` resolved to the system and its
+    weight vector.  Before any experiment work, a key the kind does not take,
+    a missing required key, an empty value or a value its parser rejects
+    raises ConfigError.
+    """
+    kind = cfg.get("experiment")
+    if not kind:
+        raise ConfigError("missing config field: experiment")
     if kind not in RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}; known: {', '.join(RUNNERS)}")
-    return RUNNERS[kind](cfg, int(cfg.get("seed", "0")))
+    run, table = RUNNERS[kind]
+    table = {**_COMMON, **table}
+    if unknown := [key for key in cfg if key not in table]:
+        raise ConfigError(f"unknown config field {unknown[0]!r}; {kind} takes: {', '.join(table)}")
+    p = {}
+    for key, (parse, default) in table.items():
+        if key not in cfg and default is REQUIRED:
+            raise ConfigError(f"missing config field: {key}")
+        if key in cfg and not cfg[key]:
+            raise ConfigError(f"empty value for config field: {key}")
+        p[key] = parse_value(key, parse, cfg[key]) if key in cfg else default
+    if "ifs" in p:
+        spec = resolve_system(p["ifs"])
+        weights = spec.weights if p["weights"] is None else p["weights"]
+        if weights is None:
+            raise ConfigError("missing config field: weights (not provided by the ifs file either)")
+        if len(weights) != spec.ifs.n:
+            raise ConfigError("weights length does not match the ifs")
+        p["ifs"], p["weights"] = spec.ifs, weights
+    return run(p), p

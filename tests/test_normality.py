@@ -224,6 +224,25 @@ def test_weyl_sums_of_a_stream_match_the_per_value_orbit(make_stream):
         assert stats.digit_counts == {d: orbit_digits.count(d) for d in set(orbit_digits)}
 
 
+@pytest.mark.parametrize(
+    "call, needle",
+    [
+        (lambda: digit_stream_of_rational(F(1, 3), 1, 10), "base"),
+        (lambda: digit_stream_of_rational(F(1, 3), 0, 10), "base"),
+        (lambda: digit_stream_of_rational(F(1, 3), -2, 10), "base"),
+        (lambda: weyl_sums(F(1, 3), 1, (1,), 10), "base"),
+        (lambda: weyl_sums(F(1, 3), 2, (1,), 0), "N"),
+        (lambda: weyl_sums(digit_stream_of_rational(F(1, 3), 2, 40), 2, (1,), 0), "N"),
+        (lambda: weyl_sums(F(1, 3), 2, (1,), -3), "N"),
+    ],
+    ids=["rational-base-1", "rational-base-0", "rational-base-neg", "weyl-base-1", "weyl-n-0",
+         "weyl-stream-n-0", "weyl-n-neg"],
+)
+def test_base_below_2_and_n_below_1_are_rejected(call, needle):
+    with pytest.raises(ValueError, match=needle):
+        call()
+
+
 def test_weyl_sums_modulus_bounds():
     stats = weyl_sums(F(5, 17), 3, (1, 2, 5), 500)
     for q, w in stats.weyl.items():

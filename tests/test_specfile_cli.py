@@ -1,11 +1,17 @@
 """System description files, config parsing, and the batch CLI."""
 
+import contextlib
 import filecmp
+import io
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalab.cli import main
 from fractalab.specfile import (
@@ -15,6 +21,7 @@ from fractalab.specfile import (
     parse_ifs_file,
     serialize_ifs,
 )
+from fractalab.suites import REQUIRED, RUNNERS
 
 F = Fraction
 
@@ -138,15 +145,86 @@ def test_cli_run_unknown_kind_exits_2(tmp_path, capsys):
         (["experiment llt", "ifs builtin:smooth-example", "k-list 5", "paths 100"], "affine"),
         # ratio powers read the first map's ratio, which a smooth map lacks
         (["experiment fourier-decay", "ifs builtin:smooth-example", "q-ratio-powers 3"], "affine"),
+        # a key the kind does not take, here a typo for `paths`
+        (["experiment clt", "ifs builtin:cantor", "path 100"], "'path'"),
+        (["experiment suite", "suite moser-instance", "paths 5"], "'paths'"),
+        # a key given without a value
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:100:4-log", "assert-min-abs"],
+         "assert-min-abs"),
+        (["experiment del-criterion", "ifs builtin:cantor", "q 1/0"], "bad q '1/0'"),
+        (["experiment clt", "ifs builtin:cantor", "paths 1e3"], "bad paths '1e3'"),
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:inf:4-log"], "bad q-grid"),
+        # float() reads nan: a nan tol never stops the word tree, a nan tau never verifies
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:100:4-log", "tol nan"], "bad tol"),
+        (["experiment moser", "tau nan"], "bad tau"),
     ],
-    ids=["bad-value", "precondition", "smooth-ratio-powers"],
+    ids=["bad-value", "precondition", "smooth-ratio-powers", "unknown-key", "suite-paths",
+         "empty-assertion", "q-over-zero", "paths-float", "q-grid-infinite", "tol-nan", "tau-nan"],
 )
 def test_cli_run_rejected_value_exits_2(tmp_path, capsys, lines, needle):
     cfg = write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert needle in err
+    assert "Traceback" not in err and needle in err
+    assert not (tmp_path / "o").exists()
+
+
+def _run_captured(lines, out):
+    """(exit code, stderr) of `fractalab run` on a config of `lines` writing to out."""
+    cfg = out.parent / "c.cfg"
+    cfg.write_text("\n".join(lines + [f"out {out}"]) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["run", str(cfg)])
+    return rc, err.getvalue()
+
+
+def _required_lines(kind):
+    """A config of `kind` giving each of its required keys a valid value."""
+    valid = {"ifs": "builtin:cantor", "k-list": "20", "suite": "moser-instance"}
+    return [f"experiment {kind}"] + [f"{key} {valid[key]}" for key, (_, default) in RUNNERS[kind][1].items()
+                                     if default is REQUIRED]
+
+
+def _rejects(parse, text):
+    try:
+        parse(text)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return False
+
+
+# one config value: no '#' (a comment), no line break, no surrounding space
+VALUE = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters="#"),
+                min_size=1, max_size=12).map(str.strip).filter(bool)
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, key) for kind, (_, table) in RUNNERS.items() for key, (parse, _) in table.items() if parse is not str],
+)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_cli_run_unparseable_value_exits_2(kind, key, data):
+    parse = RUNNERS[kind][1][key][0]
+    value = data.draw(VALUE.filter(lambda text: _rejects(parse, text)), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        lines = [line for line in _required_lines(kind) if not line.startswith(f"{key} ")]
+        rc, err = _run_captured(lines + [f"{key} {value}"], out)
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and f"bad {key} " in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", list(RUNNERS))
+def test_cli_run_unknown_key_exits_2(tmp_path, kind):
+    rc, err = _run_captured(_required_lines(kind) + ["colour blue"], tmp_path / "o")
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'colour'" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -169,10 +247,14 @@ def test_cli_run_rejected_value_exits_2(tmp_path, capsys, lines, needle):
         (["experiment llt", "ifs builtin:cantor", "k-list 5", "paths 0"], "paths"),
         (["experiment del-criterion", "ifs builtin:cantor", "n-max 8", "samples 0"], "samples"),
         (["experiment normality", "ifs builtin:cantor", "seeds 0", "assert-pass-fraction 0.9"], "seeds"),
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-ratio-powers 0", "assert-min-abs 0.1"],
+         "q-ratio-powers"),
+        (["experiment llt", "ifs builtin:cantor", "k-list -5", "paths 100"], "k must be positive"),
     ],
     ids=["n-max-0", "n-max-3", "n-digits-0", "n-below-block-len", "block-len-0", "q-zero",
          "weight-over-zero", "moser-depth-0", "unknown-method", "mc-samples-0", "clt-n-0",
-         "clt-paths-0", "llt-paths-0", "del-samples-0", "normality-seeds-0"],
+         "clt-paths-0", "llt-paths-0", "del-samples-0", "normality-seeds-0", "ratio-powers-0",
+         "llt-negative-k"],
 )
 def test_cli_run_edge_parameter_exits_2(tmp_path, capsys, lines, needle):
     cfg = write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
