@@ -644,6 +644,8 @@ def moser_family(tau=3.0, liouville_depth=3, rng_seed=0, x_max=1000.0):
     """
     if liouville_depth < 1:
         raise ValueError("liouville_depth must be >= 1")
+    if tau < -1:  # the fitted envelope exponent is >= 0, so l <= tau + 1 never holds
+        raise ValueError(f"tau must be >= -1, got {tau}")
     rng = np.random.default_rng(rng_seed)
     for _ in range(8):
         s1 = [int(rng.integers(2, 6)), int(rng.integers(2, 6))]

@@ -2,10 +2,10 @@
 
 Maps are either exact affine contractions (rational or quadratic-field
 ratio/translation) or smooth maps drawn from a small parametric catalog
-(quadratic perturbations of affine maps, Moebius maps) that carries
-hand-declared derivative and Hoelder constants.  Every map is also f = P/Q
-with exact coefficient lists num and den, constant term first.  An Ifs
-derives once what the engines read: each map's walk step and, for an affine
+(quadratic perturbations of affine maps, Moebius maps), each declaring
+bounds on |f'| over the ambient interval.  Every map is also f = P/Q with
+exact coefficient lists num and den, constant term first.  An Ifs derives
+once what the engines read: each map's walk step and, for an affine
 system, its field, integer forms and integer triples (see Ifs).
 
 Affine arithmetic is exact.  A word of affine maps is composed as integer
@@ -131,17 +131,17 @@ IDENTITY = AffineMap(1, 0)  # only legal as an empty composition, never inside a
 
 
 class SmoothMap:
-    """Catalog smooth contraction f = P/Q with declared derivative/Hoelder data.
+    """Catalog smooth contraction f = P/Q with declared derivative bounds.
 
     num and den are P's and Q's exact coefficients, constant term first, for
     certified enclosures; f and df are float evaluators of f and f'.
-    (dmin, dmax) bound |f'| over the ambient interval, gamma and holder_c
-    bound |f'(x)-f'(y)| <= holder_c*|x-y|^gamma.
+    (dmin, dmax) bound |f'| over the ambient interval; the walk steps and
+    Ifs.deriv_bounds are derived from them.
     """
 
     kind = "smooth"
 
-    def __init__(self, name, f, df, num, den, dmin, dmax, gamma, holder_c):
+    def __init__(self, name, f, df, num, den, dmin, dmax):
         self.name = name
         self._f = f
         self._df = df
@@ -149,8 +149,6 @@ class SmoothMap:
         self.den = tuple(_exact(c) for c in den)
         self.dmin = float(dmin)
         self.dmax = float(dmax)
-        self.gamma = float(gamma)
-        self.holder_c = float(holder_c)
         if not 0 < self.dmin <= self.dmax < 1:
             raise ValueError("smooth map must satisfy 0 < inf|f'| <= sup|f'| < 1")
 
@@ -183,8 +181,6 @@ def quadratic_map(r, t, a, interval):
         den=(1,),
         dmin=dmin,
         dmax=dmax,
-        gamma=1.0,
-        holder_c=abs(2 * af),
     )
 
 
@@ -208,7 +204,6 @@ def moebius_map(a, b, c, d, interval):
     den_max = max(map(abs, dens))
     dmin = abs(det) / den_max**2
     dmax = abs(det) / den_min**2
-    holder_c = 2 * abs(c * det) / den_min**3  # sup |f''|
     return SmoothMap(
         name=f"moebius({a},{b},{c},{d})",
         f=f,
@@ -217,8 +212,6 @@ def moebius_map(a, b, c, d, interval):
         den=den,
         dmin=dmin,
         dmax=dmax,
-        gamma=1.0,
-        holder_c=holder_c,
     )
 
 
@@ -340,13 +333,6 @@ class Ifs:
     def big_d_prime(self):
         """D' with inf|f'| = e^{-D'}."""
         return -math.log(self.deriv_bounds()[0])
-
-    def holder_data(self):
-        """(gamma, C) covering every smooth map; affine-only gives C = 0."""
-        smooth = [m for m in self.maps if m.kind == "smooth"]
-        if not smooth:
-            return 1.0, 0.0
-        return min(m.gamma for m in smooth), max(m.holder_c for m in smooth)
 
     def _validate(self):
         lo, hi = self.interval
@@ -601,131 +587,6 @@ def attractor_interval(ifs, depth=64):
     if exact:
         return Enclosure(_bounds(lo, _FIX_BITS)[0], _bounds(hi, _FIX_BITS)[1])
     return Enclosure(Fraction(lo, 1 << _FIX_BITS), Fraction(hi, 1 << _FIX_BITS))
-
-
-class DistortionEstimate:
-    def __init__(self, value, word, x, y):
-        self.value = value
-        self.word = word
-        self.x = x
-        self.y = y
-
-    def __repr__(self):
-        return f"DistortionEstimate({self.value:.6g} at {self.word}, x={self.x}, y={self.y})"
-
-
-def bounded_distortion_constant(ifs, depth, samples, rng_seed=0):
-    """max |f_eta'(x)| / |f_eta'(y)| over sampled words and point pairs.
-
-    The word list is the breadth-first enumeration of words of length <=
-    depth truncated to `samples` entries, and each word gets a fixed point
-    grid plus word-seeded random pairs, so enlarging depth or samples only
-    enlarges the sampled set (the estimate is monotone nondecreasing).
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if ifs.is_affine:
-        lo, hi = ifs.interval
-        return DistortionEstimate(1.0, (1,), lo, hi)
-
-    lo, hi = float(ifs.interval[0]), float(ifs.interval[1])
-    grid = [lo, hi, 0.5 * (lo + hi), 0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi]
-    best = DistortionEstimate(1.0, (), lo, lo)
-
-    words = []
-    frontier = [()]
-    while frontier and len(words) < samples:
-        nxt = []
-        for w in frontier:
-            for s in range(1, ifs.n + 1):
-                word = w + (s,)
-                words.append(word)
-                if len(word) < depth:
-                    nxt.append(word)
-                if len(words) >= samples:
-                    break
-            if len(words) >= samples:
-                break
-        frontier = nxt
-
-    for word in words:
-        g = ComposedMap([ifs.maps[s - 1] for s in word])
-        rng = np.random.default_rng([rng_seed, len(word), hash(word) & 0x7FFFFFFF])
-        pts = grid + list(rng.uniform(lo, hi, size=6))
-        derivs = [(abs(g.deriv(x)), x) for x in pts]
-        dmax, xargs = max(derivs)
-        dmin, yargs = min(derivs)
-        ratio = dmax / dmin
-        if ratio > best.value:
-            best = DistortionEstimate(ratio, word, xargs, yargs)
-    return best
-
-
-def linearization_threshold(ifs, beta):
-    """Conservative |x-y| threshold eps under which the linearization bound
-    |g(x)-g(y)-g'(y)(x-y)| <= |g'(y)| |x-y|^{1+beta} is asserted.
-
-    Solves 4C/kappa' * eps^{gamma-beta1} < min(1-1/e, beta/2) with
-    beta1 = gamma - (1-e^{-D gamma})(gamma-beta), with a 10% safety margin.
-    """
-    gamma, c = ifs.holder_data()
-    beta = float(beta)
-    if not 0 < beta < gamma:
-        raise PreconditionError(f"beta must lie in (0, gamma={gamma})")
-    if c == 0:
-        return ifs.width_float
-    kappa = math.exp(-ifs.big_d_prime)
-    beta1 = gamma - (1 - math.exp(-ifs.big_d * gamma)) * (gamma - beta)
-    target = min(1 - 1 / math.e, beta / 2)
-    eps = (target * kappa / (4 * c)) ** (1 / (gamma - beta1))
-    return 0.9 * min(eps, ifs.width_float)
-
-
-def linearization_error(ifs, eta, x, y, beta):
-    """Both sides of the linearization inequality at g = f_eta.
-
-    Returns (lhs, rhs); callers assert lhs <= rhs.  Pairs farther apart than
-    the computed threshold are rejected as a precondition violation.
-    """
-    eta = validate_word(ifs, eta)
-    eps = linearization_threshold(ifs, beta)
-    xf, yf = float(x), float(y)
-    if abs(xf - yf) >= eps:
-        raise PreconditionError(f"|x-y|={abs(xf - yf):.3g} >= eps={eps:.3g}")
-    g = compose_word(ifs, eta)
-    if isinstance(g, AffineMap):
-        gx, gy, dy = g(Fraction(x)), g(Fraction(y)), g.deriv()
-        lhs = abs(gx - gy - dy * (Fraction(x) - Fraction(y)))
-        rhs = abs(dy) * Fraction(abs(xf - yf) ** (1 + float(beta)))
-        return float(lhs), float(rhs)
-    lhs = abs(g(xf) - g(yf) - g.deriv(yf) * (xf - yf))
-    rhs = abs(g.deriv(yf)) * abs(xf - yf) ** (1 + float(beta))
-    return lhs, rhs
-
-
-def log_derivative_holder_check(ifs, eta, x, y):
-    """(lhs, bound) for |log|f_eta'(x)| - log|f_eta'(y)|| <= bound.
-
-    bound = C * e^{D'} * (1 - e^{-D gamma})^{-1} * |x-y|^gamma, which sums
-    the per-factor Hoelder increments along geometrically closer point pairs.
-    """
-    eta = validate_word(ifs, eta)
-    gamma, c = ifs.holder_data()
-    xf, yf = float(x), float(y)
-    if not eta or xf == yf:
-        return 0.0, 0.0
-    g = compose_word(ifs, eta)
-    if isinstance(g, AffineMap):
-        lhs = 0.0
-    else:
-        lhs = abs(math.log(abs(g.deriv(xf))) - math.log(abs(g.deriv(yf))))
-    bound = (
-        c
-        * math.exp(ifs.big_d_prime)
-        / (1 - math.exp(-ifs.big_d * gamma))
-        * abs(xf - yf) ** gamma
-    )
-    return lhs, bound
 
 
 # -- sampling nu -------------------------------------------------------------

@@ -255,17 +255,6 @@ def _bounds(x, bits):
     return Fraction(num - (t[1] < 0), den), Fraction(num + (t[1] > 0), den)
 
 
-def exact_value(x):
-    """Normalize an exact numeric input to Fraction or QuadExact."""
-    if isinstance(x, QuadExact):
-        return x if x.b != 0 else x.a
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact value: {x!r}")
-
-
 def is_exact(x):
     return isinstance(x, (int, Fraction, QuadExact))
 

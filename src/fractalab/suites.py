@@ -566,6 +566,10 @@ def _floats(text):
     return tuple(_float(x) for x in text.split())
 
 
+def _weights(text):
+    return WeightVector([Fraction(w) for w in text.split()])
+
+
 def _parse_q_grid(text):
     """a:b:N-log -> N log-spaced frequencies in [a, b]."""
     a, b, tail = text.split(":")
@@ -719,10 +723,13 @@ def _run_del_criterion(p):
 
 
 # Each kind's runner and its keys as {key: (parse, default)}: a parser takes
-# the value's text, and an optional key without a default has None.
+# the value's text, and an optional key without a default has None.  An
+# absent `weights` falls back to the ifs file's; a kind that reads them
+# declares FROM_IFS, and then the file must give them.
 REQUIRED = object()  # the default of a key that must be given
+FROM_IFS = object()  # the default of `weights` for a kind that reads them
 _COMMON = {"experiment": (str, REQUIRED), "out": (str, "fractalab-out")}
-_SYSTEM = {"ifs": (str, REQUIRED), "weights": (lambda t: WeightVector([Fraction(w) for w in t.split()]), None)}
+_SYSTEM = {"ifs": (str, REQUIRED), "weights": (_weights, FROM_IFS)}
 _FLAG = (parse_flag, False)
 RUNNERS = {
     "suite": (_run_suite, {"suite": (str, REQUIRED)}),
@@ -741,7 +748,8 @@ RUNNERS = {
         **_SYSTEM, "seed": (int, 0), "n": (int, 400), "paths": (int, 100_000),
         "assert-ks-below": (_float, None), "assert-zero-variance": _FLAG}),
     "classify": (_run_classify, {
-        **_SYSTEM, "expect-periodic": (parse_flag, None), "expect-in-integer-form": (parse_flag, None)}),
+        **_SYSTEM, "weights": (_weights, None),  # accepted, never read
+        "expect-periodic": (parse_flag, None), "expect-in-integer-form": (parse_flag, None)}),
     "moser": (_run_moser, {"seed": (int, 0), "tau": (_float, 3.0), "depth": (int, 3)}),
     "scaled-energy": (_run_scaled_energy, {
         **_SYSTEM, "seed": (int, 0), "q-list": (_floats, (100.0, 1000.0, 100000.0)),
@@ -757,9 +765,10 @@ def run_config(cfg):
 
     The resolved config holds every key of the kind's table, parsed or set to
     its default, with `ifs` and `weights` resolved to the system and its
-    weight vector.  Before any experiment work, a key the kind does not take,
-    a missing required key, an empty value or a value its parser rejects
-    raises ConfigError.
+    weight vector; `weights` is None only for a kind that reads none, when
+    neither the config nor the ifs file gives them.  Before any experiment
+    work, a key the kind does not take, a missing required key, an empty
+    value or a value its parser rejects raises ConfigError.
     """
     kind = cfg.get("experiment")
     if not kind:
@@ -779,10 +788,10 @@ def run_config(cfg):
         p[key] = parse_value(key, parse, cfg[key]) if key in cfg else default
     if "ifs" in p:
         spec = resolve_system(p["ifs"])
-        weights = spec.weights if p["weights"] is None else p["weights"]
-        if weights is None:
+        weights = spec.weights if p["weights"] in (None, FROM_IFS) else p["weights"]
+        if weights is None and p["weights"] is FROM_IFS:
             raise ConfigError("missing config field: weights (not provided by the ifs file either)")
-        if len(weights) != spec.ifs.n:
+        if weights is not None and len(weights) != spec.ifs.n:
             raise ConfigError("weights length does not match the ifs")
         p["ifs"], p["weights"] = spec.ifs, weights
     return run(p), p

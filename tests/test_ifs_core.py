@@ -1,4 +1,5 @@
-"""Maps, word composition, coding enclosures, distortion and linearization."""
+"""Maps, declared derivative bounds, word composition, coding enclosures and
+attractor hulls, checked against exact and high-precision references."""
 
 import math
 import time
@@ -20,15 +21,11 @@ from fractalab.ifs_core import (
     aperiodic_125,
     attractor_interval,
     bernoulli_convolution,
-    bounded_distortion_constant,
     cantor,
     coding_point,
     compose_word,
     dyadic_pair,
     golden_bernoulli,
-    linearization_error,
-    linearization_threshold,
-    log_derivative_holder_check,
     moebius_example,
     pow2_pair,
     quadratic_map,
@@ -134,64 +131,6 @@ def test_attractor_interval_contains_coded_points():
     for word in ([1, 1, 2], [2, 2, 2], [2, 1, 1, 1]):
         enc = coding_point(ifs, word, F(1, 10**9))
         assert hull.lo <= enc.lo and enc.hi <= hull.hi
-
-
-def test_bounded_distortion_affine_is_one():
-    for ifs, _w in registered_affine().values():
-        est = bounded_distortion_constant(ifs, depth=6, samples=50)
-        assert est.value == 1.0
-
-
-def test_bounded_distortion_smooth_monotone_in_depth():
-    ifs = smooth_example()
-    prev = 1.0
-    values = []
-    for depth in (1, 2, 4):
-        est = bounded_distortion_constant(ifs, depth=depth, samples=200, rng_seed=1)
-        values.append(est.value)
-        assert est.value >= prev - 1e-12
-        prev = est.value
-    assert values[-1] < 8.0  # distortion stays uniformly bounded
-
-
-def test_linearization_affine_is_exact():
-    ifs = cantor()
-    eps = linearization_threshold(ifs, beta=0.5)
-    assert eps > 0
-    x, y = F(1, 10), F(1, 10) + eps / 2
-    lhs, rhs = linearization_error(ifs, [1, 2, 1], x, y, beta=0.5)
-    assert lhs == 0
-    assert rhs > 0
-
-
-def test_linearization_requires_close_points():
-    ifs = cantor()
-    eps = linearization_threshold(ifs, beta=0.5)
-    with pytest.raises(PreconditionError):
-        linearization_error(ifs, [1, 2], F(0), F(0) + 2 * eps, beta=0.5)
-
-
-def test_linearization_smooth_below_bound():
-    ifs = smooth_example()
-    beta = 0.5
-    eps = linearization_threshold(ifs, beta)
-    assert 0 < eps < float(ifs.interval_width())
-    x = 0.3
-    y = x + eps / 4
-    lhs, rhs = linearization_error(ifs, [1, 2, 1, 1], x, y, beta)
-    assert lhs <= rhs
-
-
-def test_log_derivative_holder_check_smooth():
-    ifs = smooth_example()
-    rep = log_derivative_holder_check(ifs, [2, 1, 2], 0.2, 0.21)
-    assert rep
-
-
-def test_moebius_maps_contract():
-    ifs = moebius_example()
-    dmin, dmax = ifs.deriv_bounds()
-    assert 0 < dmin <= dmax < 1
 
 
 def test_registered_catalogs():
@@ -331,40 +270,76 @@ def test_golden_digits_of_sample_certifies_200_base_2_digits():
 
 # Exact rational maps of the two smooth builtins, for references evaluated
 # in mpmath only: smooth-example {x/3 + x^2/20, (x+2)/3} and moebius-example
-# {1/(x+2), (x+2)/3}, both on [0, 1].
+# {1/(x+2), (x+2)/3}, both on [0, 1]; and |f_1'| of their smooth first maps.
 _SMOOTH_REFERENCE_MAPS = {
     "smooth-example": (lambda x: x / 3 + x * x / 20, lambda x: (x + 2) / 3),
     "moebius-example": (lambda x: 1 / (x + 2), lambda x: (x + 2) / 3),
+}
+_SMOOTH_REFERENCE_DERIVS = {
+    "smooth-example": lambda x: mpmath.mpf(1) / 3 + x / 10,
+    "moebius-example": lambda x: 1 / (x + 2) ** 2,
 }
 _SMOOTH_SYSTEMS = {"smooth-example": smooth_example, "moebius-example": moebius_example}
 
 
 def _mpf(x):
+    """An exact Fraction, or a + b*sqrt(d), in mpmath at the working precision."""
+    if isinstance(x, QuadExact):
+        return _mpf(x.a) + _mpf(x.b) * mpmath.sqrt(x.d)
     return mpmath.mpf(x.numerator) / x.denominator
 
 
-def _reference_cylinder(name, word):
-    """The ends of f_word([0, 1]); every map here is monotone on [0, 1]."""
-    lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+def test_moebius_maps_contract():
+    ifs = moebius_example()
+    dmin, dmax = ifs.deriv_bounds()
+    assert 0 < dmin <= dmax < 1
+    # each smooth builtin's declared (dmin, dmax) bound |f_1'| on a grid over I
+    for name, make in _SMOOTH_SYSTEMS.items():
+        ifs = make()
+        m, (lo, hi) = ifs.maps[0], ifs.interval
+        grid = [lo + (hi - lo) * F(i, 64) for i in range(65)]
+        with mpmath.workdps(50):
+            derivs = [abs(_SMOOTH_REFERENCE_DERIVS[name](_mpf(x))) for x in grid]
+            assert m.dmin <= min(derivs) and max(derivs) <= m.dmax
+
+
+def _reference_maps(name, ifs):
+    """mpmath maps of the system: the smooth builtins' exact maps above, or
+    r x + t from each affine map's own coefficients."""
+    if name in _SMOOTH_REFERENCE_MAPS:
+        return _SMOOTH_REFERENCE_MAPS[name]
+    return [lambda x, r=_mpf(m.ratio), t=_mpf(m.translation): r * x + t for m in ifs.maps]
+
+
+def _reference_cylinder(name, ifs, word):
+    """The ends of f_word(I); every map here is monotone on I."""
+    maps = _reference_maps(name, ifs)
+    lo, hi = map(_mpf, ifs.interval)
     for s in reversed(word):
-        f = _SMOOTH_REFERENCE_MAPS[name][s - 1]
+        f = maps[s - 1]
         lo, hi = sorted((f(lo), f(hi)))
     return lo, hi
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    st.sampled_from(sorted(_SMOOTH_SYSTEMS)),
-    st.lists(st.integers(1, 2), min_size=1, max_size=200),
-    st.integers(5, 80),
-)
-def test_smooth_coding_point_contains_the_high_precision_cylinder(name, word, exp10):
+# the registered affine systems, golden, two mixed-field systems and the
+# two smooth builtins
+_CYLINDER_SYSTEMS = {**_COMPOSE_SYSTEMS, **{name: make() for name, make in _SMOOTH_SYSTEMS.items()}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_CYLINDER_SYSTEMS)), st.data(), st.integers(5, 80))
+def test_smooth_coding_point_contains_the_high_precision_cylinder(name, data, exp10):
+    ifs = _CYLINDER_SYSTEMS[name]
+    word = data.draw(st.lists(st.integers(1, ifs.n), min_size=1, max_size=200))
     target = F(1, 10**exp10)
-    enc = coding_point(_SMOOTH_SYSTEMS[name](), word, target)
+    enc = coding_point(ifs, word, target)
     assert enc.width <= target
     with mpmath.workdps(400):
-        lo, hi = _reference_cylinder(name, word + word[-1:] * enc.prefix_extended)
-        assert _mpf(enc.lo) <= lo and hi <= _mpf(enc.hi)
+        lo, hi = _reference_cylinder(name, ifs, word + word[-1:] * enc.prefix_extended)
+        # rational ends are enclosed exactly; 1e-390 covers the reference's
+        # own 400-digit rounding and is far below every target
+        slack = mpmath.mpf(10) ** -390
+        assert _mpf(enc.lo) <= lo + slack and hi - slack <= _mpf(enc.hi)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

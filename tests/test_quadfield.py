@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalab.quadfield import QuadExact, exact_value, golden_ratio_conjugate, is_exact
+from fractalab.quadfield import QuadExact, golden_ratio_conjugate, is_exact
 
 
 def q5(a, b):
@@ -118,7 +118,6 @@ def test_exact_value_and_is_exact():
     assert is_exact(Fraction(1, 3))
     assert is_exact(q5(1, 1))
     assert not is_exact(0.5)
-    assert exact_value(Fraction(1, 3)) == Fraction(1, 3)
 
 
 @settings(max_examples=200, deadline=None)

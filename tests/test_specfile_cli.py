@@ -228,6 +228,22 @@ def test_cli_run_unknown_key_exits_2(tmp_path, kind):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind", [kind for kind, (_, table) in RUNNERS.items() if "weights" in table])
+def test_cli_run_ifs_file_without_weights(tmp_path, kind):
+    """classify reads no weights and takes them optionally; every other kind
+    exits 2 when neither the config nor the ifs file gives them."""
+    ifs = write(tmp_path / "pair.ifs", GOOD_IFS.replace("weights 1/2 1/2\n", ""))
+    lines = [line for line in _required_lines(kind) if not line.startswith("ifs ")] + [f"ifs {ifs}"]
+    if kind == "classify":
+        assert _run_captured(lines, tmp_path / "o") == (0, "")
+        assert _run_captured(lines + ["weights 1/2 1/2"], tmp_path / "o") == (0, "")
+        return
+    rc, err = _run_captured(lines, tmp_path / "o")
+    assert rc == 2
+    assert err == "error: missing config field: weights (not provided by the ifs file either)\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "lines, needle",
     [
@@ -239,6 +255,7 @@ def test_cli_run_unknown_key_exits_2(tmp_path, kind):
         (["experiment scaled-energy", "ifs builtin:cantor", "q-list 0", "k-list 2", "r-list 0.1"], "nonzero"),
         (["experiment clt", "ifs builtin:cantor", "weights 1/0 1", "paths 100"], "weights"),
         (["experiment moser", "depth 0"], "liouville_depth"),
+        (["experiment moser", "tau -5"], "tau must be >= -1"),
         (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:100:4-log", "method bogus"], "bogus"),
         (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:100:4-log", "method monte_carlo",
           "samples 0"], "samples"),
@@ -252,7 +269,7 @@ def test_cli_run_unknown_key_exits_2(tmp_path, kind):
         (["experiment llt", "ifs builtin:cantor", "k-list -5", "paths 100"], "k must be positive"),
     ],
     ids=["n-max-0", "n-max-3", "n-digits-0", "n-below-block-len", "block-len-0", "q-zero",
-         "weight-over-zero", "moser-depth-0", "unknown-method", "mc-samples-0", "clt-n-0",
+         "weight-over-zero", "moser-depth-0", "moser-tau-below-minus-1", "unknown-method", "mc-samples-0", "clt-n-0",
          "clt-paths-0", "llt-paths-0", "del-samples-0", "normality-seeds-0", "ratio-powers-0",
          "llt-negative-k"],
 )
