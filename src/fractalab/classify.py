@@ -8,7 +8,7 @@ log r_j is rational iff r_i^m = r_j^k has a nonzero integer solution, i.e.
 iff the exponent vectors of the ratios are parallel.  The vectors are taken
 over a coprime base built from the ratios by gcds alone (factor refinement,
 Bach, Driscoll & Shallit 1993), so no integer is ever factored into primes.
-Floating-point inputs only ever get verdicts labeled heuristic.
+Floating-point inputs only ever get verdicts with exact=False.
 """
 
 from __future__ import annotations
@@ -114,7 +114,6 @@ class PeriodicityVerdict:
     generator_expr: str | None = None
     witness: tuple | None = None  # 1-based (i, j) with log r_i / log r_j irrational
     certificate: str = ""
-    heuristic: bool = False
 
 
 def is_periodic(ratios):
@@ -214,24 +213,23 @@ def is_periodic(ratios):
     )
 
 
-def _is_periodic_heuristic(ratios, max_den=10**6, tol=1e-12):
+def _is_periodic_heuristic(ratios):
+    """Log-ratios within 1e-12 of a fraction of denominator <= 10^6 count as rational."""
     logs = [math.log(r) for r in ratios]
     for i in range(len(logs)):
         for j in range(i + 1, len(logs)):
             x = logs[i] / logs[j]
-            approx = Fraction(x).limit_denominator(max_den)
-            if abs(x - float(approx)) > tol:
+            approx = Fraction(x).limit_denominator(10**6)
+            if abs(x - float(approx)) > 1e-12:
                 return PeriodicityVerdict(
                     periodic=False,
                     exact=False,
                     witness=(i + 1, j + 1),
-                    heuristic=True,
                     certificate="no rational approximation within tolerance (heuristic)",
                 )
     return PeriodicityVerdict(
         periodic=True,
         exact=False,
-        heuristic=True,
         generator=abs(logs[0]),
         certificate="all pairwise log-ratios numerically rational (heuristic)",
     )
@@ -244,19 +242,20 @@ class LatticeVerdict:
     exact: bool
     certificate: str = ""
     witness: tuple | None = None  # 1-based maps (i, j, k) whose log|r| fit no translated lattice
-    heuristic: bool = False
 
 
 def lattice_check_fixed_point_set(ifs):
     """Is {log|f_i'(y_i)|: f_i(y_i) = y_i} inside a translated lattice t + r*Z?
 
-    Affine maps give e_i = log|r_i| exactly; containment of n >= 3 distinct
-    values reduces to rationality of the difference ratios
+    Affine maps give e_i = log|r_i| exactly, and at most two distinct |r_i|
+    are counted exactly, in any field.  For rational ratios, containment of
+    n >= 3 distinct values reduces to rationality of the difference ratios
     (e_i - e_1)/(e_2 - e_1), decided on exact exponent vectors of the
     quotients r_i/r_1.
     """
-    if ifs.is_affine and not any(isinstance(m.ratio, QuadExact) for m in ifs.maps):
-        vals = sorted({abs(Fraction(m.ratio)) for m in ifs.maps})
+    if ifs.is_affine:
+        moduli = [abs(m.ratio) for m in ifs.maps]
+        vals = sorted(set(moduli))
         if len(vals) < 3:
             return LatticeVerdict(
                 contained=True,
@@ -264,10 +263,10 @@ def lattice_check_fixed_point_set(ifs):
                 exact=True,
                 certificate=f"{len(vals)} distinct derivative values always fit a translated lattice",
             )
+    if ifs.is_affine and not any(isinstance(v, QuadExact) for v in vals):
         diff_vecs, pair, _, _ = _exponent_lattice([v / vals[0] for v in vals[1:]])
         if pair:
             i, j = pair
-            moduli = [abs(Fraction(m.ratio)) for m in ifs.maps]
             return LatticeVerdict(
                 contained=False,
                 trivially=False,
@@ -284,7 +283,7 @@ def lattice_check_fixed_point_set(ifs):
             exact=True,
             certificate="all difference ratios rational",
         )
-    # smooth or quadratic-field: numeric fixed points, flagged heuristic
+    # smooth or quadratic-field: numeric fixed points, flagged exact=False
     es = []
     for m, step in zip(ifs.maps, ifs.steps.tolist()):
         if m.kind == "affine":
@@ -298,7 +297,6 @@ def lattice_check_fixed_point_set(ifs):
             contained=True,
             trivially=True,
             exact=False,
-            heuristic=True,
             certificate=f"{len(distinct)} distinct values (numeric)",
         )
     base = distinct[0]
@@ -310,11 +308,10 @@ def lattice_check_fixed_point_set(ifs):
                 contained=False,
                 trivially=False,
                 exact=False,
-                heuristic=True,
                 certificate="difference ratio numerically irrational (heuristic)",
             )
     return LatticeVerdict(
-        contained=True, trivially=False, exact=False, heuristic=True,
+        contained=True, trivially=False, exact=False,
         certificate="difference ratios numerically rational (heuristic)",
     )
 
@@ -353,8 +350,8 @@ class ScanReport:
     note: str = ""
 
 
-def diophantine_scan(log_ratios, x_max=1000.0, grid_density=40):
-    """Scan m(x) = inf_y max_i d(v_i x + y, Z) on a log-dense grid and fit
+def diophantine_scan(log_ratios, x_max=1000.0):
+    """Scan m(x) = inf_y max_i d(v_i x + y, Z) on a grid of 40 points per decade and fit
     the polynomial lower envelope m(x) ~ C / x^l."""
     vs = [float(v) for v in log_ratios]
     if len(vs) < 2:
@@ -368,7 +365,7 @@ def diophantine_scan(log_ratios, x_max=1000.0, grid_density=40):
             condition_met=False,
             note="single ratio: y always cancels the only term, m(x) = 0",
         )
-    n_pts = max(8, int(grid_density * math.log10(max(x_max, 10.0))))
+    n_pts = max(8, int(40 * math.log10(max(x_max, 10.0))))
     xs = np.exp(np.linspace(math.log(1.0), math.log(x_max), n_pts))
     ms = np.array([_inf_y_max_dist(vs, x) for x in xs])
     positive = bool(ms.min() > 0)
@@ -419,7 +416,6 @@ class CfReport:
     mus: list  # empirical irrationality exponents
     max_mu: float
     verdict: str  # rational | consistent | liouville-like
-    l_bound: float
 
 
 def _convergents(terms, q_max):
@@ -475,7 +471,7 @@ def li_sahlsten_check(r_i, r_j=None, q_max=10**6):
         verdict = is_periodic([Fraction(abs(Fraction(r_i))), Fraction(abs(Fraction(r_j)))])
         if verdict.periodic:
             return CfReport(convergents=[], mus=[], max_mu=float("inf"),
-                            verdict="rational", l_bound=float("inf"))
+                            verdict="rational")
         dps = 40 + 2 * int(math.log10(q_max))
         with mpmath.workdps(dps):
             ri, rj = abs(Fraction(r_i)), abs(Fraction(r_j))
@@ -502,7 +498,7 @@ def li_sahlsten_check(r_i, r_j=None, q_max=10**6):
             mus.append(-d / math.log(qk))
     max_mu = max(mus) if mus else 2.0
     verdict = "liouville-like" if max_mu >= 4.0 else "consistent"
-    return CfReport(convergents=convs, mus=mus, max_mu=max_mu, verdict=verdict, l_bound=max_mu)
+    return CfReport(convergents=convs, mus=mus, max_mu=max_mu, verdict=verdict)
 
 
 # -- derived systems ---------------------------------------------------------
@@ -634,7 +630,7 @@ def _liouville_terms(start, depth, digit_cap=400):
     return terms
 
 
-def moser_family(tau=3.0, liouville_depth=3, rng_seed=0, x_max=1000.0):
+def moser_family(tau=3.0, liouville_depth=3, rng_seed=0):
     """A concrete frequency tuple v = (1, 2, alpha1+1, alpha2+1) whose alphas
     are Liouville-like (exploding continued-fraction denominators) while the
     finite Diophantine scan still shows a positive polynomial envelope.
@@ -660,7 +656,7 @@ def moser_family(tau=3.0, liouville_depth=3, rng_seed=0, x_max=1000.0):
         if rep1.verdict != "liouville-like" or rep2.verdict != "liouville-like":
             continue
         v = (1.0, 2.0, 1.0 + float(a1), 1.0 + float(a2))
-        scan = diophantine_scan(v, x_max=x_max)
+        scan = diophantine_scan(v)
         if scan.positive and scan.fitted_l <= tau + 1:
             return MoserInstance(
                 v=v, alpha1=a1, alpha2=a2, cf_terms=(t1, t2),

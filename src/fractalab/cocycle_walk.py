@@ -179,12 +179,12 @@ class GammaLaw:
         return self.density(self.kchi)
 
 
-def gamma_law(ifs, p, eta_prime, k, chi, n_atoms=256, rng_seed=0):
+def gamma_law(ifs, p, eta_prime, k, chi, rng_seed=0):
     """Gamma law of the cell with suffix eta_prime.
 
     Affine systems give an exact single atom (X_1 is constant on the
-    cylinder); smooth systems sample coding points of continuations to build
-    an atom mixture.
+    cylinder); smooth systems sample 256 coding points of continuations to
+    build an atom mixture.
     """
     if not eta_prime:
         raise PreconditionError("eta_prime must be a nonempty word")
@@ -198,6 +198,7 @@ def gamma_law(ifs, p, eta_prime, k, chi, n_atoms=256, rng_seed=0):
     # smooth: X_1 = -log|f'_{first}(x)| with x a coding point of sequences
     # extending the rest of eta_prime
     rng = np.random.default_rng(rng_seed)
+    n_atoms = 256
     tail = _draw_symbols(ifs, p, rng, (n_atoms, _smooth_tail_length(ifs)))
     body = np.tile(np.array(eta_prime[1:], dtype=int) - 1, (n_atoms, 1))
     x = _pull_back(ifs, np.hstack([body, tail]), np.full(n_atoms, float(ifs.x0)))
@@ -258,9 +259,7 @@ def _stack_padded(blocks):
     return np.vstack([np.pad(b, ((0, 0), (0, width - b.shape[1]))) for b in blocks])
 
 
-def conditional_llt_experiment(
-    ifs, p, k, h, h_prime, paths, rng_seed=0, chi=None, min_cell=30
-):
+def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cell=30):
     """Per-cell empirical law of S_{tau_k} against its Gamma law.
 
     Paths are binned by cell key (prefix omega|tau~_h, suffix of length
@@ -288,8 +287,7 @@ def conditional_llt_experiment(
         raise ValueError("h_prime must be positive")
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
-    if chi is None:
-        chi = lyapunov(ifs, p, "exact").value
+    chi = lyapunov(ifs, p, "exact").value
     d = ifs.big_d
     dp = ifs.big_d_prime
     length = int(math.ceil(((k + h + h_prime) * chi + 3 * dp) / d)) + 4
@@ -389,14 +387,15 @@ def clt_experiment(ifs, p, n, paths, rng_seed=0):
     return CltReport(n=n, paths=paths, ks=ks, fitted_var=var, zero_variance=False)
 
 
-def bracket_check(ifs, p, pairs, rng_seed=0, k_max=50.0, ks_per_path=10):
+def bracket_check(ifs, p, pairs, rng_seed=0):
     """Count violations of S_{tau_k} in [k*chi, k*chi + D'] over sampled
-    (path, k) pairs; the bracket is an exact identity, so the count
-    should be zero."""
+    (path, k) pairs, 10 values of k in [0.5, 50] per path; the bracket is an
+    exact identity, so the count should be zero."""
     chi = lyapunov(ifs, p, "exact").value if ifs.is_affine else lyapunov(
         ifs, p, "monte_carlo", n=1_000_000, rng_seed=rng_seed + 1
     ).value
     d, dp = ifs.big_d, ifs.big_d_prime
+    k_max, ks_per_path = 50.0, 10
     length = int(math.ceil((k_max * chi + 2 * dp) / d)) + 2
     rng = np.random.default_rng(rng_seed)
     violations = 0

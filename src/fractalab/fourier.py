@@ -29,9 +29,7 @@ TWO_PI = 2 * math.pi
 
 
 class BudgetError(RuntimeError):
-    def __init__(self, msg, achievable_tol=None):
-        super().__init__(msg)
-        self.achievable_tol = achievable_tol
+    pass
 
 
 @dataclass
@@ -129,10 +127,7 @@ def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
         else:
             nodes += 1
             if nodes > max_nodes:
-                raise BudgetError(
-                    f"word tree exceeded {max_nodes} nodes at tol={tol}",
-                    achievable_tol=tol * 10,
-                )
+                raise BudgetError(f"word tree exceeded {max_nodes} nodes at tol={tol}")
             sf = _to_float(s, d)
             u = freq(s, sf)
             u_abs = q_abs * abs(sf)
@@ -185,9 +180,6 @@ class DecayProfile:
     residual: float
     degenerate: bool
 
-    def per_decade_max(self):
-        return per_decade_max(self.samples)
-
 
 def per_decade_max(samples):
     """{decade j: max |F_q| over q in [10^j, 10^{j+1})}; q <= 0 is skipped."""
@@ -239,50 +231,59 @@ class ScaledEnergyResult:
     rhs: float
     rhs_stderr: float
 
-    def holds(self, slack=0.0):
-        return self.lhs <= self.rhs + self.lhs_err + 3 * self.rhs_stderr + slack
+    def holds(self):
+        return self.lhs <= self.rhs + self.lhs_err + 3 * self.rhs_stderr
 
 
-def scaled_energy_check(ifs, p, q, k, r, chi, samples=20_000, rng_seed=0, tol=1e-3):
-    """Both sides of the scaled-energy inequality.
+def scaled_energy_check(ifs, p, qs, k, rs, chi, samples=20_000, rng_seed=0):
+    """Both sides of the scaled-energy inequality at one k: per q in qs, one result per r in rs.
 
     lhs = int_{k chi}^{k chi + D'} |F_{q e^{-t}}(nu)|^2 dt by adaptive
-    quadrature over word-tree values; rhs = D' * (e^2/(r|q|) + ball-mass
-    term), the mass estimated by Monte Carlo over independent pairs.
+    quadrature over word-tree values, once per q as it does not read r;
+    rhs = D' * (e^2/(r|q|) + ball-mass term), the mass estimated by Monte
+    Carlo over independent pairs drawn from rng_seed, once per r.
     """
     from scipy import integrate
 
-    if r <= 0:
+    if any(r <= 0 for r in rs):
         raise ValueError("r must be positive")
-    if q == 0:
+    if any(q == 0 for q in qs):
         raise ValueError("q must be nonzero")
-    qf = float(q)
     dp = ifs.big_d_prime
+    tol = 1e-3
 
-    def integrand(t):
+    masses = []
+    for r in rs:
+        rng = np.random.default_rng(rng_seed)
+        radius = math.exp(chi * k) * r
+        eps = min(radius / 100, 1e-6) + 1e-12
+        x = sample_points(ifs, p, samples, rng, eps)
+        y = sample_points(ifs, p, samples, rng, eps)
+        mass = float(np.mean(np.abs(x - y) <= radius))
+        masses.append((mass, math.sqrt(max(mass * (1 - mass), 1e-12) / samples) + 1.0 / samples))
+
+    def integrand(t, qf):
         return abs(fourier_word_tree(ifs, p, qf * math.exp(-t), tol).value) ** 2
 
-    # the integrand oscillates on the scale 1/(q e^{-t}); the reported
-    # quadrature error is carried into the budget, so convergence warnings
-    # carry no extra information
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        lhs, quad_err = integrate.quad(
-            integrand, k * chi, k * chi + dp, epsabs=1e-4, epsrel=1e-4, limit=200
-        )
-    if not math.isfinite(lhs):
-        raise RuntimeError("quadrature failed to converge")
-    lhs_err = quad_err + dp * 2 * tol  # |F|^2 tol propagation: 2|F|tol + tol^2
-
-    rng = np.random.default_rng(rng_seed)
-    radius = math.exp(chi * k) * r
-    eps = min(radius / 100, 1e-6) + 1e-12
-    x = sample_points(ifs, p, samples, rng, eps)
-    y = sample_points(ifs, p, samples, rng, eps)
-    mass = float(np.mean(np.abs(x - y) <= radius))
-    mass_stderr = math.sqrt(max(mass * (1 - mass), 1e-12) / samples) + 1.0 / samples
-    rhs = dp * (math.e**2 / (r * abs(qf)) + mass)
-    return ScaledEnergyResult(lhs=lhs, lhs_err=lhs_err, rhs=rhs, rhs_stderr=dp * mass_stderr)
+    out = []
+    for q in qs:
+        qf = float(q)
+        # the integrand oscillates on the scale 1/(q e^{-t}); the reported
+        # quadrature error is carried into the budget, so convergence
+        # warnings carry no extra information
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            lhs, quad_err = integrate.quad(
+                integrand, k * chi, k * chi + dp, args=(qf,), epsabs=1e-4, epsrel=1e-4, limit=200
+            )
+        if not math.isfinite(lhs):
+            raise RuntimeError("quadrature failed to converge")
+        lhs_err = quad_err + dp * 2 * tol  # |F|^2 tol propagation: 2|F|tol + tol^2
+        out.append([
+            ScaledEnergyResult(lhs, lhs_err, dp * (math.e**2 / (r * abs(qf)) + mass), dp * mass_stderr)
+            for r, (mass, mass_stderr) in zip(rs, masses)
+        ])
+    return out
 
 
 @dataclass
@@ -294,9 +295,9 @@ class DelCriterionReport:
     partial_sums: np.ndarray  # cumulative sum of e_N / N
     tail_slope: float  # d(partial)/d(log N) over the last two octaves
 
-    def bounded_verdict(self, slope_floor=0.05):
+    def bounded_verdict(self):
         """True when partial sums look bounded (tail slope near zero)."""
-        return self.tail_slope < slope_floor
+        return self.tail_slope < 0.05
 
 
 def del_criterion_diagnostic(ifs, p, base, q, n_max, samples=200, rng_seed=0):

@@ -104,6 +104,9 @@ class AffineMap:
     den = (1,)
 
     def deriv_range(self):
+        """|r| as the nearest float, not rounded outward: it gives the walk step
+        -log|r| that chi is summed from, and equal-ratio walk lengths are ceilings
+        of exact integers, so moving D alone by one ulp could change the draws."""
         r = float(abs(self.ratio))
         return r, r
 
@@ -165,14 +168,20 @@ class SmoothMap:
         return f"SmoothMap({self.name})"
 
 
+def _outward(lo, hi):
+    """The float nearest lo at or below it, and the float nearest hi at or above it."""
+    a, b = float(lo), float(hi)
+    return math.nextafter(a, -math.inf) if a > lo else a, math.nextafter(b, math.inf) if b < hi else b
+
+
 def quadratic_map(r, t, a, interval):
-    """f(x) = r*x + t + a*x^2 on the given interval; f' monotone."""
+    """f(x) = r*x + t + a*x^2 on the given interval; f' is monotone, so |f'|
+    is bounded by its exact values at the ends of I, rounded outward."""
     rf, tf, af = float(r), float(t), float(a)
-    lo, hi = float(interval[0]), float(interval[1])
-    d_ends = [rf + 2 * af * lo, rf + 2 * af * hi]
-    dmin, dmax = min(map(abs, d_ends)), max(map(abs, d_ends))
+    d_ends = [Fraction(r) + 2 * Fraction(a) * Fraction(x) for x in interval]
     if min(d_ends) <= 0:
         raise ValueError("catalog quadratic maps must keep f' positive")
+    dmin, dmax = _outward(min(d_ends), max(d_ends))
     return SmoothMap(
         name=f"quadratic(r={r}, t={t}, a={a})",
         f=lambda x: rf * x + tf + af * x * x,
@@ -185,13 +194,15 @@ def quadratic_map(r, t, a, interval):
 
 
 def moebius_map(a, b, c, d, interval):
-    """f(x) = (a*x + b)/(c*x + d); the denominator must avoid 0 on I."""
+    """f(x) = (a*x + b)/(c*x + d); the denominator must avoid 0 on I, so |f'| is
+    monotone there and is bounded by its exact values at the ends, rounded outward."""
     num, den = (b, a), (d, c)
-    a, b, c, d = map(float, (a, b, c, d))
-    lo, hi = float(interval[0]), float(interval[1])
-    dens = [c * lo + d, c * hi + d]
+    dens = [Fraction(c) * Fraction(x) + Fraction(d) for x in interval]
     if min(dens) * max(dens) <= 0:
         raise ValueError("Moebius pole inside the interval")
+    det_abs = abs(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c))
+    dmin, dmax = _outward(det_abs / max(x * x for x in dens), det_abs / min(x * x for x in dens))
+    a, b, c, d = map(float, (a, b, c, d))
     det = a * d - b * c
 
     def f(x):
@@ -200,10 +211,6 @@ def moebius_map(a, b, c, d, interval):
     def df(x):
         return det / (c * x + d) ** 2
 
-    den_min = min(map(abs, dens))
-    den_max = max(map(abs, dens))
-    dmin = abs(det) / den_max**2
-    dmax = abs(det) / den_min**2
     return SmoothMap(
         name=f"moebius({a},{b},{c},{d})",
         f=f,
@@ -560,8 +567,8 @@ def coding_point(ifs, omega_prefix, target_width):
     return enc
 
 
-def attractor_interval(ifs, depth=64):
-    """Interval hull of the attractor via the depth-d cover hull.
+def attractor_interval(ifs):
+    """Interval hull of the attractor via the cover hull of depth at most 64.
 
     H_0 = I and H_d = hull(U_i f_i(H_{d-1})); the H_d are nested decreasing
     and every one contains K, so the result is a certified over-approximation.
@@ -574,7 +581,7 @@ def attractor_interval(ifs, depth=64):
     else:
         images, ends = _fixed_point_maps(ifs, _FIX_BITS)
         lo, hi = ends
-    for _ in range(depth):
+    for _ in range(64):
         if exact:
             pts = [m(x) for m in ifs.maps for x in (lo, hi)]
             nlo, nhi = min(pts), max(pts)

@@ -47,7 +47,6 @@ class DigitStream:
     base: int
     digits: list
     certified_upto: int
-    source: str
     prefix_len: int = 0
 
     def head(self, n):
@@ -61,7 +60,7 @@ def digit_stream_of_rational(x, base, n_digits):
     if base < 2:
         raise ValueError("base must be >= 2")
     digits = _digits(_cell(x, base, n_digits), base, n_digits)
-    return DigitStream(base=base, digits=digits, certified_upto=n_digits, source=f"rational {x}")
+    return DigitStream(base=base, digits=digits, certified_upto=n_digits)
 
 
 def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=64):
@@ -90,7 +89,6 @@ def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=
                 base=base,
                 digits=_digits(cell, base, n_digits),
                 certified_upto=n_digits,
-                source=f"{ifs.name} seed={rng_seed}",
                 prefix_len=len(prefix),
             )
         # straddling a digit boundary: extend the sequence and shrink
@@ -158,9 +156,9 @@ class OrbitStats:
     orbit_period: int = 0  # exact-rational orbits only; 0 when not computed
 
 
-def weyl_sums(source, base, q_set, n, block_len=3):
+def weyl_sums(source, base, q_set, n):
     """Weyl sums W_{q,N} = (1/N) sum_{m<=N} e(q * base^m * x) plus digit and
-    block counts of the orbit.
+    block counts (blocks of length 1..3) of the orbit.
 
     `source` is an exact rational x (big-integer modular orbit, any N) or a
     DigitStream (orbit read off certified digits; N is capped so that every
@@ -206,7 +204,7 @@ def weyl_sums(source, base, q_set, n, block_len=3):
             dig.append(digit)
     block_counts = {
         ell: Counter(tuple(dig[i : i + ell]) for i in range(len(dig) - ell + 1))
-        for ell in range(1, block_len + 1)
+        for ell in range(1, 4)
     }
 
     weyl = {}

@@ -85,11 +85,11 @@ def _llt_reports(ifs, w, ks, paths, seed, h=0, h_prime=None):
 def _energy_grid(ifs, w, qs, ks, rs, seed):
     """Rows (q, k, r, lhs, rhs, ok) of the scaled-energy inequality on the grid."""
     chi = cw.lyapunov(ifs, w, "exact").value
-    rows = []
-    for q, k, r in itertools.product(qs, ks, rs):
-        out = fr.scaled_energy_check(ifs, w, q, k, r, chi, rng_seed=seed)
-        rows.append((q, k, r, f"{out.lhs:.6g}", f"{out.rhs:.6g}", int(out.holds())))
-    return rows
+    by_k = {k: fr.scaled_energy_check(ifs, w, qs, k, rs, chi, rng_seed=seed) for k in ks}
+    return [
+        (q, k, r, f"{out.lhs:.6g}", f"{out.rhs:.6g}", int(out.holds()))
+        for i, q in enumerate(qs) for k in ks for r, out in zip(rs, by_k[k][i])
+    ]
 
 
 def _chi2_pass(ifs, w, base, n_digits, block_len, seed, p_floor):
@@ -120,11 +120,12 @@ def _golden_nondecay(n_max):
 # -- 1: word tree vs Monte Carlo --------------------------------------------
 
 
-def suite_fourier_oracle(rng_seed=2026, samples=100_000, tol=1e-3):
+def suite_fourier_oracle():
     res = SuiteResult(
         "fourier-oracle-agreement",
         "word-tree vs Monte Carlo values of F_q over affine measures",
     )
+    samples, tol = 100_000, 1e-3
     qs = np.geomspace(1.0, 1e4, 20)
     rows = []
     ok_cells = 0
@@ -133,7 +134,7 @@ def suite_fourier_oracle(rng_seed=2026, samples=100_000, tol=1e-3):
     for name, (ifs, w) in registered_affine().items():
         for i, q in enumerate(qs):
             wt = fr.fourier_word_tree(ifs, w, Fraction(q).limit_denominator(10**6), tol)
-            mc = fr.fourier_mc(ifs, w, float(q), samples, rng_seed=rng_seed + i)
+            mc = fr.fourier_mc(ifs, w, float(q), samples, rng_seed=2026 + i)
             diff = abs(wt.value - mc.value)
             ok = diff <= bound + mc.error_bound
             ok_cells += ok
@@ -152,16 +153,17 @@ def suite_fourier_oracle(rng_seed=2026, samples=100_000, tol=1e-3):
 # -- 2: self-similarity recursion --------------------------------------------
 
 
-def suite_fourier_recursion(rng_seed=11, tol=1e-8, n_q=100):
+def suite_fourier_recursion():
     res = SuiteResult(
         "fourier-recursion",
         "self-similarity identity F_q = sum_i p_i e(q t_i) F_{r_i q}",
     )
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(11)
+    tol = 1e-8
     rows = []
     worst = 0.0
     for name, (ifs, w) in registered_affine().items():
-        qs = sorted(set(int(x) for x in rng.integers(1, 2000, size=n_q)))
+        qs = sorted(set(int(x) for x in rng.integers(1, 2000, size=100)))
         bad = 0
         for q in qs:
             qf = Fraction(q)
@@ -188,18 +190,19 @@ def suite_fourier_recursion(rng_seed=11, tol=1e-8, n_q=100):
 # -- 3: Pisot non-decay -------------------------------------------------------
 
 
-def suite_pisot_nondecay(tol=1e-6, n_max=25):
+def suite_pisot_nondecay():
     res = SuiteResult(
         "pisot-nondecay",
         "golden Bernoulli convolution: |F_q| stays above a positive floor at q = r^{-n}",
     )
+    n_max = 25
     ifs, w = _builtin("bernoulli-golden")
     r = ifs.maps[0].ratio
     rows = []
     mags = []
     for n in range(1, n_max + 1):
         q = r ** (-n)  # exact quadratic-field frequency
-        s = fr.fourier_word_tree(ifs, w, q, tol)
+        s = fr.fourier_word_tree(ifs, w, q, 1e-6)
         mags.append(abs(s.value))
         rows.append((n, f"{float(q):.8g}", f"{abs(s.value):.10f}"))
     floor = min(mags)
@@ -218,16 +221,16 @@ def suite_pisot_nondecay(tol=1e-6, n_max=25):
 # -- 4: aperiodic decay -------------------------------------------------------
 
 
-def suite_aperiodic_decay(tol=1e-4, per_decade=30):
+def suite_aperiodic_decay():
     res = SuiteResult(
         "aperiodic-decay",
         "per-decade max |F_q| strictly decreasing for the aperiodic system",
     )
     ifs = aperiodic_125()
     w = WeightVector.uniform(3)
-    grid = np.geomspace(1.0, 1e5, 5 * per_decade + 1)
-    prof = fr.decay_profile(ifs, w, [Fraction(q).limit_denominator(10**7) for q in grid], tol)
-    decades = prof.per_decade_max()
+    grid = np.geomspace(1.0, 1e5, 5 * 30 + 1)
+    prof = fr.decay_profile(ifs, w, [Fraction(q).limit_denominator(10**7) for q in grid], 1e-4)
+    decades = fr.per_decade_max(prof.samples)
     seq = [decades[j] for j in sorted(decades) if 0 <= j <= 4]
     rows = [(j, f"{decades[j]:.8f}") for j in sorted(decades)]
     res.tables["decades"] = (("decade", "max_abs_F"), rows)
@@ -247,15 +250,16 @@ def suite_aperiodic_decay(tol=1e-4, per_decade=30):
 # -- 5: conditional LLT trend -------------------------------------------------
 
 
-def suite_llt_trend(rng_seed=7, paths=100_000, ks=(20, 40, 80)):
+def suite_llt_trend():
     res = SuiteResult(
         "llt-trend",
         "per-cell law of S_{tau_k}: Gamma-law agreement trend (aperiodic) and lattice floor (periodic)",
     )
+    paths, ks = 100_000, (20, 40, 80)
     rows = []
     medians = {}
     for name in ("aperiodic-125", "cantor"):
-        reps = _llt_reports(*_builtin(name), ks, paths, rng_seed)
+        reps = _llt_reports(*_builtin(name), ks, paths, 7)
         medians[name] = [rep.weighted_median_ks for rep in reps]
         rows += [
             (name, k, f"{rep.weighted_median_ks:.5f}", f"{rep.excluded_mass:.4f}", len(rep.cells))
@@ -279,7 +283,7 @@ def suite_llt_trend(rng_seed=7, paths=100_000, ks=(20, 40, 80)):
 # -- 6: stopping bracket ------------------------------------------------------
 
 
-def suite_stopping_bracket(rng_seed=3, pairs=1_000_000):
+def suite_stopping_bracket():
     res = SuiteResult(
         "stopping-bracket",
         "S_{tau_k} in [k chi, k chi + D'] with zero violations",
@@ -287,7 +291,7 @@ def suite_stopping_bracket(rng_seed=3, pairs=1_000_000):
     rows = []
     total_v = total_n = 0
     for name in ("cantor", "aperiodic-125"):
-        v, n = cw.bracket_check(*_builtin(name), pairs // 2, rng_seed=rng_seed)
+        v, n = cw.bracket_check(*_builtin(name), 500_000, rng_seed=3)
         rows.append((name, n, v))
         total_v += v
         total_n += n
@@ -300,11 +304,12 @@ def suite_stopping_bracket(rng_seed=3, pairs=1_000_000):
 # -- 7: Gamma law -------------------------------------------------------------
 
 
-def suite_gamma_law(rng_seed=5, cells=100):
+def suite_gamma_law():
     res = SuiteResult(
         "gamma-law",
         "Gamma cell laws: unit mass, density capped by 1/D",
     )
+    rng_seed, cells = 5, 100
     rng = np.random.default_rng(rng_seed)
     systems = [_builtin(name) for name in ("cantor", "aperiodic-125", "smooth-example")]
     chis = []
@@ -341,11 +346,12 @@ def suite_gamma_law(rng_seed=5, cells=100):
 # -- 8: digit normality -------------------------------------------------------
 
 
-def suite_digit_normality(rng_seed=100, seeds=100, n_digits=4096):
+def suite_digit_normality():
     res = SuiteResult(
         "cantor-digit-normality",
         "base-2 digit blocks of Cantor samples look uniform; base-3 never shows digit 1",
     )
+    rng_seed, seeds, n_digits = 100, 100, 4096
     ifs, w = _builtin("cantor")
     pass2 = 0
     ones3 = 0
@@ -370,18 +376,18 @@ def suite_digit_normality(rng_seed=100, seeds=100, n_digits=4096):
 # -- 9: digit certification ---------------------------------------------------
 
 
-def suite_digit_certification(rng_seed=500, seeds=100, n_digits=40):
+def suite_digit_certification():
     res = SuiteResult(
         "digit-certification",
         "doubling the requested precision never changes certified digits",
     )
+    n_digits = 40
     systems = [_builtin(name) for name in ("cantor", "aperiodic-125", "dyadic-pair")]
     bad = 0
     total = 0
     for ifs, w in systems:
         for base in (2, 3, 10):
-            for s in range(seeds):
-                seed = rng_seed + s
+            for seed in range(500, 600):
                 a = nm.digits_of_sample(ifs, w, base, n_digits, rng_seed=seed)
                 b = nm.digits_of_sample(ifs, w, base, 2 * n_digits, rng_seed=seed)
                 total += 1
@@ -398,11 +404,12 @@ def suite_digit_certification(rng_seed=500, seeds=100, n_digits=40):
 # -- 10: classification -------------------------------------------------------
 
 
-def suite_classification(tol=1e-6):
+def suite_classification():
     res = SuiteResult(
         "classification",
         "periodicity certificates, induced system, stopped-word systems, integer form",
     )
+    tol = 1e-6
     v1 = cls.is_periodic([m.ratio for m in cantor().maps])
     res.check("Cantor IFS is periodic with exact certificate", v1.periodic and v1.exact,
               f"generator {v1.generator:.6f}")
@@ -470,14 +477,14 @@ def suite_classification(tol=1e-6):
 # -- 11: scaled energy --------------------------------------------------------
 
 
-def suite_scaled_energy(rng_seed=21):
+def suite_scaled_energy():
     res = SuiteResult(
         "scaled-energy",
         "scaled-energy inequality: frequency-band energy vs ball-mass bound",
     )
     rows = []
     for name in ("cantor", "bernoulli-1/3"):
-        grid = _energy_grid(*_builtin(name), (1e2, 1e3, 1e5), (2, 4, 6), (1e-1, 1e-3, 3e-5), rng_seed)
+        grid = _energy_grid(*_builtin(name), (1e2, 1e3, 1e5), (2, 4, 6), (1e-1, 1e-3, 3e-5), 21)
         rows += [(name, *row) for row in grid]
     bad = sum(not row[-1] for row in rows)
     res.tables["energy"] = (("ifs", "q", "k", "r", "lhs", "rhs", "ok"), rows)
@@ -489,12 +496,12 @@ def suite_scaled_energy(rng_seed=21):
 # -- 12: Moser instance -------------------------------------------------------
 
 
-def suite_moser(rng_seed=42):
+def suite_moser():
     res = SuiteResult(
         "moser-instance",
         "Liouville-like frequency tuple passing the finite Diophantine scan",
     )
-    inst = cls.moser_family(tau=3.0, liouville_depth=3, rng_seed=rng_seed)
+    inst = cls.moser_family(tau=3.0, liouville_depth=3, rng_seed=42)
     res.check("v starts with (1, 2)", inst.v[0] == 1.0 and inst.v[1] == 2.0, str(inst.v))
     res.check(
         "both alphas get the Liouville-like verdict",
@@ -526,10 +533,10 @@ BUILTIN_SUITES = {
 }
 
 
-def run_suite(name, **kwargs):
+def run_suite(name):
     if name not in BUILTIN_SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(BUILTIN_SUITES)}")
-    return BUILTIN_SUITES[name](**kwargs)
+    return BUILTIN_SUITES[name]()
 
 
 # -- config runners: one per `fractalab run` experiment kind ------------------

@@ -1,7 +1,8 @@
 """Acceptance gate: every packaged claim, one pass/fail line each.
 
-Each test runs the corresponding packaged suite at its stated tolerance and
-fails with the suite's own summary when any assertion inside it fails.
+Each test reads the corresponding packaged suite, run once per session by
+the `suite_result` fixture, and fails with the suite's own summary when any
+assertion inside it fails.
 Two checks are knowingly red and carry a NOTE in their docstring: the
 nominal 0.01 Pisot floor (the true floor of the golden-ratio Bernoulli
 convolution over n <= 25 is ~4.9e-4) and the strictly-decreasing per-cell
@@ -12,17 +13,11 @@ that grows with the number of cells at fixed path count).
 import math
 from fractions import Fraction
 
-import pytest
-
-from fractalab.suites import run_suite
-
 F = Fraction
 
 
-def run_and_report(name, **kw):
-    res = run_suite(name, **kw)
+def assert_passed(res):
     assert res.passed, "\n" + "\n".join(res.summary_lines())
-    return res
 
 
 def subset_passed(res, needle):
@@ -32,22 +27,22 @@ def subset_passed(res, needle):
     assert all(a.passed for a in hits), "\n" + "\n".join(lines)
 
 
-def test_criterion_01_fourier_oracle_agreement():
+def test_criterion_01_fourier_oracle_agreement(suite_result):
     """5 affine systems x 20 log-spaced q in [1, 1e4]: |word tree - MC(1e5)|
     <= 4/sqrt(1e5) + tol in at least 95% of cells."""
-    run_and_report("fourier-oracle-agreement")
+    assert_passed(suite_result("fourier-oracle-agreement"))
 
 
-def test_criterion_02_self_similarity_recursion():
+def test_criterion_02_self_similarity_recursion(suite_result):
     """Recursion residual <= 2e-8 at 100 random q per registered affine system."""
-    run_and_report("fourier-recursion")
+    assert_passed(suite_result("fourier-recursion"))
 
 
-def test_criterion_03_pisot_nondecay_pinned_floor():
+def test_criterion_03_pisot_nondecay_pinned_floor(suite_result):
     """Golden-ratio Bernoulli convolution at q = r^{-n}, n = 1..25, exact
     quadratic-field frequencies: the floor min |F_q| is strictly positive and
     matches the closed-form Jessen-Wintner product over the same n to 1e-6."""
-    run_and_report("pisot-nondecay")
+    assert_passed(suite_result("pisot-nondecay"))
 
 
 def test_criterion_03_nominal_floor_of_0_01():
@@ -65,65 +60,63 @@ def test_criterion_03_nominal_floor_of_0_01():
     assert floor >= 0.01, f"observed floor {floor:.6g} < nominal 0.01"
 
 
-def test_criterion_04_aperiodic_decay_trend():
+def test_criterion_04_aperiodic_decay_trend(suite_result):
     """{x/2,(x+1)/3,(x+1)/5}: per-decade max |F_q| strictly decreasing over
     decades 1..1e5."""
-    run_and_report("aperiodic-decay")
+    assert_passed(suite_result("aperiodic-decay"))
 
 
-def test_criterion_05_llt_lattice_floor():
+def test_criterion_05_llt_lattice_floor(suite_result):
     """Periodic Cantor system: per-cell KS distance to the continuous law
     stays >= 0.2 at k = 20, 40, 80 (the stopped sum is lattice-valued)."""
-    res = run_suite("llt-trend")
-    subset_passed(res, "periodic Cantor")
+    subset_passed(suite_result("llt-trend"), "periodic Cantor")
 
 
-def test_criterion_05_llt_aperiodic_trend():
+def test_criterion_05_llt_aperiodic_trend(suite_result):
     """NOTE: knowingly red. Weighted-median per-cell KS at k = 20, 40, 80
     (1e5 paths) measures 0.05 -> 0.09 -> 0.14: the number of cells grows
     with k, so per-cell counts shrink and KS sampling noise (~0.87/sqrt(n))
     dominates the Gamma-law convergence at this path budget."""
-    res = run_suite("llt-trend")
-    subset_passed(res, "aperiodic weighted-median KS strictly decreasing")
+    subset_passed(suite_result("llt-trend"), "aperiodic weighted-median KS strictly decreasing")
 
 
-def test_criterion_06_stopping_time_bracket():
+def test_criterion_06_stopping_time_bracket(suite_result):
     """S_{tau_k} in [k chi, k chi + D'] with zero violations over 1e6
     sampled (path, k) pairs."""
-    run_and_report("stopping-bracket")
+    assert_passed(suite_result("stopping-bracket"))
 
 
-def test_criterion_07_gamma_law():
+def test_criterion_07_gamma_law(suite_result):
     """Gamma law on 100 random cells: mass = 1 within 1e-12 and density
     <= 1/D + 1e-12."""
-    run_and_report("gamma-law")
+    assert_passed(suite_result("gamma-law"))
 
 
-def test_criterion_08_normality_statistics():
+def test_criterion_08_normality_statistics(suite_result):
     """Cantor samples, base 2, N = 4096: chi-square block test (blocks <= 3)
     p > 1e-3 in >= 95 of 100 seeds; base 3: digit 1 never occurs."""
-    run_and_report("cantor-digit-normality")
+    assert_passed(suite_result("cantor-digit-normality"))
 
 
-def test_criterion_09_digit_certification():
+def test_criterion_09_digit_certification(suite_result):
     """Doubling the requested precision never changes certified digits:
     100 seeds x 3 systems x bases {2, 3, 10}."""
-    run_and_report("digit-certification")
+    assert_passed(suite_result("digit-certification"))
 
 
-def test_criterion_10_classification_suite():
+def test_criterion_10_classification_suite(suite_result):
     """Periodicity certificates, induced-system weights and Fourier match,
     stopped-word inequalities, integer-form round-trip."""
-    run_and_report("classification")
+    assert_passed(suite_result("classification"))
 
 
-def test_criterion_11_scaled_energy_inequality():
+def test_criterion_11_scaled_energy_inequality(suite_result):
     """lhs <= rhs + error budget on the 3x3x3 (q, k, r) grid for the Cantor
     and Bernoulli(1/3) measures."""
-    run_and_report("scaled-energy")
+    assert_passed(suite_result("scaled-energy"))
 
 
-def test_criterion_12_moser_instance():
+def test_criterion_12_moser_instance(suite_result):
     """Generated frequency vector: Liouville-like continued-fraction verdict
     plus positive Diophantine envelope up to x = 1e3."""
-    run_and_report("moser-instance")
+    assert_passed(suite_result("moser-instance"))

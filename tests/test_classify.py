@@ -29,6 +29,7 @@ from fractalab.ifs_core import (
     Ifs,
     PreconditionError,
     aperiodic_125,
+    bernoulli_convolution,
     cantor,
     golden_bernoulli,
     moebius_example,
@@ -76,7 +77,7 @@ def test_quadratic_unit_ratio_periodic():
 def test_high_quadratic_power_is_exact():
     r = golden_ratio_conjugate()
     v = is_periodic([r, r**100])
-    assert v.periodic and v.exact and not v.heuristic
+    assert v.periodic and v.exact
     assert v.generator == pytest.approx(-math.log(float(r)), rel=1e-12)
 
 
@@ -114,7 +115,7 @@ def test_powers_of_one_base_are_decided_exactly(base, exps, prime, data):
 
 def test_float_input_flagged_heuristic():
     v = is_periodic([0.5, 0.25])
-    assert v.heuristic
+    assert not v.exact
 
 
 @pytest.mark.parametrize(
@@ -235,8 +236,11 @@ def test_cli_import_loads_no_sympy():
 
 
 def test_two_map_lattice_is_trivial():
-    v = lattice_check_fixed_point_set(cantor())
-    assert v.contained and v.trivially
+    # at most two distinct |r_i| are counted exactly, quadratic fields included
+    r = golden_ratio_conjugate()
+    for ifs in (cantor(), golden_bernoulli(), bernoulli_convolution(r**2)):
+        v = lattice_check_fixed_point_set(ifs)
+        assert v.contained and v.trivially and v.exact, ifs.name
 
 
 def test_aperiodic_three_map_lattice_not_contained():
@@ -253,7 +257,7 @@ def test_lattice_witness_names_maps():
 
 def test_smooth_lattice_is_heuristic():
     v = lattice_check_fixed_point_set(smooth_example())
-    assert v.heuristic
+    assert not v.exact
 
 
 # -- Diophantine scan ----------------------------------------------------------

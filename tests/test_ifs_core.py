@@ -27,6 +27,7 @@ from fractalab.ifs_core import (
     dyadic_pair,
     golden_bernoulli,
     moebius_example,
+    moebius_map,
     pow2_pair,
     quadratic_map,
     registered_affine,
@@ -301,6 +302,15 @@ def test_moebius_maps_contract():
         with mpmath.workdps(50):
             derivs = [abs(_SMOOTH_REFERENCE_DERIVS[name](_mpf(x))) for x in grid]
             assert m.dmin <= min(derivs) and max(derivs) <= m.dmax
+
+
+def test_declared_derivative_bounds_are_rounded_outward():
+    # |f'| = 1/3 + x/5 runs from 1/3 to 8/15 on [0, 1]; the float nearest 8/15 lies below it
+    m = quadratic_map(F(1, 3), 0, F(1, 10), (0, 1))
+    assert F(m.dmin) <= F(1, 3) and F(m.dmax) >= F(8, 15)
+    # |f'| = 2/(2x + 3)^2 runs from 2/25 to 2/9; both nearest floats fall inside
+    m = moebius_map(0, 1, 2, 3, (0, 1))
+    assert F(m.dmin) <= F(2, 25) and F(m.dmax) >= F(2, 9)
 
 
 def _reference_maps(name, ifs):
