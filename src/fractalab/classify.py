@@ -618,13 +618,16 @@ def _cf_build(terms):
     return Fraction(p, q)
 
 
-def _liouville_terms(start, depth, digit_cap=400):
+_LIOUVILLE_DIGITS = 400  # decimal digits of the largest term kept
+
+
+def _liouville_terms(start, depth):
     """CF terms with q_{k+1} >= q_k^k: denominators explode super-polynomially."""
     terms = list(start)
     while len(terms) < len(start) + depth:
         *_, (_, _, q) = _convergents([0, *terms], math.inf)
         nxt = max(q ** max(len(terms), 2), 2)
-        if len(str(nxt)) > digit_cap:
+        if len(str(nxt)) > _LIOUVILLE_DIGITS:
             break
         terms.append(nxt)
     return terms

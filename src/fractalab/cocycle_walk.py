@@ -6,6 +6,10 @@ and stopping times tau_k = min{n : S_n >= k*chi} where chi is the Lyapunov
 exponent.  For affine systems the increments depend only on the symbols and
 everything is simulated exactly up to float rounding; smooth systems get a
 backward-evaluation scheme whose coding-point error is below 1e-15 * width(I).
+A one-path smooth walk (lyapunov's Monte Carlo mode, simulate_walk) is folded
+into blocks run as the rows of one matrix, with every seam between blocks
+made exact, so it gives the bits of the step-by-step loop in a small fraction
+of its Python iterations (see _walk_matrix).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 from .ifs_core import PreconditionError, _column_maps, _draw_symbols, _pull_back
 
 _CHUNK = 100_000  # paths simulated per chunk to bound peak memory
+_BLOCK = 64  # columns per block of a folded one-path smooth walk
 
 
 class TraceTooShortError(ValueError):
@@ -29,27 +34,63 @@ def _smooth_tail_length(ifs):
     return int(math.ceil(16 * math.log(10) / ifs.big_d)) + 1
 
 
+def _increments(ifs, sym, x):
+    """(X, x') for smooth walks over the columns of sym, row r entered at x[r].
+
+    X[r, j] = -log|f'_{sym[r, j]}| at the point the row holds before column
+    j, and x' is where each row ends after its leftmost column.
+    """
+    apply, present, masks = _column_maps(ifs, sym)
+    incs = ifs.steps[sym]  # exact for affine maps; smooth ones are set below
+    for j in range(sym.shape[1] - 1, -1, -1):
+        # a smooth map takes its increment before its column
+        for i in present[j]:
+            if ifs.maps[i].kind != "affine":
+                incs[:, j] = np.where(masks[i, j], -np.log(np.abs(ifs.maps[i].deriv(x))), incs[:, j])
+        x = apply(j, x)
+    return incs, x
+
+
 def _walk_matrix(ifs, p, n_paths, length, rng):
     """(symbols, X) for n_paths walks of the given length.
 
     symbols is 0-based (n_paths, length); X[i, j] is the increment
     X_{j+1} = -log|f'_{omega_{j+1}}(x_{sigma^{j+1} omega})|.
+
+    A smooth system draws T = _smooth_tail_length more symbols per row and
+    pulls x0 back through them to the row's coding point.  One row is folded
+    into blocks of _BLOCK columns, the first left-padded so that the last
+    ends at `length`; each block takes the next T drawn symbols as its tail
+    (the last block the drawn tail, so it is exact) and all blocks run as the
+    rows of one matrix.  A block whose entry point (after its tail) is not,
+    bit for bit, its right neighbour's left-end point is run again from that
+    point, until every seam agrees; each pass makes the rightmost wrong seam
+    right for good, so this ends in fewer passes than blocks.  With every
+    seam exact, each column sees the point the step-by-step loop gives it,
+    so the increments are that loop's bits: the code checks the seams, it
+    does not assume them.
     """
     if ifs.is_affine:
         sym = _draw_symbols(ifs, p, rng, (n_paths, length))
         return sym, ifs.steps[sym]
 
-    sym = _draw_symbols(ifs, p, rng, (n_paths, length + _smooth_tail_length(ifs)))
-    apply, present, masks = _column_maps(ifs, sym)
-    x = np.full(n_paths, float(ifs.x0))
-    incs = ifs.steps[sym[:, :length]]  # exact for affine maps; smooth ones are set below
-    # tail, then head columns; a smooth map takes its increment before its column
-    for j in range(sym.shape[1] - 1, -1, -1):
-        for i in present[j] if j < length else ():
-            if ifs.maps[i].kind != "affine":
-                incs[:, j] = np.where(masks[i, j], -np.log(np.abs(ifs.maps[i].deriv(x))), incs[:, j])
-        x = apply(j, x)
-    return sym[:, :length], incs
+    tail = _smooth_tail_length(ifs)
+    sym = _draw_symbols(ifs, p, rng, (n_paths, length + tail))
+    if n_paths > 1:
+        x = _pull_back(ifs, sym[:, length:], np.full(n_paths, float(ifs.x0)))
+        return sym[:, :length], _increments(ifs, sym[:, :length], x)[0]
+
+    block = min(_BLOCK, length)
+    n_blocks = -(-length // block)
+    pad = n_blocks * block - length
+    row = np.concatenate([np.zeros(pad, dtype=sym.dtype), sym[0]])
+    blocks = row[np.arange(n_blocks)[:, None] * block + np.arange(block + tail)]
+    entry = _pull_back(ifs, blocks[:, block:], np.full(n_blocks, float(ifs.x0)))
+    incs, left = _increments(ifs, blocks[:, :block], entry)
+    while (bad := np.flatnonzero(entry[:-1].view(np.int64) != left[1:].view(np.int64))).size:
+        entry[bad] = left[bad + 1]
+        incs[bad], left[bad] = _increments(ifs, blocks[bad, :block], entry[bad])
+    return sym[:, :length], incs.reshape(1, -1)[:, pad:]
 
 
 @dataclass
@@ -90,6 +131,8 @@ def lyapunov(ifs, p, mode="exact", n=100_000, rng_seed=0):
         return LyapunovEstimate(chi, 0.0, "exact")
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(rng_seed)
     total = 0.0
     total_sq = 0.0

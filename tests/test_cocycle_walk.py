@@ -9,7 +9,6 @@ import pytest
 
 from fractalab import cocycle_walk
 from fractalab.cocycle_walk import (
-    LyapunovEstimate,
     TraceTooShortError,
     bracket_check,
     clt_experiment,
@@ -58,6 +57,12 @@ def test_lyapunov_monte_carlo_smooth_positive():
     assert -math.log(dmax) - 3 * est.stderr <= est.value <= -math.log(dmin) + 3 * est.stderr
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_lyapunov_monte_carlo_rejects_n_below_1(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        lyapunov(smooth_example(), HALF, mode="monte_carlo", n=n)
+
+
 def test_walk_steps_are_log_ratios():
     trace = simulate_walk(cantor(), HALF, 50, rng_seed=0)
     assert trace.X.shape == (50,)
@@ -82,27 +87,41 @@ def test_walk_smooth_matches_composite_derivative():
     assert trace.S[n - 1] == pytest.approx(-math.log(abs(g.deriv(x_tail))), abs=1e-7)
 
 
+def _per_step_increments(ifs, word, length):
+    """The walk's increments over word[:length], pulled back through word one
+    symbol at a time with the maps' own float calls on 1-element arrays."""
+    out = np.empty(length)
+    x = np.array([float(ifs.x0)])
+    for j in range(len(word) - 1, -1, -1):
+        m = ifs.maps[word[j]]
+        if j < length:
+            out[j] = ifs.steps[word[j]] if m.kind == "affine" else -np.log(np.abs(m.deriv(x)))[0]
+        x = m(x)
+    return out
+
+
 @pytest.mark.parametrize("make", [smooth_example, moebius_example])
-def test_smooth_walk_matrix_matches_a_per_row_reference(make):
-    # each row pulled back alone through the maps' own float calls, with the
-    # increments -log|f'| of 1-element arrays: elementwise numpy gives the
-    # same bits on 1-element and long arrays, so equality is exact
+def test_smooth_walk_matrix_matches_a_per_row_reference(monkeypatch, make):
+    # each row pulled back alone, one step at a time: elementwise numpy gives
+    # the same bits on 1-element and long arrays, so equality is exact, for
+    # many rows and for one row folded into blocks of _BLOCK columns; a
+    # 2-symbol tail leaves nearly every seam between blocks wrong until the
+    # fold runs those blocks again
     ifs = make()
-    rows, length = 64, 40
-    sym, incs = cocycle_walk._walk_matrix(ifs, HALF, rows, length, np.random.default_rng(3))
-    width = length + cocycle_walk._smooth_tail_length(ifs)
-    full = _draw_symbols(ifs, HALF, np.random.default_rng(3), (rows, width))
-    assert np.array_equal(sym, full[:, :length])
-    ref = np.empty((rows, length))
-    for r, word in enumerate(full):
-        x = np.array([float(ifs.x0)])
-        for j in range(len(word) - 1, -1, -1):
-            m = ifs.maps[word[j]]
-            if j < length:
-                ref[r, j] = ifs.steps[word[j]] if m.kind == "affine" else -np.log(np.abs(m.deriv(x)))[0]
-            x = m(x)
-    assert len(np.unique(sym[:, 0])) == 2  # both maps occur in one column
-    assert np.array_equal(incs, ref)
+    block = cocycle_walk._BLOCK
+    for rows, length, tail in ((64, 40, None), (1, block - 1, None), (1, block, None),
+                               (1, block + 1, None), (1, 4000, None), (1, 4000, 2)):
+        with monkeypatch.context() as m:
+            if tail is not None:
+                m.setattr(cocycle_walk, "_smooth_tail_length", lambda ifs: tail)
+            sym, incs = cocycle_walk._walk_matrix(ifs, HALF, rows, length, np.random.default_rng(3))
+            width = length + cocycle_walk._smooth_tail_length(ifs)
+        full = _draw_symbols(ifs, HALF, np.random.default_rng(3), (rows, width))
+        assert np.array_equal(sym, full[:, :length])
+        ref = np.array([_per_step_increments(ifs, word, length) for word in full])
+        if rows > 1:
+            assert len(np.unique(sym[:, 0])) == 2  # both maps occur in one column
+        assert np.array_equal(incs, ref), (rows, length, tail)
 
 
 def test_stop_homogeneous_walk():
@@ -161,15 +180,8 @@ def test_bracket_check_no_violations():
         assert checked == 20_000
 
 
-def test_bracket_check_smooth_system(monkeypatch):
-    # every increment is <= D', so the bracket holds for any chi > 0; a
-    # fixed chi stands in for the 1e6-step Monte Carlo estimate
-    ifs = smooth_example()
-    chi = (ifs.big_d + ifs.big_d_prime) / 2
-    monkeypatch.setattr(
-        cocycle_walk, "lyapunov", lambda *a, **kw: LyapunovEstimate(chi, 0.0, "fixed")
-    )
-    violations, checked = bracket_check(ifs, HALF, pairs=2_000, rng_seed=0)
+def test_bracket_check_smooth_system():
+    violations, checked = bracket_check(smooth_example(), HALF, pairs=2_000, rng_seed=0)
     assert violations == 0
     assert checked == 2_000
 
@@ -232,6 +244,23 @@ def test_clt_ks_is_the_kstest_statistic(paths, seed):
     logr = np.array([-math.log(float(abs(m.ratio))) for m in ifs.maps])
     counts = rng.multinomial(n, [float(w) for w in p], size=paths)
     z = (counts @ logr - n * lyapunov(ifs, p).value) / math.sqrt(n)
+    assert rep.fitted_var == float(z.var())
+    assert rep.ks == sps.kstest(z, "norm", args=(0.0, math.sqrt(z.var()))).statistic
+
+
+def test_clt_smooth_is_the_kstest_statistic():
+    from scipy import stats as sps
+
+    ifs, p, n, paths, seed = smooth_example(), HALF, 20, 200, 4
+    rep = clt_experiment(ifs, p, n=n, paths=paths, rng_seed=seed)
+    # the same sample, rebuilt from the seed as clt_experiment draws it: one
+    # chunk of paths rows, each with its coding-point tail
+    width = n + cocycle_walk._smooth_tail_length(ifs)
+    words = _draw_symbols(ifs, p, np.random.default_rng(seed), (paths, width))
+    s_n = np.array([_per_step_increments(ifs, word, n) for word in words]).sum(axis=1)
+    chi = lyapunov(ifs, p, "monte_carlo", n=1_000_000, rng_seed=seed + 1).value
+    z = (s_n - n * chi) / math.sqrt(n)
+    assert not rep.zero_variance
     assert rep.fitted_var == float(z.var())
     assert rep.ks == sps.kstest(z, "norm", args=(0.0, math.sqrt(z.var()))).statistic
 
