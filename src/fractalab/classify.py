@@ -8,27 +8,24 @@ log r_j is rational iff r_i^m = r_j^k has a nonzero integer solution, i.e.
 iff the exponent vectors of the ratios are parallel.  The vectors are taken
 over a coprime base built from the ratios by gcds alone (factor refinement,
 Bach, Driscoll & Shallit 1993), so no integer is ever factored into primes.
-Floating-point inputs only ever get verdicts with exact=False.
+Ratios in one real quadratic field are decided through their field norms
+and one exact power per ratio (`is_periodic`).  Every verdict is exact:
+floats, smooth systems and a set of norm-1 ratios with no small exact
+relation raise PreconditionError instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import mpmath
 import numpy as np
 
-from .ifs_core import (
-    Ifs,
-    PreconditionError,
-    WeightVector,
-    compose_word,
-    _smooth_fixed_point,
-)
-from .quadfield import QuadExact
+from .ifs_core import Ifs, PreconditionError, WeightVector, compose_word
+from .quadfield import QuadExact, _field, is_exact
 
 
 # -- exact multiplicative structure -----------------------------------------
@@ -116,122 +113,112 @@ class PeriodicityVerdict:
     certificate: str = ""
 
 
-def is_periodic(ratios):
-    """Decide whether {log|r_i|} lies in a single lattice r*Z.
+_MAX_UNIT_EXPONENT = 1000  # largest |m|, |k| read off the float log-ratio of two norm-1 ratios
 
-    Exact rationals go through coprime-base exponent vectors; quadratic-field
-    ratios are handled in the cases the catalog produces (all equal, or a
-    field unit against a rational); bare floats fall back to a flagged
-    continued-fraction heuristic.  Modulus 1 is rejected, as 0 is in every lattice.
+
+def is_periodic(ratios):
+    """Decide exactly whether {log|r_i|} lies in a single lattice r*Z.
+
+    The ratios are exact: rationals, or elements of one real quadratic
+    field Q(sqrt d).  The set is periodic iff every |r_j|^m = |r_1|^k has a
+    nonzero integer solution.  Rationals decide that on exponent vectors
+    (`_exponent_lattice`).  Otherwise |r_i|^m = |r_j|^k forces
+    |N(r_i)|^m = |N(r_j)|^k on the field norms, so norm exponent vectors
+    that are not proportional, or a norm of 1 against one that is not,
+    certify aperiodicity.  Proportional norm vectors leave one exponent
+    pair per ratio, and an exact power decides it.  When every norm is 1
+    the pair is read off the float log-ratio with |m|, |k| <= 1000, and a
+    pair that fails the exact power raises PreconditionError.  Floats raise
+    PreconditionError, and modulus 1 is rejected, as 0 is in every lattice.
     """
     if any(abs(r) == 1 for r in ratios):
         raise ValueError("need positive rationals other than 1")
-    if any(isinstance(r, float) for r in ratios):
-        return _is_periodic_heuristic([float(abs(r)) for r in ratios])
-
-    abs_ratios = []
+    if not all(is_exact(r) for r in ratios):
+        raise PreconditionError("periodicity is decided on exact ratios (rationals or one quadratic field), not floats")
+    xs = []
     for r in ratios:
         if isinstance(r, QuadExact):
-            abs_ratios.append(abs(r) if r.b != 0 else abs(r.a))
+            xs.append(abs(r) if r.b != 0 else abs(r.a))
         else:
-            abs_ratios.append(abs(Fraction(r)))
+            xs.append(abs(Fraction(r)))
 
-    if all(x == abs_ratios[0] for x in abs_ratios):
-        g = -math.log(float(abs_ratios[0]))
+    if all(x == xs[0] for x in xs):
         return PeriodicityVerdict(
             periodic=True,
             exact=True,
-            generator=g,
-            generator_expr=f"-log({abs_ratios[0]})",
+            generator=abs(math.log(float(xs[0]))),
+            generator_expr=f"{'-' if xs[0] < 1 else ''}log({xs[0]})",
             certificate="all contraction ratios share one modulus",
         )
 
-    quads = [x for x in abs_ratios if isinstance(x, QuadExact)]
-    if quads:
-        rats = [x for x in abs_ratios if not isinstance(x, QuadExact)]
-        for x in quads:
-            norm = abs(x.a * x.a - x.d * x.b * x.b)
-            if norm == 1 and rats:
-                i = abs_ratios.index(x) + 1
-                j = abs_ratios.index(rats[0]) + 1
-                return PeriodicityVerdict(
-                    periodic=False,
-                    exact=True,
-                    witness=(i, j),
-                    certificate=(
-                        "a quadratic unit has |field norm| = 1, so every power "
-                        "stays irrational while powers of a rational stay rational"
-                    ),
-                )
-        if not rats:
-            # all quadratic: exact when every ratio is an integer power of
-            # the largest one (the catalog's r, r^2, ... pattern); g < 1 for
-            # contraction ratios, so its powers fall to x or below it
-            g = max(quads, key=float)
-            exps = []
-            for x in abs_ratios:
-                k, acc = 1, g
-                while acc > x:
-                    acc = acc * g
-                    k += 1
-                if acc != x:
-                    break
-                exps.append(k)
-            if len(exps) == len(abs_ratios):
-                c = math.gcd(*exps)
-                gen = -c * math.log(float(g))
-                return PeriodicityVerdict(
-                    periodic=True,
-                    exact=True,
-                    generator=gen,
-                    generator_expr=f"-{c}*log({g})",
-                    certificate="all ratios are integer powers of one quadratic element",
-                )
-        return _is_periodic_heuristic([float(x) for x in abs_ratios])
-
-    vecs, pair, u, cs = _exponent_lattice(abs_ratios)
-    if pair:
-        i, j = pair
+    rational = not _field(xs)
+    # |N(x)| = |x * conj(x)|, which is x^2 for a rational x
+    keys = xs if rational else [abs(x.a * x.a - x.d * x.b * x.b) if isinstance(x, QuadExact) else x * x for x in xs]
+    ones = [k == 1 for k in keys]
+    norm_one = all(ones)
+    if any(ones) and not norm_one:
+        i, j = ones.index(True), ones.index(False)
         return PeriodicityVerdict(
             periodic=False,
             exact=True,
             witness=(i + 1, j + 1),
+            certificate=f"|N(r_i)| = 1 and |N(r_j)| = {keys[j]}, so r_i^m = r_j^k forces k = 0, then m = 0",
+        )
+    if not norm_one:
+        vecs, pair, u, cs = _exponent_lattice(keys)
+        if pair:
+            i, j = pair
+            return PeriodicityVerdict(
+                periodic=False,
+                exact=True,
+                witness=(i + 1, j + 1),
+                certificate=(
+                    f"{'' if rational else 'norm '}exponent vectors {dict(vecs[i])} and "
+                    f"{dict(vecs[j])} are not proportional, so r_i^m = r_j^k has no solution"
+                ),
+            )
+        if rational:
+            g = math.gcd(*cs)
+            base_val = math.prod(Fraction(b) ** e for b, e in u.items())
+            return PeriodicityVerdict(
+                periodic=True,
+                exact=True,
+                generator=abs(float(g) * math.log(float(base_val))),
+                generator_expr=f"|{g}*log({base_val})|",
+                certificate=f"all exponent vectors proportional to {u}",
+            )
+        exps = [Fraction(c, cs[0]) for c in cs]
+    else:
+        log1 = math.log(float(xs[0]))
+        exps = [Fraction(math.log(float(x)) / log1).limit_denominator(_MAX_UNIT_EXPONENT) for x in xs]
+
+    # log r_j = e log r_1 exactly iff r_1^num(e) = r_j^den(e); the float read
+    # of a norm-1 set is bounded first, so the powers stay small
+    for j, e in enumerate(exps):
+        if (not norm_one or abs(e.numerator) <= _MAX_UNIT_EXPONENT) and xs[0] ** e.numerator == xs[j] ** e.denominator:
+            continue
+        if norm_one:
+            raise PreconditionError(
+                f"ratios 1 and {j + 1} have norm +-1 and no exact relation r_1^m = r_{j + 1}^k with "
+                f"|m|, |k| <= {_MAX_UNIT_EXPONENT}; their periodicity is not decided"
+            )
+        return PeriodicityVerdict(
+            periodic=False,
+            exact=True,
+            witness=(1, j + 1),
             certificate=(
-                f"exponent vectors {dict(vecs[i])} and {dict(vecs[j])} "
-                "are not proportional, so r_i^m = r_j^k has no solution"
+                f"the norms leave only r_1^{e.numerator} = r_{j + 1}^{e.denominator}, "
+                "which fails in exact arithmetic"
             ),
         )
-    g = math.gcd(*cs)
-    base_val = math.prod(Fraction(b) ** e for b, e in u.items())
-    gen = abs(float(g) * math.log(float(base_val)))
+    den = math.lcm(*(e.denominator for e in exps))
+    g = Fraction(math.gcd(*(e.numerator * (den // e.denominator) for e in exps)), den)
     return PeriodicityVerdict(
         periodic=True,
         exact=True,
-        generator=gen,
-        generator_expr=f"|{g}*log({base_val})|",
-        certificate=f"all exponent vectors proportional to {u}",
-    )
-
-
-def _is_periodic_heuristic(ratios):
-    """Log-ratios within 1e-12 of a fraction of denominator <= 10^6 count as rational."""
-    logs = [math.log(r) for r in ratios]
-    for i in range(len(logs)):
-        for j in range(i + 1, len(logs)):
-            x = logs[i] / logs[j]
-            approx = Fraction(x).limit_denominator(10**6)
-            if abs(x - float(approx)) > 1e-12:
-                return PeriodicityVerdict(
-                    periodic=False,
-                    exact=False,
-                    witness=(i + 1, j + 1),
-                    certificate="no rational approximation within tolerance (heuristic)",
-                )
-    return PeriodicityVerdict(
-        periodic=True,
-        exact=False,
-        generator=abs(logs[0]),
-        certificate="all pairwise log-ratios numerically rational (heuristic)",
+        generator=float(g) * abs(math.log(float(xs[0]))),
+        generator_expr=f"|{g}*log({xs[0]})|",
+        certificate=f"exact powers give log r_j / log r_1 = {', '.join(map(str, exps))}",
     )
 
 
@@ -247,72 +234,33 @@ class LatticeVerdict:
 def lattice_check_fixed_point_set(ifs):
     """Is {log|f_i'(y_i)|: f_i(y_i) = y_i} inside a translated lattice t + r*Z?
 
-    Affine maps give e_i = log|r_i| exactly, and at most two distinct |r_i|
-    are counted exactly, in any field.  For rational ratios, containment of
-    n >= 3 distinct values reduces to rationality of the difference ratios
-    (e_i - e_1)/(e_2 - e_1), decided on exact exponent vectors of the
-    quotients r_i/r_1.
+    Affine maps give e_i = log|r_i| exactly.  At most two distinct values
+    always fit.  Sorted distinct values e_1 < e_2 < ... fit iff the
+    differences e_i - e_1 lie in one lattice r*Z, which `is_periodic`
+    decides on the quotients |r_i|/|r_1|.  Smooth systems raise
+    PreconditionError.
     """
-    if ifs.is_affine:
-        moduli = [abs(m.ratio) for m in ifs.maps]
-        vals = sorted(set(moduli))
-        if len(vals) < 3:
-            return LatticeVerdict(
-                contained=True,
-                trivially=True,
-                exact=True,
-                certificate=f"{len(vals)} distinct derivative values always fit a translated lattice",
-            )
-    if ifs.is_affine and not any(isinstance(v, QuadExact) for v in vals):
-        diff_vecs, pair, _, _ = _exponent_lattice([v / vals[0] for v in vals[1:]])
-        if pair:
-            i, j = pair
-            return LatticeVerdict(
-                contained=False,
-                trivially=False,
-                exact=True,
-                witness=tuple(moduli.index(vals[k]) + 1 for k in (0, i + 1, j + 1)),
-                certificate=(
-                    f"difference exponent vectors {dict(diff_vecs[i])} and "
-                    f"{dict(diff_vecs[j])} are not proportional"
-                ),
-            )
-        return LatticeVerdict(
-            contained=True,
-            trivially=False,
-            exact=True,
-            certificate="all difference ratios rational",
-        )
-    # smooth or quadratic-field: numeric fixed points, flagged exact=False
-    es = []
-    for m, step in zip(ifs.maps, ifs.steps.tolist()):
-        if m.kind == "affine":
-            es.append(-step)
-        else:
-            y = _smooth_fixed_point(m, ifs)
-            es.append(math.log(abs(m.deriv(y))))
-    distinct = sorted(set(round(e, 12) for e in es))
-    if len(distinct) < 3:
+    if not ifs.is_affine:
+        raise PreconditionError(f"the fixed-point lattice check requires an affine IFS; {ifs.name} has a smooth map")
+    moduli = [abs(m.ratio) for m in ifs.maps]
+    vals = sorted(set(moduli))
+    if len(vals) < 3:
         return LatticeVerdict(
             contained=True,
             trivially=True,
-            exact=False,
-            certificate=f"{len(distinct)} distinct values (numeric)",
+            exact=True,
+            certificate=f"{len(vals)} distinct derivative values always fit a translated lattice",
         )
-    base = distinct[0]
-    ref = distinct[1] - base
-    for e in distinct[2:]:
-        x = (e - base) / ref
-        if abs(x - float(Fraction(x).limit_denominator(10**6))) > 1e-10:
-            return LatticeVerdict(
-                contained=False,
-                trivially=False,
-                exact=False,
-                certificate="difference ratio numerically irrational (heuristic)",
-            )
+    v = is_periodic([x / vals[0] for x in vals[1:]])
+    if v.periodic:
+        return LatticeVerdict(contained=True, trivially=False, exact=True, certificate="all difference ratios rational")
+    i, j = v.witness
     return LatticeVerdict(
-        contained=True, trivially=False, exact=False,
-        certificate="difference ratios numerically rational (heuristic)",
+        contained=False,
+        trivially=False,
+        exact=True,
+        witness=tuple(moduli.index(vals[k]) + 1 for k in (0, i, j)),
+        certificate=v.certificate,
     )
 
 
@@ -345,9 +293,6 @@ class ScanReport:
     fitted_l: float
     min_m: float
     positive: bool
-    condition_met: bool
-    dips: list = field(default_factory=list)
-    note: str = ""
 
 
 def diophantine_scan(log_ratios, x_max=1000.0):
@@ -355,6 +300,7 @@ def diophantine_scan(log_ratios, x_max=1000.0):
     the polynomial lower envelope m(x) ~ C / x^l."""
     vs = [float(v) for v in log_ratios]
     if len(vs) < 2:
+        # single ratio: y always cancels the only term, m(x) = 0
         return ScanReport(
             xs=np.array([]),
             ms=np.array([]),
@@ -362,8 +308,6 @@ def diophantine_scan(log_ratios, x_max=1000.0):
             fitted_l=float("inf"),
             min_m=0.0,
             positive=False,
-            condition_met=False,
-            note="single ratio: y always cancels the only term, m(x) = 0",
         )
     n_pts = max(8, int(40 * math.log10(max(x_max, 10.0))))
     xs = np.exp(np.linspace(math.log(1.0), math.log(x_max), n_pts))
@@ -381,29 +325,18 @@ def diophantine_scan(log_ratios, x_max=1000.0):
             env_x.append(lx[i])
             env_m.append(math.log(ms[i]))
     if len(env_x) < 3 or not positive:
+        # zero or near-zero values in the scan: no polynomial envelope
         return ScanReport(
-            xs=xs, ms=ms, fitted_c=0.0, fitted_l=float("inf"), min_m=float(ms.min()),
-            positive=positive, condition_met=False,
-            note="zero or near-zero values in the scan: no polynomial envelope",
+            xs=xs, ms=ms, fitted_c=0.0, fitted_l=float("inf"), min_m=float(ms.min()), positive=positive,
         )
     slope, intercept = np.polyfit(env_x, env_m, 1)
-    fitted_l = max(-float(slope), 0.0)
-    fitted_c = math.exp(float(intercept))
-    pred = slope * lx + intercept
-    dips = [
-        (float(xs[i]), float(ms[i]))
-        for i in range(len(xs))
-        if ms[i] > 0 and math.log(ms[i]) < pred[i] - math.log(50.0)
-    ]
     return ScanReport(
         xs=xs,
         ms=ms,
-        fitted_c=fitted_c,
-        fitted_l=fitted_l,
+        fitted_c=math.exp(float(intercept)),
+        fitted_l=max(-float(slope), 0.0),
         min_m=float(ms.min()),
         positive=positive,
-        condition_met=positive and not dips,
-        dips=dips,
     )
 
 
@@ -413,8 +346,7 @@ def diophantine_scan(log_ratios, x_max=1000.0):
 @dataclass
 class CfReport:
     convergents: list  # (a_k, p_k, q_k)
-    mus: list  # empirical irrationality exponents
-    max_mu: float
+    max_mu: float  # the largest empirical irrationality exponent mu_k
     verdict: str  # rational | consistent | liouville-like
 
 
@@ -470,8 +402,7 @@ def li_sahlsten_check(r_i, r_j=None, q_max=10**6):
         # rationality decided exactly first
         verdict = is_periodic([Fraction(abs(Fraction(r_i))), Fraction(abs(Fraction(r_j)))])
         if verdict.periodic:
-            return CfReport(convergents=[], mus=[], max_mu=float("inf"),
-                            verdict="rational")
+            return CfReport(convergents=[], max_mu=float("inf"), verdict="rational")
         dps = 40 + 2 * int(math.log10(q_max))
         with mpmath.workdps(dps):
             ri, rj = abs(Fraction(r_i)), abs(Fraction(r_j))
@@ -498,7 +429,7 @@ def li_sahlsten_check(r_i, r_j=None, q_max=10**6):
             mus.append(-d / math.log(qk))
     max_mu = max(mus) if mus else 2.0
     verdict = "liouville-like" if max_mu >= 4.0 else "consistent"
-    return CfReport(convergents=convs, mus=mus, max_mu=max_mu, verdict=verdict)
+    return CfReport(convergents=convs, max_mu=max_mu, verdict=verdict)
 
 
 # -- derived systems ---------------------------------------------------------
@@ -604,9 +535,6 @@ def integer_pisot_form_check(phi):
 @dataclass
 class MoserInstance:
     v: tuple  # (1, 2, alpha1 + 1, alpha2 + 1) as floats
-    alpha1: Fraction
-    alpha2: Fraction
-    cf_terms: tuple  # (terms of alpha1, terms of alpha2)
     li_reports: tuple
     scan: ScanReport
     tau: float
@@ -661,10 +589,7 @@ def moser_family(tau=3.0, liouville_depth=3, rng_seed=0):
         v = (1.0, 2.0, 1.0 + float(a1), 1.0 + float(a2))
         scan = diophantine_scan(v)
         if scan.positive and scan.fitted_l <= tau + 1:
-            return MoserInstance(
-                v=v, alpha1=a1, alpha2=a2, cf_terms=(t1, t2),
-                li_reports=(rep1, rep2), scan=scan, tau=tau,
-            )
+            return MoserInstance(v=v, li_reports=(rep1, rep2), scan=scan, tau=tau)
     raise RuntimeError("could not verify a Moser instance within the retry budget")
 
 

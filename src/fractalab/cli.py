@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import classify as cls
+from .fourier import BudgetError
 from .ifs_core import PreconditionError
 from .specfile import SpecFileError, parse_config, resolve_system
 
@@ -38,9 +39,9 @@ def _write_tables(result, out_dir):
 def cmd_run(args):
     try:
         result, resolved = run_config(parse_config(args.config))
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, BudgetError) as exc:
         # config errors, unreadable files and values the experiment rejects
-        # (PreconditionError)
+        # (PreconditionError, or a tol the word tree's node budget cannot reach)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_tables(result, Path(resolved["out"]))

@@ -297,9 +297,8 @@ def martingale_pieces(ifs, p_weights, omega_prefix, base, n_count, h=0.0, chi=No
     return pieces
 
 
-def piece_c0(ifs, base, h=0.0, chi=None):
-    """Lower bracket C0 for the piece ratios |base^n r_eta|."""
-    if chi is None:
-        chi = lyapunov(ifs, [Fraction(1, ifs.n)] * ifs.n, "exact").value
+def piece_c0(ifs, base, chi, h=0.0):
+    """Lower bracket C0 = r_min^2 e^{-h chi} for the piece ratios |base^n r_eta|
+    of `martingale_pieces` at the same h and chi."""
     rmin = min(float(abs(m.ratio)) for m in ifs.maps)
     return rmin * rmin * math.exp(-h * chi)

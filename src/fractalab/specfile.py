@@ -9,8 +9,9 @@ IFS file — one directive per line, '#' comments:
     map 1/3 2/3
     weights 1/2 1/2
 
-or simply `builtin cantor` to pull a packaged system.  Ratios and
-translations are exact rationals written p/q.
+Ratios and translations are exact rationals written p/q.  A packaged
+system is named by the reference `builtin:<name>` (see `resolve_system`)
+wherever a file path is accepted.
 
 Config file — flat `key value` pairs plus a single `include <path>`
 directive (included values are read first and may be overridden).
@@ -73,9 +74,7 @@ def parse_ifs_file(path):
         parts = line.split()
         key, args = parts[0], parts[1:]
         try:
-            if key == "builtin":
-                return builtin_system(args[0])
-            elif key == "name":
+            if key == "name":
                 name = " ".join(args)
             elif key == "kind":
                 kind = args[0]

@@ -599,6 +599,10 @@ def _run_fourier_decay(p):
         # increasing grid for decay_profile
         if n_max < 1:
             raise ValueError(f"q-ratio-powers must be >= 1, got {n_max}")
+        if p["q-grid"] is not None:
+            raise ConfigError("q-grid and q-ratio-powers exclude each other")
+        if p["method"] != "word_tree":
+            raise ConfigError(f"q-ratio-powers runs the word tree; method {p['method']!r} does not apply")
         if not ifs.is_affine:
             raise PreconditionError("q-ratio-powers requires an affine IFS")
         r = ifs.maps[0].ratio

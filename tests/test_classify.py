@@ -5,10 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fractalab
@@ -35,7 +36,7 @@ from fractalab.ifs_core import (
     moebius_example,
     smooth_example,
 )
-from fractalab.quadfield import golden_ratio_conjugate
+from fractalab.quadfield import QuadExact, golden_ratio_conjugate
 
 F = Fraction
 
@@ -81,6 +82,79 @@ def test_high_quadratic_power_is_exact():
     assert v.generator == pytest.approx(-math.log(float(r)), rel=1e-12)
 
 
+def test_quadratic_powers_of_one_element_are_exact():
+    r = golden_ratio_conjugate()
+    v = is_periodic([r**2, r**3])
+    assert v.periodic and v.exact
+    assert v.generator == pytest.approx(-math.log(float(r)), rel=1e-12)
+    # r is a unit and r/2 is not: no power of one is a power of the other
+    v = is_periodic([r, r**2, r / 2])
+    assert not v.periodic and v.exact and v.witness == (1, 3)
+
+
+def test_undecided_norm_one_pair_is_refused():
+    # both have norm 1; (9 + 4 sqrt 2)/7 is no unit of Z[sqrt 2], and no
+    # relation with exponents up to the bound holds
+    a = QuadExact(1, 1, 2).inverse()
+    b = 7 / QuadExact(9, 4, 2)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="not decided"):
+        is_periodic([a, b])
+    assert time.perf_counter() - start < 1.0
+
+
+def _quad(data):
+    """A random element a + b sqrt(d) of a real quadratic field, b != 0."""
+    d = data.draw(st.sampled_from([2, 3, 5, 6, 7, 13]), label="d")
+    a = data.draw(st.fractions(-9, 9, max_denominator=6), label="a")
+    b = data.draw(st.fractions(-4, 4, max_denominator=6).filter(bool), label="b")
+    return QuadExact(a, b, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ks=st.lists(st.integers(-7, 7).filter(bool), min_size=2, max_size=4))
+def test_powers_of_a_quadratic_element_are_periodic(data, ks):
+    g = _quad(data)
+    v = is_periodic([g**k for k in ks])
+    assert v.periodic and v.exact
+    # {k_i log|g|} generates gcd(k) log|g| Z
+    assert v.generator == pytest.approx(math.gcd(*ks) * abs(math.log(abs(float(g)))), rel=1e-9)
+
+
+def _relation(x, y, bound=30):
+    """Brute force: (m, k) with 0 < m <= bound, 0 < |k| <= bound and x^m = y^k,
+    or None.  A relation with m < 0 flips sign, and m = 0 forces y^k = 1."""
+    powers = {y**k: k for k in range(-bound, bound + 1) if k}
+    return next(((m, powers[x**m]) for m in range(1, bound + 1) if x**m in powers), None)
+
+
+_UNITS = {2: (1, 1), 3: (2, 1), 5: (F(1, 2), F(1, 2)), 6: (5, 2), 7: (8, 3), 13: (F(3, 2), F(1, 2))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), a=st.integers(-5, 5).filter(bool), b=st.integers(-5, 5).filter(bool),
+       p=st.sampled_from([11, 17, 19, 23]), kind=st.sampled_from(["powers", "prime", "unit"]))
+def test_quadratic_pairs_agree_with_brute_force(data, a, b, p, kind):
+    g = _quad(data)
+    x, y = abs(g**a), abs(g**b)
+    n = g.a * g.a - g.d * g.b * g.b
+    if kind == "prime":
+        # p divides neither the numerator nor the denominator of N(g), so p
+        # appears in N(y) squared and not in N(x): x^m = y^k forces k = 0
+        assume(n.numerator % p and n.denominator % p)
+        y = y * p
+    elif kind == "unit":
+        # g^(am - bk) = e^k for a unit e of infinite order: the norms force
+        # am = bk when |N(g)| != 1, then e^k = 1 forces k = 0
+        assume(abs(n) != 1)
+        y = y * QuadExact(*_UNITS[g.d], g.d)
+    assume(x != y and x != 1 and y != 1)
+    found = _relation(x, y)
+    assert (found is None) == (kind != "powers")
+    v = is_periodic([x, y])
+    assert v.exact and v.periodic == (found is not None)
+
+
 def _spread_ifs(ratios):
     """Maps with the given ratios whose fixed points are 0, 1/(n-1), ..., 1."""
     n = len(ratios)
@@ -113,9 +187,11 @@ def test_powers_of_one_base_are_decided_exactly(base, exps, prime, data):
     assert not rep.in_form and rep.note == "no common integer base"
 
 
-def test_float_input_flagged_heuristic():
-    v = is_periodic([0.5, 0.25])
-    assert not v.exact
+@pytest.mark.parametrize("ratios", [[0.5, 0.25], [0.5, 1 / 3], [F(1, 2), 0.25]])
+def test_float_input_is_refused(ratios):
+    # no finite float test tells a rational log-ratio from an irrational one
+    with pytest.raises(PreconditionError, match="not floats"):
+        is_periodic(ratios)
 
 
 @pytest.mark.parametrize(
@@ -255,9 +331,21 @@ def test_lattice_witness_names_maps():
     assert v.witness == (2, 4, 3)
 
 
-def test_smooth_lattice_is_heuristic():
-    v = lattice_check_fixed_point_set(smooth_example())
-    assert not v.exact
+@pytest.mark.parametrize("make", [smooth_example, moebius_example])
+def test_smooth_lattice_is_refused(make):
+    with pytest.raises(PreconditionError, match="affine"):
+        lattice_check_fixed_point_set(make())
+
+
+def test_quadratic_lattice_is_decided_exactly():
+    r = golden_ratio_conjugate()
+    v = lattice_check_fixed_point_set(_spread_ifs([r, r**2, r**3]))
+    assert v.contained and not v.trivially and v.exact
+    # sorted moduli r/2 < r^2 < r: log(r^2 / (r/2)) / log(r / (r/2)) =
+    # log(2r) / log 2 is irrational
+    v = lattice_check_fixed_point_set(_spread_ifs([r, r**2, r / 2]))
+    assert not v.contained and v.exact
+    assert v.witness == (3, 2, 1)
 
 
 # -- Diophantine scan ----------------------------------------------------------

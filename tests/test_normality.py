@@ -340,3 +340,33 @@ def test_martingale_ratio_bracket_property(n, word, base):
     pieces = martingale_pieces(cantor(), HALF, word, base, n, h=0.0, chi=chi)
     for pc in pieces:
         assert c0 - 1e-12 <= float(pc.ratio) <= 1 + 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    counts=st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 60)),
+    h=st.floats(0.5, 3.0),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    base=st.sampled_from([2, 3, 5]),
+)
+def test_martingale_ratio_bracket_with_weights_and_h(counts, h, n, seed, base):
+    # unequal ratios and weights, and a word typical of the measure: the
+    # bracket holds at the measure's own chi
+    w = tuple(F(c, sum(counts)) for c in counts)
+    word = np.random.default_rng(seed).choice([1, 2, 3], size=60, p=[float(x) for x in w]).tolist()
+    chi = lyapunov(aperiodic_125(), w).value
+    c0 = piece_c0(aperiodic_125(), base, chi, h=h)
+    for pc in martingale_pieces(aperiodic_125(), w, word, base, n, h=h):
+        assert c0 <= float(pc.ratio) <= 1
+
+
+def test_martingale_ratio_bracket_needs_the_measures_chi():
+    # weights (1/10, 1/10, 4/5) have chi 1.467 against 1.134 for uniform
+    # weights, so a bracket at the uniform chi is too high for this word
+    w = (F(1, 10), F(1, 10), F(4, 5))
+    word = [3] * 5 + [2] + [3] * 54
+    ratios = [float(pc.ratio) for pc in martingale_pieces(aperiodic_125(), w, word, 2, 8, h=2.0)]
+    uniform = lyapunov(aperiodic_125(), (F(1, 3),) * 3).value
+    assert min(ratios) < piece_c0(aperiodic_125(), 2, uniform, h=2.0)
+    assert min(ratios) >= piece_c0(aperiodic_125(), 2, lyapunov(aperiodic_125(), w).value, h=2.0)

@@ -2,6 +2,7 @@
 
 import contextlib
 import filecmp
+import functools
 import io
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalab import fourier
 from fractalab.cli import main
 from fractalab.specfile import (
     SpecFileError,
@@ -59,13 +61,21 @@ def test_serialize_roundtrip(tmp_path):
     assert tuple(spec2.weights) == tuple(spec.weights)
 
 
-def test_parse_errors_carry_line_numbers(tmp_path):
+def test_parse_errors_carry_line_numbers(tmp_path, capsys):
     bad = GOOD_IFS.replace("map 1/2 0", "map 3/2 0")  # not a contraction
     with pytest.raises(SpecFileError) as exc:
         parse_ifs_file(write(tmp_path / "bad.ifs", bad))
     assert exc.value.line_no is not None
     with pytest.raises(SpecFileError):
         parse_ifs_file(write(tmp_path / "empty.ifs", "kind affine\n"))
+    # a builtin is named by the reference builtin:<name>, not from inside a file
+    path = write(tmp_path / "builtin.ifs", "weights 1/3 2/3\nbuiltin cantor\nmap 1/2 0\n")
+    with pytest.raises(SpecFileError, match="unknown directive 'builtin'") as exc:
+        parse_ifs_file(path)
+    assert exc.value.line_no == 2
+    assert main(["classify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_builtin_systems_available():
@@ -157,9 +167,16 @@ def test_cli_run_unknown_kind_exits_2(tmp_path, capsys):
         # float() reads nan: a nan tol never stops the word tree, a nan tau never verifies
         (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:100:4-log", "tol nan"], "bad tol"),
         (["experiment moser", "tau nan"], "bad tau"),
+        # ratio powers fix both the frequencies and the method
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-ratio-powers 3", "q-grid 1:100:5-log"],
+         "q-grid and q-ratio-powers"),
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-ratio-powers 3", "method bogus"], "bogus"),
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-ratio-powers 3", "method monte_carlo"],
+         "monte_carlo"),
     ],
     ids=["bad-value", "precondition", "smooth-ratio-powers", "unknown-key", "suite-paths",
-         "empty-assertion", "q-over-zero", "paths-float", "q-grid-infinite", "tol-nan", "tau-nan"],
+         "empty-assertion", "q-over-zero", "paths-float", "q-grid-infinite", "tol-nan", "tau-nan",
+         "ratio-powers-with-q-grid", "ratio-powers-unknown-method", "ratio-powers-monte-carlo"],
 )
 def test_cli_run_rejected_value_exits_2(tmp_path, capsys, lines, needle):
     cfg = write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
@@ -167,6 +184,19 @@ def test_cli_run_rejected_value_exits_2(tmp_path, capsys, lines, needle):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and needle in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_word_tree_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # a tol the node budget cannot reach; the budget is cut so the tree
+    # gives up at once instead of after 2e6 nodes
+    monkeypatch.setattr(fourier, "fourier_word_tree", functools.partial(fourier.fourier_word_tree, max_nodes=200))
+    lines = ["experiment fourier-decay", "ifs builtin:aperiodic-125", "q-grid 10:100:2-log", "tol 1e-300"]
+    cfg = write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "word tree exceeded 200 nodes" in err
     assert not (tmp_path / "o").exists()
 
 
