@@ -447,6 +447,8 @@ def induce_aperiodic(phi, p):
     (p_1 p_1, ..., p_1 p_n, p_2, ..., p_n), reindexed so an aperiodicity
     witness pair sits at positions (1, 2).  Psi has the same self-similar
     measure and its log-ratio set avoids every translated lattice."""
+    if not phi.is_affine:
+        raise PreconditionError("inducing on an aperiodic pair needs an affine IFS")
     verdict = is_periodic([m.ratio for m in phi.maps])
     if verdict.periodic:
         raise PreconditionError("the IFS is periodic; no aperiodic witness to induce on")
@@ -457,7 +459,7 @@ def induce_aperiodic(phi, p):
     f1 = maps[0]
     psi_maps = [f1.compose(m) for m in maps] + maps[1:]
     q = WeightVector([weights[0] * w for w in weights] + weights[1:])
-    psi = Ifs(psi_maps, phi.interval, x0=phi.x0, name=f"{phi.name}-induced")
+    psi = Ifs(psi_maps, phi.interval, name=f"{phi.name}-induced")
     return InducedSystem(psi=psi, q=q, permutation=order)
 
 
@@ -484,7 +486,7 @@ def phi_m(phi, m):
                 stack.append((r, w))
     words.sort()
     maps = [compose_word(phi, w) for w in words]
-    out = Ifs(maps, phi.interval, x0=phi.x0, name=f"{phi.name}-phi{m}")
+    out = Ifs(maps, phi.interval, name=f"{phi.name}-phi{m}")
     out.words = words
     return out
 

@@ -51,7 +51,7 @@ def cmd_run(args):
 
 def cmd_classify(args):
     try:
-        report = cls.classify_ifs(resolve_system(args.ifs_file).ifs)
+        report = cls.classify_ifs(resolve_system(args.ifs_file)[0])
     except (SpecFileError, PreconditionError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -414,7 +414,7 @@ def clt_experiment(ifs, p, n, paths, rng_seed=0):
         s_chunks = []
         done = 0
         while done < paths:
-            m = min(_CHUNK // max(n // 256, 1), paths - done)
+            m = min(max(_CHUNK // max(n // 256, 1), 1), paths - done)
             _, inc = _walk_matrix(ifs, p, m, n, rng)
             s_chunks.append(inc.sum(axis=1))
             done += m

@@ -273,7 +273,7 @@ class Ifs:
     translation_triples and centre_triple; these five are None with a smooth map.
     """
 
-    def __init__(self, maps, interval, x0=None, name=None):
+    def __init__(self, maps, interval, name=None):
         if len(maps) < 2:
             raise ValueError("an IFS needs at least two maps")
         self.maps = list(maps)
@@ -281,7 +281,7 @@ class Ifs:
         self.interval = (_exact(lo), _exact(hi))
         if not self.interval[0] < self.interval[1]:
             raise ValueError("degenerate ambient interval")
-        self.x0 = self.interval_mid() if x0 is None else x0
+        self.x0 = self.interval_mid()
         self.name = name or "ifs"
         self._validate()
         self.steps = np.array([-math.log(m.deriv_range()[1]) for m in self.maps])
@@ -703,19 +703,9 @@ def pow2_pair():
 
 def bernoulli_convolution(r):
     """{r x - 1, r x + 1} on [-1/(1-r), 1/(1-r)]."""
-    one = Fraction(1)
-    if isinstance(r, QuadExact):
-        m = (one - r).inverse()
-        lo, hi = -m, m
-    else:
-        r = Fraction(r)
-        m = one / (one - r)
-        lo, hi = -m, m
-    return Ifs(
-        [AffineMap(r, -1), AffineMap(r, 1)],
-        (lo, hi),
-        name=f"bernoulli-{r}",
-    )
+    r = _exact(r)
+    m = 1 / (1 - r)
+    return Ifs([AffineMap(r, -1), AffineMap(r, 1)], (-m, m), name=f"bernoulli-{r}")
 
 
 def golden_bernoulli():
@@ -748,24 +738,38 @@ def moebius_example():
     )
 
 
-# name -> (constructor, default weights), so that one system can be built alone
-AFFINE_CATALOG = {
+# name -> (constructor, default weights): every builtin system, each built
+# only when asked for
+BUILTINS = {
     "cantor": (cantor, WeightVector.uniform(2)),
     "aperiodic-125": (aperiodic_125, WeightVector([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])),
     "dyadic-pair": (dyadic_pair, WeightVector.uniform(2)),
     "pow2-pair": (pow2_pair, WeightVector([Fraction(1, 3), Fraction(2, 3)])),
     "bernoulli-1/3": (lambda: bernoulli_convolution(Fraction(1, 3)), WeightVector.uniform(2)),
-}
-SMOOTH_CATALOG = {
     "smooth-example": (smooth_example, WeightVector.uniform(2)),
     "moebius-example": (moebius_example, WeightVector.uniform(2)),
+    "bernoulli-golden": (golden_bernoulli, WeightVector.uniform(2)),
 }
+
+
+def builtin(name):
+    """(ifs, weights) of the builtin system `name`."""
+    if name not in BUILTINS:
+        raise KeyError(f"unknown builtin system {name!r}; known: {', '.join(sorted(BUILTINS))}")
+    make, weights = BUILTINS[name]
+    return make(), weights
+
+
+def _registered(keep):
+    systems = {name: builtin(name) for name in BUILTINS}
+    return {name: (ifs, w) for name, (ifs, w) in systems.items() if keep(ifs)}
 
 
 def registered_affine():
-    """Named affine IFSs with default weights, used by the packaged suites."""
-    return {name: (make(), w) for name, (make, w) in AFFINE_CATALOG.items()}
+    """The builtins with rational affine maps, with their default weights."""
+    return _registered(lambda ifs: ifs.field == 0)
 
 
 def registered_smooth():
-    return {name: (make(), w) for name, (make, w) in SMOOTH_CATALOG.items()}
+    """The builtins with a smooth map, with their default weights."""
+    return _registered(lambda ifs: not ifs.is_affine)

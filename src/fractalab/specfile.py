@@ -9,9 +9,9 @@ IFS file — one directive per line, '#' comments:
     map 1/3 2/3
     weights 1/2 1/2
 
-Ratios and translations are exact rationals written p/q.  A packaged
-system is named by the reference `builtin:<name>` (see `resolve_system`)
-wherever a file path is accepted.
+Ratios and translations are exact rationals written p/q.  A builtin
+system (ifs_core.BUILTINS) is named by the reference `builtin:<name>` (see
+`resolve_system`) wherever a file path is accepted.
 
 Config file — flat `key value` pairs plus a single `include <path>`
 directive (included values are read first and may be overridden).
@@ -19,11 +19,10 @@ directive (included values are read first and may be overridden).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .ifs_core import AFFINE_CATALOG, SMOOTH_CATALOG, AffineMap, Ifs, WeightVector, golden_bernoulli
+from .ifs_core import AffineMap, Ifs, WeightVector, builtin
 
 
 class SpecFileError(ValueError):
@@ -33,12 +32,6 @@ class SpecFileError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
-class IfsSpec:
-    ifs: Ifs
-    weights: WeightVector | None
-
-
 def _lines(path):
     for i, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -46,21 +39,11 @@ def _lines(path):
             yield i, line
 
 
-_BUILTINS = {**AFFINE_CATALOG, **SMOOTH_CATALOG,
-             "bernoulli-golden": (golden_bernoulli, WeightVector.uniform(2))}
-
-
-def builtin_system(name):
-    if name not in _BUILTINS:
-        raise KeyError(f"unknown builtin system {name!r}; known: {', '.join(sorted(_BUILTINS))}")
-    make, weights = _BUILTINS[name]
-    return IfsSpec(ifs=make(), weights=weights)
-
-
 def resolve_system(ref):
-    """IfsSpec named by `builtin:<name>` or by the path of an IFS file."""
+    """(ifs, weights) named by `builtin:<name>` (see ifs_core.BUILTINS) or by
+    the path of an IFS file; weights is None when the file gives none."""
     if ref.startswith("builtin:"):
-        return builtin_system(ref.split(":", 1)[1])
+        return builtin(ref.split(":", 1)[1])
     return parse_ifs_file(ref)
 
 
@@ -103,7 +86,7 @@ def parse_ifs_file(path):
         ifs = Ifs(maps, interval, name=name or Path(path).stem)
     except ValueError as exc:
         raise SpecFileError(path, 0, str(exc)) from exc
-    return IfsSpec(ifs=ifs, weights=weights)
+    return ifs, weights
 
 
 def serialize_ifs(ifs, weights=None):

@@ -21,8 +21,8 @@ from . import classify as cls
 from . import cocycle_walk as cw
 from . import fourier as fr
 from . import normality as nm
-from .ifs_core import PreconditionError, WeightVector, aperiodic_125, cantor, compose_word, registered_affine
-from .specfile import builtin_system, resolve_system
+from .ifs_core import PreconditionError, WeightVector, aperiodic_125, builtin, cantor, compose_word, registered_affine
+from .specfile import resolve_system
 
 
 @dataclass
@@ -57,12 +57,6 @@ class SuiteResult:
 
 
 # -- measurements and pass rules shared by suites and runners -----------------
-
-
-def _builtin(name):
-    """A builtin system with its catalog weights."""
-    spec = builtin_system(name)
-    return spec.ifs, spec.weights
 
 
 def _decreasing(seq):
@@ -196,7 +190,7 @@ def suite_pisot_nondecay():
         "golden Bernoulli convolution: |F_q| stays above a positive floor at q = r^{-n}",
     )
     n_max = 25
-    ifs, w = _builtin("bernoulli-golden")
+    ifs, w = builtin("bernoulli-golden")
     r = ifs.maps[0].ratio
     rows = []
     mags = []
@@ -259,7 +253,7 @@ def suite_llt_trend():
     rows = []
     medians = {}
     for name in ("aperiodic-125", "cantor"):
-        reps = _llt_reports(*_builtin(name), ks, paths, 7)
+        reps = _llt_reports(*builtin(name), ks, paths, 7)
         medians[name] = [rep.weighted_median_ks for rep in reps]
         rows += [
             (name, k, f"{rep.weighted_median_ks:.5f}", f"{rep.excluded_mass:.4f}", len(rep.cells))
@@ -291,7 +285,7 @@ def suite_stopping_bracket():
     rows = []
     total_v = total_n = 0
     for name in ("cantor", "aperiodic-125"):
-        v, n = cw.bracket_check(*_builtin(name), 500_000, rng_seed=3)
+        v, n = cw.bracket_check(*builtin(name), 500_000, rng_seed=3)
         rows.append((name, n, v))
         total_v += v
         total_n += n
@@ -311,7 +305,7 @@ def suite_gamma_law():
     )
     rng_seed, cells = 5, 100
     rng = np.random.default_rng(rng_seed)
-    systems = [_builtin(name) for name in ("cantor", "aperiodic-125", "smooth-example")]
+    systems = [builtin(name) for name in ("cantor", "aperiodic-125", "smooth-example")]
     chis = []
     for ifs, w in systems:
         if ifs.is_affine:
@@ -352,7 +346,7 @@ def suite_digit_normality():
         "base-2 digit blocks of Cantor samples look uniform; base-3 never shows digit 1",
     )
     rng_seed, seeds, n_digits = 100, 100, 4096
-    ifs, w = _builtin("cantor")
+    ifs, w = builtin("cantor")
     pass2 = 0
     ones3 = 0
     rows = []
@@ -382,7 +376,7 @@ def suite_digit_certification():
         "doubling the requested precision never changes certified digits",
     )
     n_digits = 40
-    systems = [_builtin(name) for name in ("cantor", "aperiodic-125", "dyadic-pair")]
+    systems = [builtin(name) for name in ("cantor", "aperiodic-125", "dyadic-pair")]
     bad = 0
     total = 0
     for ifs, w in systems:
@@ -413,7 +407,7 @@ def suite_classification():
     v1 = cls.is_periodic([m.ratio for m in cantor().maps])
     res.check("Cantor IFS is periodic with exact certificate", v1.periodic and v1.exact,
               f"generator {v1.generator:.6f}")
-    ap, w = _builtin("aperiodic-125")
+    ap, w = builtin("aperiodic-125")
     v2 = cls.is_periodic([m.ratio for m in ap.maps])
     res.check("{1/2,1/3,1/5} is aperiodic with exact certificate",
               (not v2.periodic) and v2.exact and v2.witness is not None,
@@ -484,7 +478,7 @@ def suite_scaled_energy():
     )
     rows = []
     for name in ("cantor", "bernoulli-1/3"):
-        grid = _energy_grid(*_builtin(name), (1e2, 1e3, 1e5), (2, 4, 6), (1e-1, 1e-3, 3e-5), 21)
+        grid = _energy_grid(*builtin(name), (1e2, 1e3, 1e5), (2, 4, 6), (1e-1, 1e-3, 3e-5), 21)
         rows += [(name, *row) for row in grid]
     bad = sum(not row[-1] for row in rows)
     res.tables["energy"] = (("ifs", "q", "k", "r", "lhs", "rhs", "ok"), rows)
@@ -594,6 +588,8 @@ def _run_suite(p):
 def _run_fourier_decay(p):
     ifs, w, tol = p["ifs"], p["weights"], p["tol"]
     res = SuiteResult("fourier-decay", f"decay profile of {ifs.name}")
+    if p["samples"] is not None and p["method"] != "monte_carlo":
+        raise ConfigError(f"samples applies to method monte_carlo only, not {p['method']!r}")
     if (n_max := p["q-ratio-powers"]) is not None:
         # q = r^-n alternates in sign for a negative ratio, so this is no
         # increasing grid for decay_profile
@@ -610,7 +606,8 @@ def _run_fourier_decay(p):
     elif p["q-grid"] is None:
         raise ConfigError("missing config field: q-grid")
     else:
-        samples = fr.decay_profile(ifs, w, p["q-grid"], tol, p["method"], p["samples"], p["seed"]).samples
+        n_mc = 100_000 if p["samples"] is None else p["samples"]
+        samples = fr.decay_profile(ifs, w, p["q-grid"], tol, p["method"], n_mc, p["seed"]).samples
     rows = [
         (f"{s.q:.10g}", f"{s.value.real:.10f}", f"{s.value.imag:.10f}",
          f"{abs(s.value):.10f}", f"{s.error_bound:.3g}", s.method)
@@ -746,7 +743,7 @@ RUNNERS = {
     "suite": (_run_suite, {"suite": (str, REQUIRED)}),
     "fourier-decay": (_run_fourier_decay, {
         **_SYSTEM, "seed": (int, 0), "tol": (_float, 1e-4), "q-grid": (_parse_q_grid, None),
-        "q-ratio-powers": (int, None), "method": (str, "word_tree"), "samples": (int, 100_000),
+        "q-ratio-powers": (int, None), "method": (str, "word_tree"), "samples": (int, None),
         "assert-min-abs": (_float, None), "assert-decades-decreasing": _FLAG}),
     "normality": (_run_normality, {
         **_SYSTEM, "seed": (int, 0), "base": (int, 2), "n-digits": (int, 4096), "seeds": (int, 20),
@@ -798,11 +795,11 @@ def run_config(cfg):
             raise ConfigError(f"empty value for config field: {key}")
         p[key] = parse_value(key, parse, cfg[key]) if key in cfg else default
     if "ifs" in p:
-        spec = resolve_system(p["ifs"])
-        weights = spec.weights if p["weights"] in (None, FROM_IFS) else p["weights"]
+        ifs, own = resolve_system(p["ifs"])
+        weights = own if p["weights"] in (None, FROM_IFS) else p["weights"]
         if weights is None and p["weights"] is FROM_IFS:
             raise ConfigError("missing config field: weights (not provided by the ifs file either)")
-        if weights is not None and len(weights) != spec.ifs.n:
+        if weights is not None and len(weights) != ifs.n:
             raise ConfigError("weights length does not match the ifs")
-        p["ifs"], p["weights"] = spec.ifs, weights
+        p["ifs"], p["weights"] = ifs, weights
     return run(p), p

@@ -424,6 +424,12 @@ def test_induce_reindexes_witness_pair():
     assert is_periodic([abs(maps[perm[0] - 1].ratio), abs(maps[perm[1] - 1].ratio)]).periodic is False
 
 
+@pytest.mark.parametrize("make", [smooth_example, moebius_example])
+def test_induce_aperiodic_smooth_system_is_refused(make):
+    with pytest.raises(PreconditionError, match="affine"):
+        induce_aperiodic(make(), (F(1, 2), F(1, 2)))
+
+
 # -- stopped-word systems ------------------------------------------------------
 
 

@@ -265,6 +265,16 @@ def test_clt_smooth_is_the_kstest_statistic():
     assert rep.ks == sps.kstest(z, "norm", args=(0.0, math.sqrt(z.var()))).statistic
 
 
+def test_clt_smooth_long_walk_takes_at_least_one_path_per_chunk(monkeypatch):
+    # _CHUNK // (n // 256) is 0 here, as it is at the real _CHUNK for n > 25,600,255;
+    # chi is stubbed, since its 1e6-step walk in chunks of 100 takes about 10 s
+    monkeypatch.setattr(cocycle_walk, "_CHUNK", 100)
+    chi = cocycle_walk.LyapunovEstimate(1.0, 0.0, "monte_carlo")
+    monkeypatch.setattr(cocycle_walk, "lyapunov", lambda *args, **kwargs: chi)
+    rep = clt_experiment(smooth_example(), HALF, n=30_000, paths=3, rng_seed=2)
+    assert rep.paths == 3 and not rep.zero_variance
+
+
 def test_clt_homogeneous_zero_variance():
     rep = clt_experiment(cantor(), HALF, n=200, paths=5_000, rng_seed=0)
     assert rep.zero_variance

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fractalab.cocycle_walk import lyapunov
 from fractalab.fourier import del_criterion_diagnostic, fourier_mc, sample_points
 from fractalab.ifs_core import (
+    BUILTINS,
     AffineMap,
     Ifs,
     PreconditionError,
@@ -21,6 +22,7 @@ from fractalab.ifs_core import (
     aperiodic_125,
     attractor_interval,
     bernoulli_convolution,
+    builtin,
     cantor,
     coding_point,
     compose_word,
@@ -142,6 +144,24 @@ def test_registered_catalogs():
         assert sum(w) == 1
     for ifs, _w in registered_smooth().values():
         assert not ifs.is_affine
+
+
+def test_builtin_table_names_order_and_weights():
+    assert list(BUILTINS) == ["cantor", "aperiodic-125", "dyadic-pair", "pow2-pair", "bernoulli-1/3",
+                              "smooth-example", "moebius-example", "bernoulli-golden"]
+    affine, smooth = registered_affine(), registered_smooth()
+    assert list(affine) == ["cantor", "aperiodic-125", "dyadic-pair", "pow2-pair", "bernoulli-1/3"]
+    assert list(smooth) == ["smooth-example", "moebius-example"]
+    views = {**affine, **smooth}
+    skewed = {"aperiodic-125": (F(1, 2), F(1, 4), F(1, 4)), "pow2-pair": (F(1, 3), F(2, 3))}
+    for name in BUILTINS:
+        ifs, w = builtin(name)
+        assert ifs.name == name
+        assert tuple(w) == skewed.get(name, (F(1, 2), F(1, 2)))
+        if name in views:
+            view, view_w = views[name]
+            assert view.interval == ifs.interval and view_w == w
+            assert [(m.num, m.den) for m in view.maps] == [(m.num, m.den) for m in ifs.maps]
 
 
 def test_bernoulli_convolution_interval():

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from fractalab import fourier
 from fractalab.cli import main
+from fractalab.ifs_core import BUILTINS, builtin
 from fractalab.specfile import (
     SpecFileError,
-    builtin_system,
     parse_config,
     parse_ifs_file,
     serialize_ifs,
@@ -44,21 +44,21 @@ weights 1/2 1/2
 
 
 def test_parse_ifs_file(tmp_path):
-    spec = parse_ifs_file(write(tmp_path / "a.ifs", GOOD_IFS))
-    assert spec.ifs.name == "pair"
-    assert spec.ifs.n == 2
-    assert spec.ifs.maps[0].ratio == F(1, 2)
-    assert spec.ifs.maps[1].translation == F(4, 5)
-    assert tuple(spec.weights) == (F(1, 2), F(1, 2))
+    ifs, weights = parse_ifs_file(write(tmp_path / "a.ifs", GOOD_IFS))
+    assert ifs.name == "pair"
+    assert ifs.n == 2
+    assert ifs.maps[0].ratio == F(1, 2)
+    assert ifs.maps[1].translation == F(4, 5)
+    assert tuple(weights) == (F(1, 2), F(1, 2))
 
 
 def test_serialize_roundtrip(tmp_path):
-    spec = parse_ifs_file(write(tmp_path / "a.ifs", GOOD_IFS))
-    text = serialize_ifs(spec.ifs, spec.weights)
-    spec2 = parse_ifs_file(write(tmp_path / "b.ifs", text))
-    assert [m.ratio for m in spec2.ifs.maps] == [m.ratio for m in spec.ifs.maps]
-    assert [m.translation for m in spec2.ifs.maps] == [m.translation for m in spec.ifs.maps]
-    assert tuple(spec2.weights) == tuple(spec.weights)
+    ifs, weights = parse_ifs_file(write(tmp_path / "a.ifs", GOOD_IFS))
+    text = serialize_ifs(ifs, weights)
+    ifs2, weights2 = parse_ifs_file(write(tmp_path / "b.ifs", text))
+    assert [m.ratio for m in ifs2.maps] == [m.ratio for m in ifs.maps]
+    assert [m.translation for m in ifs2.maps] == [m.translation for m in ifs.maps]
+    assert tuple(weights2) == tuple(weights)
 
 
 def test_parse_errors_carry_line_numbers(tmp_path, capsys):
@@ -79,12 +79,14 @@ def test_parse_errors_carry_line_numbers(tmp_path, capsys):
 
 
 def test_builtin_systems_available():
-    for name in ("cantor", "aperiodic-125", "dyadic-pair", "bernoulli-golden"):
-        spec = builtin_system(name)
-        assert spec.ifs.n >= 2
-        assert sum(spec.weights) == 1
-    with pytest.raises(KeyError):
-        builtin_system("no-such-system")
+    assert len(BUILTINS) == 8
+    for name in BUILTINS:
+        ifs, weights = builtin(name)
+        assert ifs.n >= 2
+        assert len(weights) == ifs.n and sum(weights) == 1
+    with pytest.raises(KeyError, match="known: aperiodic-125, bernoulli-1/3, bernoulli-golden, cantor, "
+                                       "dyadic-pair, moebius-example, pow2-pair, smooth-example"):
+        builtin("no-such-system")
 
 
 def test_parse_config_flat_and_include(tmp_path):
@@ -173,10 +175,14 @@ def test_cli_run_unknown_kind_exits_2(tmp_path, capsys):
         (["experiment fourier-decay", "ifs builtin:cantor", "q-ratio-powers 3", "method bogus"], "bogus"),
         (["experiment fourier-decay", "ifs builtin:cantor", "q-ratio-powers 3", "method monte_carlo"],
          "monte_carlo"),
+        # a Monte Carlo sample count, given to the word tree
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:10:3-log", "samples 5"], "samples"),
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-ratio-powers 3", "samples 5"], "samples"),
     ],
     ids=["bad-value", "precondition", "smooth-ratio-powers", "unknown-key", "suite-paths",
          "empty-assertion", "q-over-zero", "paths-float", "q-grid-infinite", "tol-nan", "tau-nan",
-         "ratio-powers-with-q-grid", "ratio-powers-unknown-method", "ratio-powers-monte-carlo"],
+         "ratio-powers-with-q-grid", "ratio-powers-unknown-method", "ratio-powers-monte-carlo",
+         "word-tree-samples", "ratio-powers-samples"],
 )
 def test_cli_run_rejected_value_exits_2(tmp_path, capsys, lines, needle):
     cfg = write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
@@ -394,6 +400,47 @@ def test_cli_ratio_powers_of_a_negative_ratio_alternate_in_sign(tmp_path, capsys
     assert [float(row.split(",")[0]) for row in rows] == [(-2.0) ** n for n in range(1, 7)]
     decades = [line for line in capsys.readouterr().out.splitlines() if "per-decade" in line]
     assert len(decades) == 1 and decades[0].startswith("PASS") and decades[0].count(" > ") == 1
+
+
+@pytest.mark.parametrize(
+    "lines, rc, table, header",
+    [
+        (["experiment moser", "tau 3", "depth 3", "seed 5"], 0, "moser-scan", "x,m"),
+        (["experiment scaled-energy", "ifs builtin:cantor", "q-list 100 1000", "k-list 2", "r-list 0.01"],
+         0, "scaled-energy-energy", "q,k,r,lhs,rhs,ok"),
+        (["experiment del-criterion", "ifs builtin:cantor", "q 3", "n-max 512", "samples 50"],
+         0, "del-criterion-partial-sums", "N,e_N,partial_sum"),
+        # each assertion key at a value that holds and at one that does not
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:100:4-log", "assert-min-abs 0.005"],
+         0, "fourier-decay-profile", "q,re,im,abs,error_bound,method"),
+        (["experiment fourier-decay", "ifs builtin:cantor", "q-grid 1:100:4-log", "assert-min-abs 0.1"],
+         1, "fourier-decay-profile", "q,re,im,abs,error_bound,method"),
+        (["experiment llt", "ifs builtin:cantor", "k-list 20", "paths 5000", "assert-median-floor 0.2"],
+         0, "llt-cells", "k,prefix,suffix,count,ks"),
+        (["experiment llt", "ifs builtin:aperiodic-125", "k-list 20", "paths 5000", "assert-median-floor 0.2"],
+         1, "llt-cells", "k,prefix,suffix,count,ks"),
+        (["experiment clt", "ifs builtin:cantor", "n 200", "paths 2000", "assert-zero-variance true"],
+         0, "clt-clt", "n,paths,ks,fitted_var,zero_variance"),
+        (["experiment clt", "ifs builtin:aperiodic-125", "n 200", "paths 2000", "assert-zero-variance true"],
+         1, "clt-clt", "n,paths,ks,fitted_var,zero_variance"),
+        (["experiment normality", "ifs builtin:cantor", "base 2", "n-digits 256", "seeds 3", "block-len 2",
+          "assert-pass-fraction 0.6"], 0, "normality-digit-frequency", "seed,min_p_value,pass"),
+        (["experiment normality", "ifs builtin:cantor", "base 3", "n-digits 256", "seeds 3", "block-len 2",
+          "assert-pass-fraction 0.6"], 1, "normality-digit-frequency", "seed,min_p_value,pass"),
+        (["experiment classify", "ifs builtin:cantor", "expect-in-integer-form true"], 0, "classify-report", "field"),
+        (["experiment classify", "ifs builtin:aperiodic-125", "expect-in-integer-form true"],
+         1, "classify-report", "field"),
+    ],
+    ids=["moser", "scaled-energy", "del-criterion", "min-abs-holds", "min-abs-fails", "median-floor-holds",
+         "median-floor-fails", "zero-variance-holds", "zero-variance-fails", "pass-fraction-holds",
+         "pass-fraction-fails", "integer-form-holds", "integer-form-fails"],
+)
+def test_cli_run_kinds_and_assertions(tmp_path, capsys, lines, rc, table, header):
+    cfg = write(tmp_path / "c.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
+    assert main(["run", cfg]) == rc
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == ("result: PASS" if rc == 0 else "result: FAIL")
+    assert (tmp_path / "o" / f"{table}.csv").read_text().splitlines()[0] == header
 
 
 @pytest.mark.parametrize("value", ["yes", "1", "TRUE"])
