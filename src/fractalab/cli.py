@@ -36,14 +36,19 @@ def _write_tables(result, out_dir):
     summary.write_text("\n".join(result.summary_lines()) + "\n")
 
 
+def _error(exc):
+    # str() of a KeyError is the repr of its message; print the message itself
+    print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_run(args):
     try:
         result, resolved = run_config(parse_config(args.config))
     except (ValueError, KeyError, OSError, BudgetError) as exc:
         # config errors, unreadable files and values the experiment rejects
         # (PreconditionError, or a tol the word tree's node budget cannot reach)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     _write_tables(result, Path(resolved["out"]))
     print("\n".join(result.summary_lines()))
     return 0 if result.passed else 1
@@ -53,8 +58,7 @@ def cmd_classify(args):
     try:
         report = cls.classify_ifs(resolve_system(args.ifs_file)[0])
     except (SpecFileError, PreconditionError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     print(report.to_text(), end="")
     status = 0
     try:
@@ -71,8 +75,7 @@ def cmd_classify(args):
                 print(f"expectation failed: {key} is {str(got).lower()}, wanted {value}", file=sys.stderr)
                 status = 1
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     return status
 
 

@@ -6,10 +6,10 @@ and stopping times tau_k = min{n : S_n >= k*chi} where chi is the Lyapunov
 exponent.  For affine systems the increments depend only on the symbols and
 everything is simulated exactly up to float rounding; smooth systems get a
 backward-evaluation scheme whose coding-point error is below 1e-15 * width(I).
-A one-path smooth walk (lyapunov's Monte Carlo mode, simulate_walk) is folded
-into blocks run as the rows of one matrix, with every seam between blocks
-made exact, so it gives the bits of the step-by-step loop in a small fraction
-of its Python iterations (see _walk_matrix).
+A one-path smooth walk (lyapunov's Monte Carlo mode) is folded into blocks
+run as the rows of one matrix, with every seam between blocks made exact, so
+it gives the bits of the step-by-step loop in a small fraction of its Python
+iterations (see _walk_matrix).
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from .ifs_core import PreconditionError, _column_maps, _draw_symbols, _pull_back
 
 _CHUNK = 100_000  # paths simulated per chunk to bound peak memory
 _BLOCK = 64  # columns per block of a folded one-path smooth walk
-
-
-class TraceTooShortError(ValueError):
-    pass
 
 
 def _smooth_tail_length(ifs):
@@ -58,11 +54,11 @@ def _walk_matrix(ifs, p, n_paths, length, rng):
     X_{j+1} = -log|f'_{omega_{j+1}}(x_{sigma^{j+1} omega})|.
 
     A smooth system draws T = _smooth_tail_length more symbols per row and
-    pulls x0 back through them to the row's coding point.  One row is folded
-    into blocks of _BLOCK columns, the first left-padded so that the last
-    ends at `length`; each block takes the next T drawn symbols as its tail
-    (the last block the drawn tail, so it is exact) and all blocks run as the
-    rows of one matrix.  A block whose entry point (after its tail) is not,
+    pulls the midpoint of I back through them to the row's coding point.  One
+    row is folded into blocks of _BLOCK columns, the first left-padded so that
+    the last ends at `length`; each block takes the next T drawn symbols as
+    its tail (the last block the drawn tail, so it is exact) and all blocks
+    run as the rows of one matrix.  A block whose entry point (after its tail) is not,
     bit for bit, its right neighbour's left-end point is run again from that
     point, until every seam agrees; each pass makes the rightmost wrong seam
     right for good, so this ends in fewer passes than blocks.  With every
@@ -77,7 +73,7 @@ def _walk_matrix(ifs, p, n_paths, length, rng):
     tail = _smooth_tail_length(ifs)
     sym = _draw_symbols(ifs, p, rng, (n_paths, length + tail))
     if n_paths > 1:
-        x = _pull_back(ifs, sym[:, length:], np.full(n_paths, float(ifs.x0)))
+        x = _pull_back(ifs, sym[:, length:], np.full(n_paths, float(ifs.interval_mid())))
         return sym[:, :length], _increments(ifs, sym[:, :length], x)[0]
 
     block = min(_BLOCK, length)
@@ -85,32 +81,12 @@ def _walk_matrix(ifs, p, n_paths, length, rng):
     pad = n_blocks * block - length
     row = np.concatenate([np.zeros(pad, dtype=sym.dtype), sym[0]])
     blocks = row[np.arange(n_blocks)[:, None] * block + np.arange(block + tail)]
-    entry = _pull_back(ifs, blocks[:, block:], np.full(n_blocks, float(ifs.x0)))
+    entry = _pull_back(ifs, blocks[:, block:], np.full(n_blocks, float(ifs.interval_mid())))
     incs, left = _increments(ifs, blocks[:, :block], entry)
     while (bad := np.flatnonzero(entry[:-1].view(np.int64) != left[1:].view(np.int64))).size:
         entry[bad] = left[bad + 1]
         incs[bad], left[bad] = _increments(ifs, blocks[bad, :block], entry[bad])
     return sym[:, :length], incs.reshape(1, -1)[:, pad:]
-
-
-@dataclass
-class WalkTrace:
-    symbols: np.ndarray  # 1-based symbols, shape (n,)
-    X: np.ndarray
-    S: np.ndarray
-    X_tilde: np.ndarray  # -log sup|f'_{omega_i}|, the sup-derivative walk's steps
-
-    def __len__(self):
-        return len(self.symbols)
-
-
-@dataclass
-class StopRecord:
-    k: float
-    tau: int
-    S_tau: float
-    tau_tilde: int
-    S_tilde_tau: float
 
 
 @dataclass
@@ -146,38 +122,6 @@ def lyapunov(ifs, p, mode="exact", n=100_000, rng_seed=0):
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return LyapunovEstimate(mean, math.sqrt(var / n), "monte_carlo")
-
-
-def simulate_walk(ifs, p, omega_length, rng_seed=0):
-    if omega_length < 1:
-        raise ValueError("omega_length must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    sym, inc = _walk_matrix(ifs, p, 1, omega_length, rng)
-    X = inc[0]
-    return WalkTrace(symbols=sym[0] + 1, X=X, S=np.cumsum(X), X_tilde=ifs.steps[sym[0]])
-
-
-def stop(trace, k, chi):
-    """StopRecord with tau_k minimal s.t. S_{tau_k} >= k*chi.
-
-    tau-tilde is the same stopping time for the sup-derivative walk
-    S~_n = sum_i -log sup|f'_{omega_i}|.  Since |f'_eta(x)| <= prod_i
-    sup|f'_{eta_i}|, S~_n <= S_n and so tau-tilde >= tau; for affine maps
-    the two walks coincide.
-    """
-    target = k * chi
-    S = trace.S
-    if S[-1] < target:
-        raise TraceTooShortError(f"S_n max {S[-1]:.4g} < k*chi = {target:.4g}")
-    j = int(np.searchsorted(S, target, side="left"))
-    # searchsorted('left') returns the first index with S >= target
-    tau = j + 1
-    s_tau = float(S[j])
-    st = np.cumsum(trace.X_tilde)
-    if st[-1] < target:
-        raise TraceTooShortError("tilde walk did not reach k*chi")
-    jt = int(np.searchsorted(st, target, side="left"))
-    return StopRecord(k=k, tau=tau, S_tau=s_tau, tau_tilde=jt + 1, S_tilde_tau=float(st[jt]))
 
 
 @dataclass
@@ -244,7 +188,7 @@ def gamma_law(ifs, p, eta_prime, k, chi, rng_seed=0):
     n_atoms = 256
     tail = _draw_symbols(ifs, p, rng, (n_atoms, _smooth_tail_length(ifs)))
     body = np.tile(np.array(eta_prime[1:], dtype=int) - 1, (n_atoms, 1))
-    x = _pull_back(ifs, np.hstack([body, tail]), np.full(n_atoms, float(ifs.x0)))
+    x = _pull_back(ifs, np.hstack([body, tail]), np.full(n_atoms, float(ifs.interval_mid())))
     fm = ifs.maps[first - 1]
     if fm.kind == "affine":
         xs = np.full(n_atoms, ifs.steps[first - 1])

@@ -147,7 +147,7 @@ def sample_points(ifs, p, n_points, rng, eps):
     """n_points approximate nu-samples, each within eps of a true x_omega."""
     length = max(1, int(math.ceil(math.log(max(ifs.width_float / eps, 2.0)) / ifs.big_d)))
     sym = _draw_symbols(ifs, p, rng, (n_points, length))
-    return _pull_back(ifs, sym, np.full(n_points, float(ifs.x0)))
+    return _pull_back(ifs, sym, np.full(n_points, float(ifs.interval_mid())))
 
 
 def fourier_mc(ifs, p, q, samples, rng_seed=0):
@@ -304,7 +304,7 @@ def del_criterion_diagnostic(ifs, p, base, q, n_max, samples=200, rng_seed=0):
     """L^2 averages e_N = E_nu |1/N sum_{n<=N} e(q base^n x)|^2 and the
     partial sums sum e_N / N, with exact big-integer orbit arithmetic.
 
-    Points are depth-L cylinder representatives f_eta(x0) with L chosen so
+    Points are depth-L cylinder representatives f_eta(mid I) with L chosen so
     every orbit value base^n x mod 1 (n <= N_max) is exact for the
     representative; bounded partial sums support nu-a.e. base-normality.
     """
@@ -324,7 +324,7 @@ def del_criterion_diagnostic(ifs, p, base, q, n_max, samples=200, rng_seed=0):
     w_acc = np.zeros((samples, n_max), dtype=complex)
     for s_idx in range(samples):
         word = _draw_symbols(ifs, p, rng, length)
-        val = qi * compose_word(ifs, (word + 1).tolist())(Fraction(ifs.x0))
+        val = qi * compose_word(ifs, (word + 1).tolist())(Fraction(ifs.interval_mid()))
         num, den = val.numerator, val.denominator
         angles = np.empty(n_max)
         for n in range(n_max):

@@ -222,30 +222,6 @@ def moebius_map(a, b, c, d, interval):
     )
 
 
-class ComposedMap:
-    """f_{eta_1} o ... o f_{eta_m} over mixed affine/smooth factors."""
-
-    kind = "composed"
-
-    def __init__(self, factors):
-        self.factors = list(factors)
-
-    def __call__(self, x):
-        for m in reversed(self.factors):
-            x = m(x)
-        return x
-
-    def deriv(self, x):
-        # chain rule: evaluate inner-to-outer, tracking the argument
-        vals = [x]
-        for m in reversed(self.factors):
-            vals.append(m(vals[-1]))
-        d = 1.0
-        for m, v in zip(reversed(self.factors), vals[:-1]):
-            d *= float(m.deriv(v))
-        return d
-
-
 class WeightVector(tuple):
     """Strictly positive exact probability vector over the maps."""
 
@@ -281,7 +257,6 @@ class Ifs:
         self.interval = (_exact(lo), _exact(hi))
         if not self.interval[0] < self.interval[1]:
             raise ValueError("degenerate ambient interval")
-        self.x0 = self.interval_mid()
         self.name = name or "ifs"
         self._validate()
         self.steps = np.array([-math.log(m.deriv_range()[1]) for m in self.maps])
@@ -424,15 +399,15 @@ def _compose_affine(ifs, eta):
 
 
 def compose_word(ifs, eta):
-    """f_eta = f_{eta_1} o ... o f_{eta_m}; exact affine when possible."""
+    """f_eta = f_{eta_1} o ... o f_{eta_m}, exact; affine systems only."""
+    if not ifs.is_affine:
+        raise PreconditionError("composing a word needs an affine IFS")
     eta = validate_word(ifs, eta)
     if not eta:
         return IDENTITY
     if len(eta) == 1:
         return ifs.maps[eta[0] - 1]
-    if all(ifs.maps[s - 1].kind == "affine" for s in set(eta)):
-        return _compose_affine(ifs, eta)
-    return ComposedMap([ifs.maps[s - 1] for s in eta])
+    return _compose_affine(ifs, eta)
 
 
 def _appended_symbols(ifs, eta, shrink, target_width, strict):

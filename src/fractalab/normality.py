@@ -1,6 +1,5 @@
-"""Digit statistics of sampled points: certified digit extraction, base-p
-orbit Weyl sums, star discrepancy and the stopped-word piece decomposition
-used to transfer Fourier decay to orbit equidistribution.
+"""Digit statistics of sampled points: certified digit extraction,
+chi-square block-frequency tests and base-p orbit Weyl sums.
 
 A digit is certified by one cell per enclosure end: every x in [lo, hi] has
 the same first n base-b digits of frac(x) (and integer part) exactly when
@@ -16,8 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cocycle_walk import lyapunov
-from .ifs_core import PreconditionError, _draw_symbols, compose_word
+from .ifs_core import PreconditionError, _draw_symbols
+
+# compose_word stays bound here: perfbench's tracer test wraps and restores it by name
+from .ifs_core import compose_word  # noqa: F401
 
 GUARD_DIGITS = 8
 
@@ -53,14 +54,6 @@ class DigitStream:
         if n > self.certified_upto:
             raise PreconditionError(f"only {self.certified_upto} digits are certified")
         return self.digits[:n]
-
-
-def digit_stream_of_rational(x, base, n_digits):
-    """Exact digit stream of a rational number (digits of frac(x))."""
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    digits = _digits(_cell(x, base, n_digits), base, n_digits)
-    return DigitStream(base=base, digits=digits, certified_upto=n_digits)
 
 
 def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=64):
@@ -225,80 +218,3 @@ def weyl_sums(source, base, q_set, n):
         weyl=weyl,
         orbit_period=period,
     )
-
-
-def star_discrepancy(points):
-    """Exact star discrepancy D*_N of points in [0, 1) (sorted-points formula)."""
-    pts = sorted(float(x) for x in points)
-    n = len(pts)
-    if n == 0:
-        raise ValueError("empty point set")
-    if any(not 0 <= x < 1 for x in pts):
-        raise ValueError("points must lie in [0, 1)")
-    best = 0.0
-    for i, x in enumerate(pts, start=1):
-        best = max(best, i / n - x, x - (i - 1) / n)
-    return best
-
-
-@dataclass
-class PieceDescriptor:
-    n: int
-    word: tuple
-    ratio: Fraction  # p^n * r_eta, exact
-    offset: Fraction  # frac of p^n * t_eta, exact
-    beta: int
-
-
-def martingale_pieces(ifs, p_weights, omega_prefix, base, n_count, h=0.0, chi=None):
-    """Stopped-word pieces T_{base}^n o f_{omega|beta_{n,h}} for n < n_count.
-
-    beta_{n,h} = tau~_{n log(base)/chi} + tau~_h applied to the shifted tail;
-    each piece is affine x -> (base^n r_eta) x + base^n t_eta with the exact
-    contracted ratio base^n * r_eta in [C0, 1], C0 = r_min^2 e^{-h chi}.
-    The convention tau~_0 = 0 makes the h = 0 pieces the plain stopping
-    moment where the word's derivative first drops to base^{-n}.
-    """
-    if not ifs.is_affine or ifs.field:
-        raise PreconditionError("martingale pieces require rational affine maps")
-    if chi is None:
-        chi = lyapunov(ifs, p_weights, "exact").value
-    word = list(omega_prefix)
-    absr = [abs(m.ratio) for m in ifs.maps]
-    # exact running products |r_{eta|m}|; prods[m] is the product over eta|m
-    prods = [Fraction(1)]
-    for s in word:
-        prods.append(prods[-1] * absr[s - 1])
-    pieces = []
-    for n in range(n_count):
-        thr1 = Fraction(base) ** -n
-        b1 = 0
-        while prods[b1] > thr1:  # first m with |r_{eta|m}| <= base^{-n}
-            b1 += 1
-            if b1 >= len(prods):
-                raise PreconditionError("omega prefix exhausted before beta_{n,h}")
-        if h > 0:
-            # extend by the first m with the extra contraction <= e^{-h chi}
-            extra = math.exp(-h * chi)
-            b2 = b1 + 1
-            while b2 < len(prods) and float(prods[b2] / prods[b1]) > extra:
-                b2 += 1
-            if b2 >= len(prods) and float(prods[-1] / prods[b1]) > extra:
-                raise PreconditionError("omega prefix exhausted before beta_{n,h}")
-            beta = b2
-        else:
-            beta = b1
-        eta = tuple(word[:beta])
-        g = compose_word(ifs, eta)
-        ratio = Fraction(base) ** n * g.ratio
-        shifted = Fraction(base) ** n * g.translation
-        offset = shifted - math.floor(shifted)
-        pieces.append(PieceDescriptor(n=n, word=eta, ratio=ratio, offset=offset, beta=beta))
-    return pieces
-
-
-def piece_c0(ifs, base, chi, h=0.0):
-    """Lower bracket C0 = r_min^2 e^{-h chi} for the piece ratios |base^n r_eta|
-    of `martingale_pieces` at the same h and chi."""
-    rmin = min(float(abs(m.ratio)) for m in ifs.maps)
-    return rmin * rmin * math.exp(-h * chi)

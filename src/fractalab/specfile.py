@@ -89,17 +89,6 @@ def parse_ifs_file(path):
     return ifs, weights
 
 
-def serialize_ifs(ifs, weights=None):
-    if not ifs.is_affine:
-        raise ValueError("only affine systems serialize to spec files")
-    lines = [f"name {ifs.name}", "kind affine", f"interval {ifs.interval[0]} {ifs.interval[1]}"]
-    for m in ifs.maps:
-        lines.append(f"map {m.ratio} {m.translation}")
-    if weights is not None:
-        lines.append("weights " + " ".join(str(w) for w in weights))
-    return "\n".join(lines) + "\n"
-
-
 def parse_config(path, _depth=0):
     if _depth > 8:
         raise SpecFileError(path, 0, "include chain too deep")

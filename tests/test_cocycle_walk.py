@@ -9,21 +9,18 @@ import pytest
 
 from fractalab import cocycle_walk
 from fractalab.cocycle_walk import (
-    TraceTooShortError,
     bracket_check,
     clt_experiment,
     conditional_llt_experiment,
     gamma_law,
     lyapunov,
-    simulate_walk,
-    stop,
 )
 from fractalab.ifs_core import (
     PreconditionError,
     aperiodic_125,
     cantor,
     _draw_symbols,
-    compose_word,
+    coding_point,
     moebius_example,
     registered_affine,
     smooth_example,
@@ -64,34 +61,34 @@ def test_lyapunov_monte_carlo_rejects_n_below_1(n):
 
 
 def test_walk_steps_are_log_ratios():
-    trace = simulate_walk(cantor(), HALF, 50, rng_seed=0)
-    assert trace.X.shape == (50,)
-    assert np.allclose(trace.X, math.log(3))
-    assert np.allclose(trace.S, np.cumsum(trace.X))
-    assert set(np.unique(trace.symbols)) <= {1, 2}
+    sym, inc = cocycle_walk._walk_matrix(cantor(), HALF, 1, 50, np.random.default_rng(0))
+    assert inc.shape == (1, 50)
+    assert np.allclose(inc, math.log(3))
+    assert set(np.unique(sym)) <= {0, 1}
 
 
 def test_walk_smooth_matches_composite_derivative():
     # S_n = -log |(f_{w1} o ... o f_{wn})'(x_{sigma^n omega})| by the chain rule
     ifs = smooth_example()
-    trace = simulate_walk(ifs, HALF, 30, rng_seed=5)
+    sym, inc = cocycle_walk._walk_matrix(ifs, HALF, 1, 30, np.random.default_rng(5))
     n = 12
-    word = [int(s) for s in trace.symbols[:n]]
-    g = compose_word(ifs, word)
-    # evaluate the composite derivative at the coded tail point
-    from fractalab.ifs_core import coding_point
-
-    tail = [int(s) for s in trace.symbols[n:]]
-    enc = coding_point(ifs, tail, F(1, 10**25))
-    x_tail = float((enc.lo + enc.hi) / 2)
-    assert trace.S[n - 1] == pytest.approx(-math.log(abs(g.deriv(x_tail))), abs=1e-7)
+    symbols = (sym[0] + 1).tolist()
+    # the composite derivative at the coded tail point, innermost map first
+    enc = coding_point(ifs, symbols[n:], F(1, 10**25))
+    x = float((enc.lo + enc.hi) / 2)
+    deriv = 1.0
+    for s in reversed(symbols[:n]):
+        m = ifs.maps[s - 1]
+        deriv *= float(m.deriv(x))
+        x = float(m(x))
+    assert np.cumsum(inc[0])[n - 1] == pytest.approx(-math.log(abs(deriv)), abs=1e-7)
 
 
 def _per_step_increments(ifs, word, length):
     """The walk's increments over word[:length], pulled back through word one
     symbol at a time with the maps' own float calls on 1-element arrays."""
     out = np.empty(length)
-    x = np.array([float(ifs.x0)])
+    x = np.array([float(ifs.interval_mid())])
     for j in range(len(word) - 1, -1, -1):
         m = ifs.maps[word[j]]
         if j < length:
@@ -122,52 +119,6 @@ def test_smooth_walk_matrix_matches_a_per_row_reference(monkeypatch, make):
         if rows > 1:
             assert len(np.unique(sym[:, 0])) == 2  # both maps occur in one column
         assert np.array_equal(incs, ref), (rows, length, tail)
-
-
-def test_stop_homogeneous_walk():
-    # X == log 3 identically, chi = log 3: tau_k = ceil(k)
-    trace = simulate_walk(cantor(), HALF, 100, rng_seed=1)
-    chi = math.log(3)
-    rec = stop(trace, 7.0, chi)
-    assert rec.tau == 7
-    rec = stop(trace, 7.5, chi)
-    assert rec.tau == 8
-    assert rec.S_tau == pytest.approx(8 * math.log(3), abs=1e-12)
-
-
-def test_stop_bracket_and_monotonicity():
-    ifs, p = aperiodic_125(), W125
-    chi = lyapunov(ifs, p).value
-    dp = float(ifs.big_d_prime)
-    trace = simulate_walk(ifs, p, 400, rng_seed=2)
-    taus = []
-    for k in (1.0, 2.5, 5.0, 10.0, 20.0):
-        rec = stop(trace, k, chi)
-        assert k * chi - 1e-9 <= rec.S_tau <= k * chi + dp + 1e-9
-        assert rec.tau_tilde == rec.tau  # affine: the sup-derivative walk is the walk
-        taus.append(rec.tau)
-    assert taus == sorted(taus)
-
-
-def test_stop_tilde_walk_of_a_smooth_trace_stops_later():
-    # |f'_eta(x)| <= prod sup|f'_{eta_i}|, so S~_n <= S_n and tau~ >= tau;
-    # the quadratic map's |f'| is below its sup off x = 1, so some tau~ > tau
-    ifs = smooth_example()
-    trace = simulate_walk(ifs, HALF, 400, rng_seed=3)
-    assert (np.cumsum(trace.X_tilde) <= trace.S).all()
-    chi = float(trace.X.mean())
-    later = 0
-    for k in np.arange(1.0, 100.0, 0.5):
-        rec = stop(trace, k, chi)
-        assert rec.tau_tilde >= rec.tau and rec.S_tilde_tau >= k * chi
-        later += rec.tau_tilde > rec.tau
-    assert later > 0
-
-
-def test_stop_requires_long_enough_trace():
-    trace = simulate_walk(cantor(), HALF, 5, rng_seed=0)
-    with pytest.raises(TraceTooShortError):
-        stop(trace, 50.0, math.log(3))
 
 
 def test_bracket_check_no_violations():

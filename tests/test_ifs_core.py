@@ -232,6 +232,14 @@ def test_compose_word_keeps_a_one_symbol_word_as_the_map():
     assert type(compose_word(ifs, [2]).translation) is F
 
 
+@pytest.mark.parametrize("word", [[2, 2], [1, 2], [1]], ids=["affine-map-twice", "mixed", "smooth-map"])
+def test_compose_word_refuses_a_smooth_system(word):
+    # map 1 of smooth_example is smooth and map 2 affine: every word is
+    # refused, including words over the affine map alone
+    with pytest.raises(PreconditionError, match="affine IFS"):
+        compose_word(smooth_example(), word)
+
+
 def test_coding_point_long_appended_word_is_fast_and_exact():
     ifs = bernoulli_convolution(F(99, 100))
     start = time.perf_counter()

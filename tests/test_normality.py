@@ -1,4 +1,4 @@
-"""Certified digits, block statistics, Weyl sums, martingale pieces."""
+"""Certified digits, block statistics, Weyl sums."""
 
 import math
 from fractions import Fraction
@@ -8,12 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalab import ifs_core
-from fractalab.cocycle_walk import lyapunov
+from fractalab import ifs_core, normality
 from fractalab.ifs_core import (
-    AffineMap,
     Enclosure,
-    Ifs,
     PreconditionError,
     aperiodic_125,
     cantor,
@@ -21,15 +18,11 @@ from fractalab.ifs_core import (
 )
 from fractalab.normality import (
     DigitExtractionError,
+    DigitStream,
     digit_frequency_test,
-    digit_stream_of_rational,
     digits_of_sample,
-    martingale_pieces,
-    piece_c0,
-    star_discrepancy,
     weyl_sums,
 )
-from fractalab.quadfield import QuadExact
 
 F = Fraction
 HALF = (F(1, 2), F(1, 2))
@@ -37,12 +30,12 @@ W125 = (F(1, 2), F(1, 4), F(1, 4))
 
 
 def test_rational_digit_streams():
-    st3 = digit_stream_of_rational(F(1, 3), 3, 10)
-    assert st3.digits == [1] + [0] * 9
-    st2 = digit_stream_of_rational(F(1, 3), 2, 12)
-    assert st2.digits == [0, 1] * 6
-    st10 = digit_stream_of_rational(F(22, 7), 10, 6)
-    assert st10.digits == [1, 4, 2, 8, 5, 7]
+    def digits(x, base, n):
+        return normality._digits(normality._cell(x, base, n), base, n)
+
+    assert digits(F(1, 3), 3, 10) == [1] + [0] * 9
+    assert digits(F(1, 3), 2, 12) == [0, 1] * 6
+    assert digits(F(22, 7), 10, 6) == [1, 4, 2, 8, 5, 7]
 
 
 def _long_division(x, base, count):
@@ -65,7 +58,12 @@ def _long_division(x, base, count):
 )
 def test_rational_digits_match_long_division(num, den, base, n):
     x = F(num, den)
-    assert digit_stream_of_rational(x, base, n).digits == _long_division(x, base, n)
+    assert normality._digits(normality._cell(x, base, n), base, n) == _long_division(x, base, n)
+
+
+def _rational_stream(x, base, n):
+    """The exact stream of the first n digits of frac(x), by long division."""
+    return DigitStream(base, _long_division(x, base, n), n)
 
 
 def _certify(lo, hi, base, n):
@@ -125,7 +123,7 @@ def test_certification_matches_shared_digits(cell, base, n, lo_off, width, den):
 
 
 def test_digit_stream_head_respects_certification():
-    s = digit_stream_of_rational(F(1, 7), 10, 20)
+    s = _rational_stream(F(1, 7), 10, 20)
     assert s.head(6) == [1, 4, 2, 8, 5, 7]
     with pytest.raises(PreconditionError):
         s.head(21)
@@ -149,7 +147,7 @@ def test_certified_digits_stable_under_doubling():
 def test_digit_frequency_chi2_uniform_reference():
     # exact digits of 1/7 in base 10 repeat with period 6 and hit six digits
     # uniformly: the single-digit chi-square should not reject violently
-    s = digit_stream_of_rational(F(1, 7), 10, 6000)
+    s = _rational_stream(F(1, 7), 10, 6000)
     rep = digit_frequency_test(s, 6000, block_len=1)
     assert rep.base == 10
     assert len(rep.blocks) == 1
@@ -161,7 +159,7 @@ def test_digit_frequency_chi2_uniform_reference():
 
 
 def test_digit_frequency_rejects_skewed_stream():
-    s = digit_stream_of_rational(F(1, 3), 3, 4096)  # digits 1,0,0,... then zeros
+    s = _rational_stream(F(1, 3), 3, 4096)  # digits 1,0,0,... then zeros
     rep = digit_frequency_test(s, 4096, block_len=1)
     assert rep.min_p_value < 1e-10
 
@@ -181,7 +179,7 @@ def test_weyl_sums_rational_digits_are_the_exact_digits(x, base):
     # 2^62 - 1 over 2^63 puts every orbit value within 2^-62 of a cell end
     n = 40
     exact = weyl_sums(x, base, (1,), n)
-    ref = weyl_sums(digit_stream_of_rational(x, base, n + 13), base, (1,), n)
+    ref = weyl_sums(_rational_stream(x, base, n + 13), base, (1,), n)
     assert exact.digit_counts == ref.digit_counts
     assert exact.block_counts == ref.block_counts
 
@@ -204,7 +202,7 @@ def _orbit_angles(digits, base, n):
     [
         lambda: digits_of_sample(cantor(), HALF, 2, 300, rng_seed=5),
         lambda: digits_of_sample(smooth_example(), HALF, 3, 200, rng_seed=1),
-        lambda: digit_stream_of_rational(F(-22, 7), 10, 90),
+        lambda: _rational_stream(F(-22, 7), 10, 90),
     ],
     ids=["cantor-b2", "smooth-b3", "rational-b10"],
 )
@@ -227,15 +225,15 @@ def test_weyl_sums_of_a_stream_match_the_per_value_orbit(make_stream):
 @pytest.mark.parametrize(
     "call, needle",
     [
-        (lambda: digit_stream_of_rational(F(1, 3), 1, 10), "base"),
-        (lambda: digit_stream_of_rational(F(1, 3), 0, 10), "base"),
-        (lambda: digit_stream_of_rational(F(1, 3), -2, 10), "base"),
+        (lambda: digits_of_sample(cantor(), HALF, 1, 10), "base"),
+        (lambda: digits_of_sample(cantor(), HALF, 0, 10), "base"),
+        (lambda: digits_of_sample(cantor(), HALF, -2, 10), "base"),
         (lambda: weyl_sums(F(1, 3), 1, (1,), 10), "base"),
         (lambda: weyl_sums(F(1, 3), 2, (1,), 0), "N"),
-        (lambda: weyl_sums(digit_stream_of_rational(F(1, 3), 2, 40), 2, (1,), 0), "N"),
+        (lambda: weyl_sums(_rational_stream(F(1, 3), 2, 40), 2, (1,), 0), "N"),
         (lambda: weyl_sums(F(1, 3), 2, (1,), -3), "N"),
     ],
-    ids=["rational-base-1", "rational-base-0", "rational-base-neg", "weyl-base-1", "weyl-n-0",
+    ids=["sample-base-1", "sample-base-0", "sample-base-neg", "weyl-base-1", "weyl-n-0",
          "weyl-stream-n-0", "weyl-n-neg"],
 )
 def test_base_below_2_and_n_below_1_are_rejected(call, needle):
@@ -258,115 +256,3 @@ def test_weyl_sums_from_certified_digits():
     assert set(stats.weyl) == {1, 3}
     for w in stats.weyl.values():
         assert abs(w) <= 1 + 1e-12
-
-
-def test_star_discrepancy_hand_values():
-    assert star_discrepancy([0.5]) == 0.5
-    assert star_discrepancy([0.25, 0.75]) == 0.25
-    assert star_discrepancy([0.0]) == 1.0
-    # the perfectly spread sequence {(2i-1)/2N} achieves 1/(2N)
-    n = 10
-    pts = [(2 * i - 1) / (2 * n) for i in range(1, n + 1)]
-    assert star_discrepancy(pts) == pytest.approx(1 / (2 * n), abs=1e-12)
-
-
-def test_star_discrepancy_uniform_grid():
-    for n in (1, 7, 100):
-        pts = [i / n for i in range(n)]
-        assert star_discrepancy(pts) == pytest.approx(1 / n, abs=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=50))
-def test_star_discrepancy_in_unit_range(pts):
-    d = star_discrepancy(pts)
-    assert 1 / (2 * len(pts)) - 1e-12 <= d <= 1.0
-
-
-def test_martingale_pieces_cantor_base3_exact_ratio():
-    # base 3 against ratio-1/3 maps: p^n r_eta = (1/3)^n 3^n = 1 exactly
-    for n in (1, 3, 7):
-        pieces = martingale_pieces(cantor(), HALF, [1, 2, 2, 1, 1, 2, 1, 2, 2, 1], 3, n)
-        for pc in pieces:
-            assert pc.ratio == 1
-            assert 0 <= pc.offset < 1
-
-
-def test_martingale_pieces_base2_ratio_window():
-    chi = lyapunov(cantor(), HALF).value
-    c0 = piece_c0(cantor(), 2, h=0.0, chi=chi)
-    pieces = martingale_pieces(cantor(), HALF, [1, 2] * 20, 2, 6, h=0.0, chi=chi)
-    for pc in pieces:
-        assert c0 - 1e-12 <= float(pc.ratio) <= 1
-        # tau-tilde_0 = 0: the n = 0 piece is the empty word
-        assert pc.beta >= 1 or (pc.n == 0 and pc.beta == 0)
-
-
-def test_martingale_pieces_h_extends_words():
-    chi = lyapunov(aperiodic_125(), W125).value
-    word = [1, 2, 3, 1, 1, 2, 3, 2, 1, 3, 1, 2, 1, 1, 2]
-    base0 = martingale_pieces(aperiodic_125(), W125, word, 2, 4, h=0.0, chi=chi)
-    deep = martingale_pieces(aperiodic_125(), W125, word, 2, 4, h=2.0, chi=chi)
-    for p0, p2 in zip(base0, deep):
-        assert p2.beta >= p0.beta
-        assert float(p2.ratio) <= float(p0.ratio) + 1e-12
-
-
-def test_martingale_pieces_require_rational_affine():
-    # rational ratios are not enough: a translation in Q(sqrt 2) has no exact
-    # Fraction offset
-    sqrt2_shift = Ifs([AffineMap(F(1, 3), 0), AffineMap(F(1, 3), QuadExact(0, F(1, 10), 2))], (0, 1))
-    for ifs in (smooth_example(), sqrt2_shift):
-        with pytest.raises(PreconditionError):
-            martingale_pieces(ifs, HALF, [1, 2] * 20, 2, 4, chi=1.0)
-
-
-def test_martingale_piece_words_are_prefixes():
-    word = [2, 1, 1, 2, 2, 2, 1, 2, 1, 1]
-    pieces = martingale_pieces(cantor(), HALF, word, 2, 5)
-    for pc in pieces:
-        assert list(pc.word) == word[: len(pc.word)]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(1, 8),
-    word=st.lists(st.integers(1, 2), min_size=25, max_size=40),
-    base=st.sampled_from([2, 3, 5]),
-)
-def test_martingale_ratio_bracket_property(n, word, base):
-    chi = lyapunov(cantor(), HALF).value
-    c0 = piece_c0(cantor(), base, h=0.0, chi=chi)
-    pieces = martingale_pieces(cantor(), HALF, word, base, n, h=0.0, chi=chi)
-    for pc in pieces:
-        assert c0 - 1e-12 <= float(pc.ratio) <= 1 + 1e-15
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    counts=st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 60)),
-    h=st.floats(0.5, 3.0),
-    n=st.integers(1, 8),
-    seed=st.integers(0, 2**32 - 1),
-    base=st.sampled_from([2, 3, 5]),
-)
-def test_martingale_ratio_bracket_with_weights_and_h(counts, h, n, seed, base):
-    # unequal ratios and weights, and a word typical of the measure: the
-    # bracket holds at the measure's own chi
-    w = tuple(F(c, sum(counts)) for c in counts)
-    word = np.random.default_rng(seed).choice([1, 2, 3], size=60, p=[float(x) for x in w]).tolist()
-    chi = lyapunov(aperiodic_125(), w).value
-    c0 = piece_c0(aperiodic_125(), base, chi, h=h)
-    for pc in martingale_pieces(aperiodic_125(), w, word, base, n, h=h):
-        assert c0 <= float(pc.ratio) <= 1
-
-
-def test_martingale_ratio_bracket_needs_the_measures_chi():
-    # weights (1/10, 1/10, 4/5) have chi 1.467 against 1.134 for uniform
-    # weights, so a bracket at the uniform chi is too high for this word
-    w = (F(1, 10), F(1, 10), F(4, 5))
-    word = [3] * 5 + [2] + [3] * 54
-    ratios = [float(pc.ratio) for pc in martingale_pieces(aperiodic_125(), w, word, 2, 8, h=2.0)]
-    uniform = lyapunov(aperiodic_125(), (F(1, 3),) * 3).value
-    assert min(ratios) < piece_c0(aperiodic_125(), 2, uniform, h=2.0)
-    assert min(ratios) >= piece_c0(aperiodic_125(), 2, lyapunov(aperiodic_125(), w).value, h=2.0)

@@ -21,9 +21,8 @@ from fractalab.specfile import (
     SpecFileError,
     parse_config,
     parse_ifs_file,
-    serialize_ifs,
 )
-from fractalab.suites import REQUIRED, RUNNERS
+from fractalab.suites import BUILTIN_SUITES, REQUIRED, RUNNERS
 
 F = Fraction
 
@@ -50,15 +49,6 @@ def test_parse_ifs_file(tmp_path):
     assert ifs.maps[0].ratio == F(1, 2)
     assert ifs.maps[1].translation == F(4, 5)
     assert tuple(weights) == (F(1, 2), F(1, 2))
-
-
-def test_serialize_roundtrip(tmp_path):
-    ifs, weights = parse_ifs_file(write(tmp_path / "a.ifs", GOOD_IFS))
-    text = serialize_ifs(ifs, weights)
-    ifs2, weights2 = parse_ifs_file(write(tmp_path / "b.ifs", text))
-    assert [m.ratio for m in ifs2.maps] == [m.ratio for m in ifs.maps]
-    assert [m.translation for m in ifs2.maps] == [m.translation for m in ifs.maps]
-    assert tuple(weights2) == tuple(weights)
 
 
 def test_parse_errors_carry_line_numbers(tmp_path, capsys):
@@ -316,6 +306,28 @@ def test_cli_run_edge_parameter_exits_2(tmp_path, capsys, lines, needle):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and needle in err
     assert not (tmp_path / "o").exists()
+
+
+_KNOWN_SYSTEMS = ", ".join(sorted(BUILTINS))
+
+
+@pytest.mark.parametrize(
+    "argv, lines, message",
+    [
+        (["classify", "builtin:nope"], None, f"unknown builtin system 'nope'; known: {_KNOWN_SYSTEMS}"),
+        (["run"], ["experiment clt", "ifs builtin:nope"], f"unknown builtin system 'nope'; known: {_KNOWN_SYSTEMS}"),
+        (["run"], ["experiment suite", "suite nope"], f"unknown suite 'nope'; known: {', '.join(BUILTIN_SUITES)}"),
+    ],
+    ids=["classify-builtin", "run-builtin", "run-suite"],
+)
+def test_cli_unknown_name_prints_the_message(tmp_path, capsys, argv, lines, message):
+    # the lookups raise KeyError, whose str() would wrap the message in quotes
+    if lines is not None:
+        argv = argv + [write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert '"' not in captured.err and captured.out == ""
 
 
 def test_cli_run_missing_config_exits_2(tmp_path, capsys):
