@@ -5,10 +5,13 @@ the self-similarity identity F_u = sum_i p_i e^{2 pi i u t_i} F_{r_i u} with
 memoization on the exact ratio product, so the cost is polynomial in log q
 (the number of distinct products |r_eta| above the leaf cutoff).  Ratios,
 translations and exact frequencies, rational or in a quadratic field Q(sqrt d),
-are held as integer triples (a + b*sqrt(d))/den.  A phase is reduced mod 1 in
-integers: exactly for rationals, and in 128-bit fixed point via isqrt
-(quadfield._ratio) for b != 0, since Pisot-scale non-decay is destroyed by
-even a float-epsilon drift of q.
+are held as integer triples (a + b*sqrt(d))/den.  An exact q is multiplied
+into the translations and the centre once per call, and a node's phase is
+e(s*(q*t)) at its scale s: integer triples multiply in Z[sqrt d], which is
+commutative and associative, so s*(q*t) is the same triple of integers as
+(q*s)*t.  A phase is reduced mod 1 in integers: exactly for rationals, and in
+128-bit fixed point via isqrt (quadfield._ratio) for b != 0, since
+Pisot-scale non-decay is destroyed by even a float-epsilon drift of q.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .ifs_core import PreconditionError, _draw_symbols, _pull_back, compose_word
 from .quadfield import QuadExact, _ratio, _times, _to_float, _triple, is_exact
 
 TWO_PI = 2 * math.pi
+_I_TWO_PI = 1j * TWO_PI
 
 
 class BudgetError(RuntimeError):
@@ -42,38 +46,31 @@ class FourierSample:
     nodes: int = 0
 
 
-def _normed(a, b, den):
-    g = gcd(a, b, den)
-    return a // g, b // g, den // g
-
-
-def _unit(x, d):
-    """e(x) = exp(2*pi*i*x) for a triple x, with x mod 1 taken in integers:
-    exactly when x is rational, to 2^-128 otherwise."""
-    num, den = _ratio(x, d)
-    return cmath.exp(1j * TWO_PI * ((num % den) / den))
-
-
 def _exact_unit(x):
-    """e(x) for an exact x, reduced mod 1 as the word tree reduces its phases."""
-    return _unit(_triple(x), x.d if isinstance(x, QuadExact) else 0)
+    """e(x) = exp(2*pi*i*x) for an exact x, with x mod 1 taken in integers as
+    the word tree takes it: exactly when x is rational, to 2^-128 otherwise."""
+    num, den = _ratio(_triple(x), x.d if isinstance(x, QuadExact) else 0)
+    return cmath.exp(_I_TWO_PI * ((num % den) / den))
 
 
 def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
     """F_q(nu) of an affine IFS to within tol, by the word tree.
 
-    F_{qs} = sum_i p_i e(q s t_i) F_{q s r_i} over exact scales s, memoised on
-    s, down to leaves where 2*pi*|q s|*width <= tol and F_{qs} is replaced by
-    the phase at the interval centre.  An exact q keeps every phase exact
-    (see _unit); a float q uses float(q)*float(s).  The triples, field and
-    width are those the Ifs derived; only q's field is reconciled here.  The
-    tree is walked with an explicit stack, so its depth is unbounded; more
-    than max_nodes distinct scales raise BudgetError.
+    F_{qs} = sum_i p_i e(s (q t_i)) F_{q s r_i} over exact scales s, memoised
+    on s, down to leaves where 2*pi*|q s|*width <= tol and F_{qs} is replaced
+    by the phase e(s (q mid)) at the interval centre.  An exact q enters once
+    per call, in the triples q*t_i and q*mid; the product s*(q*t) is the very
+    integer triple (q*s)*t, multiplication in Z[sqrt d] being commutative and
+    associative, so every phase is reduced mod 1 in integers from the same
+    numbers (see _exact_unit).  A float q uses (float(q)*float(s))*float(t).
+    The triples, field and width are those the Ifs derived; only q's field is
+    reconciled here.  The tree is walked with an explicit stack, so its depth
+    is unbounded; more than max_nodes distinct scales raise BudgetError.
     """
     if not ifs.is_affine:
         raise PreconditionError("word-tree Fourier evaluation requires an affine IFS")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     weights = [float(Fraction(w)) for w in p]
     if len(weights) != ifs.n:
         raise ValueError("weight vector length does not match the IFS")
@@ -83,33 +80,24 @@ def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
         raise ValueError("mixed quadratic fields")
     ratios, width = ifs.ratio_triples, ifs.width_float
     factors = (*ifs.translation_triples, ifs.centre_triple)
-    if is_exact(q):
+    exact = is_exact(q)
+    if exact:
         q3 = _triple(q)
         q = _to_float(q3, d)
-
-        def freq(s, sf):
-            return _times(q3, s, d)
-
-        def unit(u, t):
-            return _unit(_times(u, t, d), d)
-
+        factors = [_times(q3, t, d) for t in factors]
     else:
         q = float(q)
+        if not math.isfinite(q):
+            raise ValueError(f"q must be finite, got {q}")
         factors = [_to_float(t, d) for t in factors]
-
-        def freq(s, sf):
-            return q * sf
-
-        def unit(u, t):
-            return cmath.exp(1j * TWO_PI * (u * t))
-
     if q == 0:
         return FourierSample(q=0.0, value=1 + 0j, error_bound=0.0, method="word_tree")
     q_abs = abs(q)
     *shifts, mid = factors
 
-    # A node is expanded on its first visit and summed, in map order, once
-    # all its children are memoised; its child list is dropped then.
+    # A node is expanded on its first visit, its phases e(s t) and children
+    # formed then; it is summed, in map order, once all its children are
+    # memoised, and its entry is dropped.  A leaf is its one phase e(s mid).
     root = (1, 0, 1)
     memo, expanded, stack = {}, {}, [root]
     nodes = 0
@@ -118,26 +106,46 @@ def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
         if s in memo:
             stack.pop()
         elif s in expanded:
-            u, kids = expanded.pop(s)
             val = 0j
-            for w, t, k in zip(weights, shifts, kids):
-                val += w * unit(u, t) * memo[k]
+            for w, phase, k in zip(weights, *expanded.pop(s)):
+                val += w * phase * memo[k]
             memo[s] = val
             stack.pop()
         else:
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetError(f"word tree exceeded {max_nodes} nodes at tol={tol}")
-            sf = _to_float(s, d)
-            u = freq(s, sf)
-            u_abs = q_abs * abs(sf)
-            if TWO_PI * u_abs * width <= tol:
-                memo[s] = unit(u, mid)
+            a, b, den = s
+            sf = _to_float(s, d) if b else a / den
+            leaf = TWO_PI * (q_abs * abs(sf)) * width <= tol
+            phases = []
+            for t in (mid,) if leaf else shifts:
+                if exact:
+                    c, f, g = t
+                    if b:
+                        x, y, g = a * c + d * b * f, a * f + b * c, den * g
+                    else:
+                        x, y, g = a * c, a * f, den * g
+                    if y:
+                        x, g = _ratio((x, y, g), d)
+                    turns = (x % g) / g
+                else:
+                    turns = (q * sf) * t
+                phases.append(cmath.exp(_I_TWO_PI * turns))
+            if leaf:
+                memo[s] = phases[0]
                 stack.pop()
-            else:
-                kids = [_normed(*_times(s, r, d)) for r in ratios]
-                expanded[s] = u, kids
-                stack += kids
+                continue
+            kids = []
+            for c, f, g in ratios:
+                if b:
+                    x, y, g = a * c + d * b * f, a * f + b * c, den * g
+                else:
+                    x, y, g = a * c, a * f, den * g
+                e = gcd(x, y, g)
+                kids.append((x // e, y // e, g // e))
+            expanded[s] = phases, kids
+            stack += kids
     return FourierSample(
         q=q, value=memo[root], error_bound=tol, method="word_tree", nodes=nodes
     )
@@ -278,7 +286,12 @@ def scaled_energy_check(ifs, p, qs, k, rs, chi, samples=20_000, rng_seed=0):
             )
         if not math.isfinite(lhs):
             raise RuntimeError("quadrature failed to converge")
-        lhs_err = quad_err + dp * 2 * tol  # |F|^2 tol propagation: 2|F|tol + tol^2
+        # a word-tree value errs by at most tol/2: a leaf replaces F_u by
+        # e(u mid), off by at most pi|u| width <= tol/2, and the weighted sums
+        # of unit phases above it do not grow that.  With |F| <= 1, the error
+        # in |F|^2 is at most 2|F|(tol/2) + (tol/2)^2 = tol + tol^2/4, which
+        # is within 2 tol for tol <= 4
+        lhs_err = quad_err + dp * 2 * tol
         out.append([
             ScaledEnergyResult(lhs, lhs_err, dp * (math.e**2 / (r * abs(qf)) + mass), dp * mass_stderr)
             for r, (mass, mass_stderr) in zip(rs, masses)

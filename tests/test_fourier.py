@@ -27,6 +27,7 @@ from fractalab.ifs_core import (
     PreconditionError,
     aperiodic_125,
     bernoulli_convolution,
+    builtin,
     cantor,
     dyadic_pair,
     golden_bernoulli,
@@ -137,6 +138,57 @@ def test_budget_error_reports_achievable_tol():
     # tree, so a small node budget is exhausted at high frequency
     with pytest.raises(BudgetError):
         fourier_word_tree(aperiodic_125(), W125, 1e7, 1e-12, max_nodes=200)
+
+
+@pytest.mark.parametrize(
+    "q, tol",
+    [(math.nan, 1e-6), (math.inf, 1e-6), (-math.inf, 1e-6), (10.0, math.nan)],
+    ids=["q-nan", "q-inf", "q-minus-inf", "tol-nan"],
+)
+def test_non_finite_inputs_are_refused_before_any_node(q, tol):
+    # neither a NaN tol nor a non-finite q ever meets the leaf rule, so the
+    # walk would only end at the node budget
+    with pytest.raises(ValueError, match="tol must be positive" if math.isnan(tol) else "q must be finite"):
+        fourier_word_tree(cantor(), HALF, q, tol, max_nodes=1000)
+
+
+def test_infinite_tol_makes_the_root_a_leaf():
+    s = fourier_word_tree(cantor(), HALF, 7.0, math.inf)
+    assert s.nodes == 1
+    assert s.value == cmath.exp(2j * math.pi * (7.0 * 0.5))
+
+
+def _oracle_scales(ifs, q, tol):
+    """(distinct scales, words) the word tree must visit at q: a breadth-first
+    search over exact Fraction products from 1 that expands a scale while the
+    float leaf rule 2*pi*|q s|*width <= tol fails.  Words counts the scales
+    with multiplicity, as a tree without the memo would visit them."""
+    ratios = [m.ratio for m in ifs.maps]
+    q_abs, width = abs(float(q)), ifs.width_float
+    seen, level, words = {F(1)}, [F(1)], 1
+    while level:
+        expand = [s for s in level if not 2 * math.pi * (q_abs * abs(float(s))) * width <= tol]
+        kids = [s * r for s in expand for r in ratios]
+        words += len(kids)
+        level = [k for k in dict.fromkeys(kids) if k not in seen]
+        seen.update(level)
+    return len(seen), words
+
+
+@pytest.mark.parametrize("name", ["cantor", "aperiodic-125", "dyadic-pair", "pow2-pair", "bernoulli-1/3"])
+@pytest.mark.parametrize("q", [F(12345, 7), 4321.5], ids=["exact", "float"])
+def test_node_count_matches_a_breadth_first_oracle(name, q):
+    ifs, w = builtin(name)
+    tol = 1e-6
+    s = fourier_word_tree(ifs, w, q, tol)
+    scales, words = _oracle_scales(ifs, q, tol)
+    assert s.nodes == scales
+    if name == "pow2-pair":
+        # ratios 1/4 and 1/8: words such as 12 and 21 share a product
+        assert scales < words
+    assert fourier_word_tree(ifs, w, q, tol, max_nodes=s.nodes).nodes == s.nodes
+    with pytest.raises(BudgetError):
+        fourier_word_tree(ifs, w, q, tol, max_nodes=s.nodes - 1)
 
 
 def test_deep_word_tree_returns_the_product_value():
