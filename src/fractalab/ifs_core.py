@@ -18,7 +18,14 @@ certified at any width.
 
 Systems with a smooth map are enclosed in integer fixed point: P/Q is
 evaluated by integer Horner at X/2^K and rounded outward, which is interval
-arithmetic with directed rounding (Moore, Kearfott and Cloud, 2009).
+arithmetic with directed rounding (Moore, Kearfott and Cloud, 2009).  A word
+of L symbols is applied innermost first on grids that coarsen inward:
+symbol j, counted from the outside, on K_j = K + g - (j-1) log2(1/rho) bits
+rounded up to a multiple of 64, with rho = sup|f'| and g = bit_length(L) + 1.
+The rounding of symbol j reaches the result scaled by at most rho^(j-1), so
+each end of the enclosure moves by at most (L+1) 2^(-K-g) <= 2^(-K-1), the
+rounding of I's ends included.  Every step rounds outward, so containment does not
+depend on the grids.
 
 Float pull-backs through a matrix of symbols (walks, Monte Carlo samples)
 evaluate a smooth system's maps in one column kernel, _column_maps; affine
@@ -247,6 +254,8 @@ class Ifs:
     the integer forms (ra, rb, ta, tb, c) with f_i(x) = ((ra + rb*sqrt d)*x +
     ta + tb*sqrt d)/c, and the integer triples (a, b, den) ratio_triples,
     translation_triples and centre_triple; these five are None with a smooth map.
+    For a system with a smooth map and rational data, polys holds each map's
+    integer coefficient lists and direction (see _int_poly); None otherwise.
     """
 
     def __init__(self, maps, interval, name=None):
@@ -263,7 +272,11 @@ class Ifs:
         self.steps.flags.writeable = False
         self.width_float = float(self.interval_width())
         self.field = self.forms = self.ratio_triples = self.translation_triples = self.centre_triple = None
+        self.polys = None
         if not self.is_affine:
+            data = [*self.interval] + [c for m in self.maps for c in (*m.num, *m.den)]
+            if not any(isinstance(c, QuadExact) for c in data):
+                self.polys = tuple(_int_poly(m, self.interval) for m in self.maps)
             return
         self.field = _field((*self.ratios, *self.translations, *self.interval))
         self.ratio_triples = tuple(_triple(r) for r in self.ratios)
@@ -435,51 +448,79 @@ def _appended_symbols(ifs, eta, shrink, target_width, strict):
     return k
 
 
-def _fixed_point_image(m, bits):
-    """X -> (floor, ceil) of 2^bits * P(x)/Q(x) at x = X/2^bits, for m = P/Q.
-
-    Integer Horner is exact; the only rounding is in the two final divisions,
-    and Q's power of two is shifted out first, so a polynomial map divides
-    by a small integer only.
-    """
+def _int_poly(m, interval):
+    """(ps, qs, up) for the map m = P/Q on the interval: the integer
+    coefficients of s*P and s*Q, highest power first, for the least s that
+    clears their denominators, and whether m increases there."""
     scale = lcm(*(c.denominator for c in (*m.num, *m.den)))
-    # highest power first, c_i * scale * 2^(bits*(deg - i)), so that Horner
-    # gives scale * 2^(bits*deg) * P(x)
-    ps, qs = ([int(c * scale) << bits * j for j, c in enumerate(reversed(cs))] for cs in (m.num, m.den))
-    shift = bits * (len(ps) - len(qs) - 1)  # 2^bits * P/Q = hp / (hq * 2^shift)
-
-    def image(x):
-        hp = hq = 0
-        for c in ps:
-            hp = hp * x + c
-        for c in qs:
-            hq = hq * x + c
-        if hq < 0:
-            hp, hq = -hp, -hq
-        if shift < 0:
-            return (hp << -shift) // hq, -((-hp << -shift) // hq)
-        return (hp >> shift) // hq, -((-hp >> shift) // hq)
-
-    return image
+    ps, qs = ([int(c * scale) for c in reversed(cs)] for cs in (m.num, m.den))
+    lo, hi = interval
+    return ps, qs, _exact_image(m, lo) < _exact_image(m, hi)
 
 
 def _fixed_point_maps(ifs, bits):
-    """The maps' fixed-point evaluators at 2^-bits and the ends of I
-    rounded outward to that grid."""
-    data = [*ifs.interval] + [c for m in ifs.maps for c in (*m.num, *m.den)]
-    if any(isinstance(c, QuadExact) for c in data):
+    """Each map's (ps, qs, lshift, rshift, up) on the grid 2^-bits, and the
+    ends of I rounded outward to that grid.
+
+    Coefficient i of Ifs.polys, counted from the highest power, is shifted
+    left by bits*i, so that Horner at X gives s*P(x) and s*Q(x) at x = X/2^bits
+    times 2^(bits*deg); then 2^bits * P/Q is (hp << lshift >> rshift) / hq.
+    """
+    if ifs.polys is None:
         raise PreconditionError("smooth-system enclosures need rational coefficients and "
                                 "interval ends, not quadratic-field ones")
-    lo, hi = ifs.interval
-    ends = math.floor(lo * 2**bits), math.ceil(hi * 2**bits)
-    return [_fixed_point_image(m, bits) for m in ifs.maps], ends
+    maps = []
+    for ps, qs, up in ifs.polys:
+        shift = bits * (len(ps) - len(qs) - 1)
+        maps.append(([c << bits * i for i, c in enumerate(ps)], [c << bits * i for i, c in enumerate(qs)],
+                     max(-shift, 0), max(shift, 0), up))
+    (a, b), (c, d) = (x.as_integer_ratio() for x in ifs.interval)
+    return maps, ((a << bits) // b, -((-c << bits) // d))
 
 
-def _image_hull(image, lo, hi, ends):
-    """Fixed-point hull of a map's image of [lo, hi]: the map is monotone on
-    I, so the images of the two ends span it, and it lies in I."""
-    (a, b), (c, d) = image(lo), image(hi)
-    return max(min(a, c), ends[0]), min(max(b, d), ends[1])
+def _hull_steps(maps, ends, word, lo, hi):
+    """Fixed-point hull of f_word([lo, hi]) on the grid of maps, innermost
+    symbol first.  Each map is monotone on I, so its image of [lo, hi] runs
+    from the floor of its value at one end to the ceiling of its value at the
+    other; Horner is exact, and the image lies in I."""
+    e0, e1 = ends
+    for s in reversed(word):
+        ps, qs, ls, rs, up = maps[s - 1]
+        x, y = (lo, hi) if up else (hi, lo)
+        xp = xq = yp = yq = 0
+        for c in ps:
+            xp = xp * x + c
+            yp = yp * y + c
+        for c in qs:
+            xq = xq * x + c
+            yq = yq * y + c
+        if xq < 0:
+            xp, xq = -xp, -xq
+        if yq < 0:
+            yp, yq = -yp, -yq
+        lo = max((xp << ls >> rs) // xq, e0)
+        hi = min(-((-yp << ls >> rs) // yq), e1)
+    return lo, hi
+
+
+def _smooth_cylinder(ifs, word, bits):
+    """(lo, hi, top) with f_word(I) inside [lo, hi] / 2^top: the symbols are
+    applied on the grids K_j of the module docstring for K = bits (at least
+    64 bits each), and moving outward to a finer grid is an exact left shift."""
+    lam = -math.log2(ifs.deriv_bounds()[1])
+    top = bits + len(word).bit_length() + 1
+    i, grid = len(word), 0
+    while i:
+        # the grid of word[i - 1], symbol j = i; word[start:i] is every
+        # symbol whose K_j rounds up to it
+        new = 64 * max(1, math.ceil((top - (i - 1) * lam) / 64))
+        maps, ends = _fixed_point_maps(ifs, new)
+        lo, hi = (lo << new - grid, hi << new - grid) if grid else ends
+        grid = new
+        start = min(i - 1, max(0, math.ceil((top - grid) / lam)))
+        lo, hi = _hull_steps(maps, ends, word[start:i], lo, hi)
+        i = start
+    return lo, hi, grid
 
 
 def coding_point(ifs, omega_prefix, target_width):
@@ -488,6 +529,14 @@ def coding_point(ifs, omega_prefix, target_width):
     If the prefix is too short for the requested width the last symbol is
     cycled until the contraction product suffices; the number of appended
     symbols is reported on the result as .prefix_extended.
+
+    Smooth systems start from K = bit_length(floor(1/target)) + 3 bits.
+    Symbol j of the prefix, counted from the outside, is applied on K_j =
+    K + g - (j-1) log2(1/rho) bits rounded up to a multiple of 64, with
+    rho = sup|f'| and g = bit_length(len(prefix)) + 1; the outer maps shrink
+    its rounding by rho^(j-1), so the grids add at most 2^-K to the width
+    (see the module docstring).  Should the width still miss the target, K
+    is doubled.
     """
     omega_prefix = tuple(omega_prefix)
     target_width = Fraction(target_width)
@@ -528,12 +577,9 @@ def coding_point(ifs, omega_prefix, target_width):
             alo, bhi = _bounds(a, bits)[0], _bounds(b, bits)[1]
             if (alo, bhi) == (a, b):
                 break
-        else:  # f_prefix(I), applied from the innermost symbol outward
-            images, ends = _fixed_point_maps(ifs, bits)
-            lo, hi = ends
-            for s in reversed(prefix):
-                lo, hi = _image_hull(images[s - 1], lo, hi, ends)
-            alo, bhi = Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+        else:
+            lo, hi, top = _smooth_cylinder(ifs, prefix, bits)
+            alo, bhi = Fraction(lo, 1 << top), Fraction(hi, 1 << top)
         if bhi - alo <= target_width:
             break
         bits *= 2
@@ -554,14 +600,14 @@ def attractor_interval(ifs):
     if exact:
         lo, hi = ifs.interval
     else:
-        images, ends = _fixed_point_maps(ifs, _FIX_BITS)
+        maps, ends = _fixed_point_maps(ifs, _FIX_BITS)
         lo, hi = ends
     for _ in range(64):
         if exact:
             pts = [m(x) for m in ifs.maps for x in (lo, hi)]
             nlo, nhi = min(pts), max(pts)
         else:
-            hulls = [_image_hull(image, lo, hi, ends) for image in images]
+            hulls = [_hull_steps(maps, ends, (i,), lo, hi) for i in range(1, ifs.n + 1)]
             nlo, nhi = min(h[0] for h in hulls), max(h[1] for h in hulls)
         if nlo == lo and nhi == hi:
             break

@@ -21,6 +21,7 @@ from .ifs_core import PreconditionError, _draw_symbols
 from .ifs_core import compose_word  # noqa: F401
 
 GUARD_DIGITS = 8
+_LEAF_DIGITS = 128  # at most this many digits take one divmod each
 
 
 class DigitExtractionError(RuntimeError):
@@ -36,11 +37,24 @@ def _cell(x, base, n):
 def _digits(cell, base, n):
     """The n base-`base` digits of cell mod base**n, most significant first:
     for the cell of x, the first n digits of frac(x)."""
-    rest = cell % base**n
-    digits = [0] * n
-    for i in reversed(range(n)):
-        rest, digits[i] = divmod(rest, base)
-    return digits
+    return _convert(cell % base**n, base, n)
+
+
+def _convert(rest, base, k):
+    """The k base-`base` digits of rest < base**k, most significant first.
+
+    Divide and conquer (Brent and Zimmermann, Modern Computer Arithmetic,
+    2010, 1.7): one divmod by base**(k - k//2) splits rest into two halves,
+    each converted alike.  Runs of at most _LEAF_DIGITS take one divmod per
+    digit.
+    """
+    if k <= _LEAF_DIGITS:
+        digits = [0] * k
+        for i in reversed(range(k)):
+            rest, digits[i] = divmod(rest, base)
+        return digits
+    high, rest = divmod(rest, base ** (k - k // 2))
+    return _convert(high, base, k // 2) + _convert(rest, base, k - k // 2)
 
 
 @dataclass
@@ -66,8 +80,10 @@ def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=
     """
     from .ifs_core import coding_point
 
-    if base < 2:
-        raise ValueError("base must be >= 2")
+    if not isinstance(base, int) or isinstance(base, bool) or base < 2:
+        raise ValueError(f"base must be an int >= 2, got {base!r}")
+    if not isinstance(n_digits, int) or isinstance(n_digits, bool) or n_digits < 0:
+        raise ValueError(f"n_digits must be an int >= 0, got {n_digits!r}")
     rng = np.random.default_rng(rng_seed)
     need = Fraction(base) ** -(n_digits + GUARD_DIGITS)
     log_need = -(n_digits + GUARD_DIGITS) * math.log(base)
@@ -124,7 +140,7 @@ def digit_frequency_test(stream, n, block_len):
     reports = []
     for ell in range(1, block_len + 1):
         m = n // ell
-        counts = Counter(tuple(digits[i * ell : (i + 1) * ell]) for i in range(m))
+        counts = Counter(zip(*[iter(digits[: m * ell])] * ell))  # the m disjoint blocks, in order
         cells = base**ell
         expected = m / cells
         stat = sum((c - expected) ** 2 for c in counts.values()) / expected
@@ -196,7 +212,7 @@ def weyl_sums(source, base, q_set, n):
             digit, num = divmod(num * base, den)
             dig.append(digit)
     block_counts = {
-        ell: Counter(tuple(dig[i : i + ell]) for i in range(len(dig) - ell + 1))
+        ell: Counter(zip(*(dig[j:] for j in range(ell))))  # every window of ell digits, in order
         for ell in range(1, 4)
     }
 

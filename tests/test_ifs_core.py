@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalab import ifs_core
 from fractalab.cocycle_walk import lyapunov
 from fractalab.fourier import del_criterion_diagnostic, fourier_mc, sample_points
 from fractalab.ifs_core import (
@@ -380,19 +381,65 @@ def test_smooth_coding_point_contains_the_high_precision_cylinder(name, data, ex
         assert _mpf(enc.lo) <= lo + slack and hi - slack <= _mpf(enc.hi)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_smooth_digits_of_sample_match_the_high_precision_point(seed):
-    n = 512
-    stream = digits_of_sample(smooth_example(), WeightVector.uniform(2), 2, n, rng_seed=seed)
+def _assert_digits_match_the_high_precision_point(name, n, seed):
+    stream = digits_of_sample(_SMOOTH_SYSTEMS[name](), WeightVector.uniform(2), 2, n, rng_seed=seed)
     # the same draws as the sampler: one uniform per symbol, symbol 1 below 1/2
     u = np.random.default_rng(seed).random(stream.prefix_len)
     word = [1 if x < 0.5 else 2 for x in u]
-    with mpmath.workdps(400):
-        x = mpmath.mpf(word[-1] - 1)  # fix(x/3 + x^2/20) = 0, fix((x+2)/3) = 1
+    # n bits are about 0.3 n decimal digits; 250 more cover the reference's
+    # own rounding (at n = 4096 the prefixes have 2,590 to 3,402 symbols)
+    with mpmath.workdps(n * 3 // 10 + 250):
+        x = mpmath.mpf(0)  # every point of I maps into the certified cell
         for s in reversed(word):
-            x = _SMOOTH_REFERENCE_MAPS["smooth-example"][s - 1](x)
+            x = _SMOOTH_REFERENCE_MAPS[name][s - 1](x)
         scaled = int(mpmath.floor(x * 2**n))
     assert stream.digits == [int(b) for b in format(scaled, f"0{n}b")]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_smooth_digits_of_sample_match_the_high_precision_point(seed):
+    _assert_digits_match_the_high_precision_point("smooth-example", 512, seed)
+
+
+@pytest.mark.parametrize("name, seed", [(name, seed) for name in _SMOOTH_SYSTEMS for seed in (0, 1)])
+def test_4096_smooth_digits_match_the_high_precision_point(name, seed):
+    _assert_digits_match_the_high_precision_point(name, 4096, seed)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(sorted(_SMOOTH_SYSTEMS)), st.integers(0, 2**32), st.integers(1000, 4000),
+       st.integers(1000, 4100))
+def test_long_smooth_coding_point_contains_the_high_precision_cylinder(name, seed, length, exp2):
+    ifs = _SMOOTH_SYSTEMS[name]()
+    word = [int(s) for s in np.random.default_rng(seed).integers(1, ifs.n + 1, length)]
+    target = F(1, 2**exp2)
+    enc = coding_point(ifs, word, target)
+    assert enc.width <= target
+    with mpmath.workdps(1450):  # 2^-4100 is about 1e-1234
+        lo, hi = _reference_cylinder(name, ifs, word + word[-1:] * enc.prefix_extended)
+        slack = mpmath.mpf(10) ** -1440
+        assert _mpf(enc.lo) <= lo + slack and hi - slack <= _mpf(enc.hi)
+
+
+@pytest.mark.parametrize("name", sorted(_SMOOTH_SYSTEMS))
+def test_long_smooth_enclosures_take_one_precision_pass(name, monkeypatch):
+    # the per-depth grids keep the rounding below the width slack, so no
+    # request falls back to doubling the precision
+    counts = {"calls": 0, "passes": 0}
+    point, cylinder = ifs_core.coding_point, ifs_core._smooth_cylinder
+
+    def counted(key, f):
+        def wrapped(*args):
+            counts[key] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(ifs_core, "coding_point", counted("calls", point))
+    monkeypatch.setattr(ifs_core, "_smooth_cylinder", counted("passes", cylinder))
+    for n in (2048, 4096):
+        for seed in (0, 1):
+            digits_of_sample(_SMOOTH_SYSTEMS[name](), WeightVector.uniform(2), 2, n, rng_seed=seed)
+    assert counts["calls"] >= 4 and counts["passes"] == counts["calls"]
 
 
 def test_smooth_attractor_hulls_contain_their_fixed_points():

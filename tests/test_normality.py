@@ -52,9 +52,12 @@ def _long_division(x, base, count):
 @settings(max_examples=200, deadline=None)
 @given(
     num=st.integers(-(10**12), 10**12),
-    den=st.one_of(st.integers(1, 60), st.integers(1, 10**15), st.sampled_from([1, 2**40, 3**20, 10**9])),
+    den=st.one_of(st.integers(1, 60), st.integers(1, 10**15), st.sampled_from([1, 2**40, 3**20, 10**9]),
+                  st.integers(1, 10**1500)),
     base=st.sampled_from([2, 3, 7, 10]),
-    n=st.integers(0, 120),
+    # above 128 digits _digits splits the cell; up to 5,000 digits it splits
+    # up to six levels deep
+    n=st.one_of(st.integers(0, 120), st.integers(121, 5000)),
 )
 def test_rational_digits_match_long_division(num, den, base, n):
     x = F(num, den)
@@ -239,6 +242,16 @@ def test_weyl_sums_of_a_stream_match_the_per_value_orbit(make_stream):
 def test_base_below_2_and_n_below_1_are_rejected(call, needle):
     with pytest.raises(ValueError, match=needle):
         call()
+
+
+@pytest.mark.parametrize(
+    "base, n_digits, needle",
+    [(2.0, 10, "base"), (True, 10, "base"), (2, -5, "n_digits"), (2, 10.0, "n_digits"), (2, None, "n_digits")],
+    ids=["base-float", "base-bool", "n-negative", "n-float", "n-none"],
+)
+def test_digits_of_sample_names_a_bad_base_or_digit_count(base, n_digits, needle):
+    with pytest.raises(ValueError, match=needle):
+        digits_of_sample(cantor(), HALF, base, n_digits)
 
 
 def test_weyl_sums_modulus_bounds():
