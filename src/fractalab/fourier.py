@@ -1,26 +1,37 @@
 """Fourier transforms of self-similar and self-conformal measures.
 
 F_q(nu) = integral of exp(2*pi*i*q*x) dnu(x).  The word-tree evaluator uses
-the self-similarity identity F_u = sum_i p_i e^{2 pi i u t_i} F_{r_i u} with
-memoization on the exact ratio product, so the cost is polynomial in log q
+the self-similarity identity F_u = sum_i p_i e^{2 pi i u t_i} F_{r_i u},
+once per distinct exact ratio product, so the cost is polynomial in log q
 (the number of distinct products |r_eta| above the leaf cutoff).  Ratios,
 translations and exact frequencies, rational or in a quadratic field Q(sqrt d),
-are held as integer triples (a + b*sqrt(d))/den.  An exact q is multiplied
-into the translations and the centre once per call, and a node's phase is
-e(s*(q*t)) at its scale s: integer triples multiply in Z[sqrt d], which is
-commutative and associative, so s*(q*t) is the same triple of integers as
-(q*s)*t.  A phase is reduced mod 1 in integers: exactly for rationals, and in
-128-bit fixed point via isqrt (quadfield._ratio) for b != 0, since
-Pisot-scale non-decay is destroyed by even a float-epsilon drift of q.
+are held as integer triples (a + b*sqrt(d))/den.
+
+The work splits in two.  The q-independent half is a scale graph: the
+products s with their floats and children s*r_i, grown lazily in order of
+decreasing |s| and shared by every q at one (system, weights, tol).  The
+per-q half finds the scales internal at q, a prefix of that order since the
+leaf rule is monotone in |s|, and sums them bottom up (_word_tree).  An exact
+q is multiplied into the translations and the centre once per call, and a
+node's phase is e(s*(q*t)) at its scale s: integer triples multiply in
+Z[sqrt d], which is commutative and associative, so s*(q*t) is the same
+triple of integers as (q*s)*t.  A phase is reduced mod 1 in integers:
+exactly for rationals, and in 128-bit fixed point via isqrt
+(quadfield._ratio) for b != 0, since Pisot-scale non-decay is destroyed by
+even a float-epsilon drift of q.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import islice
 from math import gcd
 
 import numpy as np
@@ -30,6 +41,11 @@ from .quadfield import QuadExact, _ratio, _times, _to_float, _triple, is_exact
 
 TWO_PI = 2 * math.pi
 _I_TWO_PI = 1j * TWO_PI
+# The word tree orders scales by their floats.  Each float is within one ulp
+# of its scale, so when every |r| <= 1 - 2^-48 a child's float is strictly
+# below its parent's, as long as the parent's is a normal float.
+_MAX_RATIO = 1 - 2.0**-48
+_NORMAL = sys.float_info.min
 
 
 class BudgetError(RuntimeError):
@@ -46,26 +62,47 @@ class FourierSample:
     nodes: int = 0
 
 
+def _turns(s, t, d):
+    """s*t mod 1 for integer triples s, t of Q(sqrt d), reduced in integers:
+    exactly when the product is rational, to 2^-128 otherwise."""
+    a, b, den = s
+    c, f, g = t
+    if b:
+        x, y, g = a * c + d * b * f, a * f + b * c, den * g
+    else:
+        x, y, g = a * c, a * f, den * g
+    if y:
+        x, g = _ratio((x, y, g), d)
+    return (x % g) / g
+
+
 def _exact_unit(x):
     """e(x) = exp(2*pi*i*x) for an exact x, with x mod 1 taken in integers as
     the word tree takes it: exactly when x is rational, to 2^-128 otherwise."""
-    num, den = _ratio(_triple(x), x.d if isinstance(x, QuadExact) else 0)
-    return cmath.exp(_I_TWO_PI * ((num % den) / den))
+    return cmath.exp(_I_TWO_PI * _turns((1, 0, 1), _triple(x), x.d if isinstance(x, QuadExact) else 0))
 
 
-def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
-    """F_q(nu) of an affine IFS to within tol, by the word tree.
+def _word_tree(ifs, p, tol, max_nodes=2_000_000):
+    """fourier_word_tree over one (ifs, p, tol), as a function value(q).
 
-    F_{qs} = sum_i p_i e(s (q t_i)) F_{q s r_i} over exact scales s, memoised
-    on s, down to leaves where 2*pi*|q s|*width <= tol and F_{qs} is replaced
-    by the phase e(s (q mid)) at the interval centre.  An exact q enters once
-    per call, in the triples q*t_i and q*mid; the product s*(q*t) is the very
-    integer triple (q*s)*t, multiplication in Z[sqrt d] being commutative and
-    associative, so every phase is reduced mod 1 in integers from the same
-    numbers (see _exact_unit).  A float q uses (float(q)*float(s))*float(t).
-    The triples, field and width are those the Ifs derived; only q's field is
-    reconciled here.  The tree is walked with an explicit stack, so its depth
-    is unbounded; more than max_nodes distinct scales raise BudgetError.
+    The q-independent half is built once and shared by every call: the
+    checks, float weights, translations and centre, and a scale graph that
+    grows lazily.  Node i of the graph is an exact scale (A[i] + B[i]*sqrt d)
+    / D[i] with its float sf[i].  Nodes are expanded from a heap in order of
+    decreasing |sf|: `order` lists the expanded ones in that order, and kids
+    holds the children s*r_j of each, last map first.  A child's |sf| is
+    strictly below its parent's (see _MAX_RATIO), so a child is never a node
+    already expanded, and only the frontier (the heap) needs a map from
+    triples to ids.
+
+    The leaf rule 2*pi*(|q|*|sf|)*width <= tol is monotone in |sf|, so the
+    scales internal at q are a prefix of `order`.  value(q) expands the
+    heap's top while it is internal at q, finds the prefix by bisection, and
+    sums it bottom up, each node as val += w * phase * child in map order
+    from 0j.  A node's value reads only its children's, so this order gives
+    the bits of any other.  The per-q values live only in that pass.  Each
+    call counts its own nodes, the internal scales plus the distinct leaves,
+    and raises BudgetError past max_nodes however large the graph is.
     """
     if not ifs.is_affine:
         raise PreconditionError("word-tree Fourier evaluation requires an affine IFS")
@@ -75,80 +112,138 @@ def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
     if len(weights) != ifs.n:
         raise ValueError("weight vector length does not match the IFS")
     tol = float(tol)
-    d = (q.d if isinstance(q, QuadExact) else 0) or ifs.field
-    if ifs.field not in (0, d):
-        raise ValueError("mixed quadratic fields")
-    ratios, width = ifs.ratio_triples, ifs.width_float
-    factors = (*ifs.translation_triples, ifs.centre_triple)
-    exact = is_exact(q)
-    if exact:
-        q3 = _triple(q)
-        q = _to_float(q3, d)
-        factors = [_times(q3, t, d) for t in factors]
-    else:
-        q = float(q)
-        if not math.isfinite(q):
-            raise ValueError(f"q must be finite, got {q}")
-        factors = [_to_float(t, d) for t in factors]
-    if q == 0:
-        return FourierSample(q=0.0, value=1 + 0j, error_bound=0.0, method="word_tree")
-    q_abs = abs(q)
-    *shifts, mid = factors
-
-    # A node is expanded on its first visit, its phases e(s t) and children
-    # formed then; it is summed, in map order, once all its children are
-    # memoised, and its entry is dropped.  A leaf is its one phase e(s mid).
+    field, ratios, width, n_maps = ifs.field, ifs.ratio_triples[::-1], ifs.width_float, ifs.n
+    if (r_max := max(abs(_to_float(r, field)) for r in ratios)) > _MAX_RATIO:
+        raise PreconditionError(f"word tree needs every |ratio| <= 1 - 2^-48, got {r_max!r}")
+    exact_factors = (*ifs.translation_triples, ifs.centre_triple)
+    float_factors = [_to_float(t, field) for t in exact_factors]
     root = (1, 0, 1)
-    memo, expanded, stack = {}, {}, [root]
-    nodes = 0
-    while stack:
-        s = stack[-1]
-        if s in memo:
-            stack.pop()
-        elif s in expanded:
-            val = 0j
-            for w, phase, k in zip(weights, *expanded.pop(s)):
-                val += w * phase * memo[k]
-            memo[s] = val
-            stack.pop()
-        else:
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetError(f"word tree exceeded {max_nodes} nodes at tol={tol}")
+    A, B, D, sf = [1], [0], [1], array("d", [1.0])
+    order, kids = array("i"), array("i")
+    heap, index = [(-1.0, 0, root)], {root: 0}
+
+    def grow(q_abs):
+        # The graph grows only while the heap's top is internal at q_abs, so
+        # every node in it then belongs to this call's tree and its size is
+        # this call's node count so far.  A node is expanded whole, so the
+        # graph stays consistent when the budget is exceeded.  The loop runs
+        # once per node, so it reads local names.
+        frontier, find, d = heap, index, field
+        add_a, add_b, add_d, add_sf, add_kid = A.append, B.append, D.append, sf.append, kids.append
+        while frontier:
+            top = -frontier[0][0]
+            if TWO_PI * (q_abs * top) * width <= tol:
+                break
+            if top < _NORMAL:
+                raise PreconditionError(f"word tree reached a subnormal scale at |q|={q_abs!r}, tol={tol!r}")
+            _, i, s = heappop(frontier)
+            del find[s]
             a, b, den = s
-            sf = _to_float(s, d) if b else a / den
-            leaf = TWO_PI * (q_abs * abs(sf)) * width <= tol
-            phases = []
-            for t in (mid,) if leaf else shifts:
-                if exact:
-                    c, f, g = t
-                    if b:
-                        x, y, g = a * c + d * b * f, a * f + b * c, den * g
-                    else:
-                        x, y, g = a * c, a * f, den * g
-                    if y:
-                        x, g = _ratio((x, y, g), d)
-                    turns = (x % g) / g
-                else:
-                    turns = (q * sf) * t
-                phases.append(cmath.exp(_I_TWO_PI * turns))
-            if leaf:
-                memo[s] = phases[0]
-                stack.pop()
-                continue
-            kids = []
             for c, f, g in ratios:
                 if b:
                     x, y, g = a * c + d * b * f, a * f + b * c, den * g
                 else:
                     x, y, g = a * c, a * f, den * g
                 e = gcd(x, y, g)
-                kids.append((x // e, y // e, g // e))
-            expanded[s] = phases, kids
-            stack += kids
-    return FourierSample(
-        q=q, value=memo[root], error_bound=tol, method="word_tree", nodes=nodes
-    )
+                if e > 1:
+                    x, y, g = x // e, y // e, g // e
+                t = x, y, g
+                j = find.get(t)
+                if j is None:
+                    j = find[t] = len(sf)
+                    v = _to_float(t, d) if y else x / g
+                    add_a(x)
+                    add_b(y)
+                    add_d(g)
+                    add_sf(v)
+                    heappush(frontier, (-abs(v), j, t))
+                add_kid(j)
+            order.append(i)
+            if len(sf) > max_nodes:
+                raise BudgetError(f"word tree exceeded {max_nodes} nodes at tol={tol}")
+
+    def value(q):
+        d = (q.d if isinstance(q, QuadExact) else 0) or field
+        if field not in (0, d):
+            raise ValueError("mixed quadratic fields")
+        exact = is_exact(q)
+        if exact:
+            q3 = _triple(q)
+            q = _to_float(q3, d)
+            *shifts, mid = [_times(q3, t, d) for t in exact_factors]
+        else:
+            q = float(q)
+            if not math.isfinite(q):
+                raise ValueError(f"q must be finite, got {q}")
+            *shifts, mid = float_factors
+        if q == 0:
+            return FourierSample(q=0.0, value=1 + 0j, error_bound=0.0, method="word_tree")
+        q_abs = abs(q)
+        grow(q_abs)
+        n, hi = 0, len(order)
+        while n < hi:
+            m = (n + hi) // 2
+            if TWO_PI * (q_abs * abs(sf[order[m]])) * width <= tol:
+                hi = m
+            else:
+                n = m + 1
+
+        def leaf(k):
+            return cmath.exp(_I_TWO_PI * (_turns((A[k], B[k], D[k]), mid, d) if exact else (q * sf[k]) * mid))
+
+        vals = [None] * len(sf)
+        nodes = n
+        # one reversed iterator yields each node's children in map order
+        rkids = islice(reversed(kids), (len(order) - n) * n_maps, None)
+        for i in islice(reversed(order), len(order) - n, None):
+            a, b, den, x = A[i], B[i], D[i], q * sf[i]
+            val = 0j
+            for w, t, k in zip(weights, shifts, rkids):
+                u = vals[k]
+                if u is None:
+                    u = vals[k] = leaf(k)
+                    nodes += 1
+                if exact:  # _turns((a, b, den), t, d), written out
+                    c, f, g = t
+                    if b:
+                        z, y, g = a * c + d * b * f, a * f + b * c, den * g
+                    else:
+                        z, y, g = a * c, a * f, den * g
+                    if y:
+                        z, g = _ratio((z, y, g), d)
+                    turns = (z % g) / g
+                else:
+                    turns = x * t
+                val += w * cmath.exp(_I_TWO_PI * turns) * u
+            vals[i] = val
+        if not n:
+            vals[0], nodes = leaf(0), 1
+        if nodes > max_nodes:
+            raise BudgetError(f"word tree exceeded {max_nodes} nodes at tol={tol}")
+        return FourierSample(q=q, value=vals[0], error_bound=tol, method="word_tree", nodes=nodes)
+
+    return value
+
+
+def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
+    """F_q(nu) of an affine IFS to within tol, by the word tree.
+
+    F_{qs} = sum_i p_i e(s (q t_i)) F_{q s r_i} over exact scales s, each
+    scale evaluated once, down to leaves where 2*pi*|q s|*width <= tol and
+    F_{qs} is replaced by the phase e(s (q mid)) at the interval centre.  An
+    exact q enters once per call, in the triples q*t_i and q*mid; the product
+    s*(q*t) is the very integer triple (q*s)*t, multiplication in Z[sqrt d]
+    being commutative and associative, so every phase is reduced mod 1 in
+    integers from the same numbers (see _exact_unit).  A float q uses
+    (float(q)*float(s))*float(t).  The triples, field and width are those the
+    Ifs derived; only q's field is reconciled here.  The tree has no
+    recursion, so its depth is unbounded; more than max_nodes distinct scales
+    raise BudgetError.  A ratio within 2^-48 of 1, or a scale below the
+    normal floats (|q|*width/tol above about 1e307), raises
+    PreconditionError.  Callers with many q at one (ifs, p, tol) hold one
+    _word_tree and share its scale graph.
+    """
+    return _word_tree(ifs, p, tol, max_nodes)(q)
 
 
 def sample_points(ifs, p, n_points, rng, eps):
@@ -211,12 +306,11 @@ def decay_profile(ifs, p, q_grid, tol, method="word_tree", samples=100_000, rng_
     qs = list(q_grid)
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise ValueError("q grid must be strictly increasing")
-    out = []
-    for q in qs:
-        if method == "word_tree":
-            out.append(fourier_word_tree(ifs, p, q, tol))
-        else:
-            out.append(fourier_mc(ifs, p, q, samples, rng_seed))
+    if method == "word_tree":
+        tree = _word_tree(ifs, p, tol)
+        out = [tree(q) for q in qs]
+    else:
+        out = [fourier_mc(ifs, p, q, samples, rng_seed) for q in qs]
     qmax = float(qs[-1])
     fit_pts = [
         (math.log(math.log(s.q)), math.log(abs(s.value)))
@@ -270,8 +364,10 @@ def scaled_energy_check(ifs, p, qs, k, rs, chi, samples=20_000, rng_seed=0):
         mass = float(np.mean(np.abs(x - y) <= radius))
         masses.append((mass, math.sqrt(max(mass * (1 - mass), 1e-12) / samples) + 1.0 / samples))
 
+    tree = _word_tree(ifs, p, tol)
+
     def integrand(t, qf):
-        return abs(fourier_word_tree(ifs, p, qf * math.exp(-t), tol).value) ** 2
+        return abs(tree(qf * math.exp(-t)).value) ** 2
 
     out = []
     for q in qs:

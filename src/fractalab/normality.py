@@ -57,6 +57,12 @@ def _convert(rest, base, k):
     return _convert(high, base, k // 2) + _convert(rest, base, k - k // 2)
 
 
+def _require_int(name, value, low):
+    """ValueError naming the parameter unless value is an int (not a bool) >= low."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+
+
 @dataclass
 class DigitStream:
     base: int
@@ -80,10 +86,8 @@ def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=
     """
     from .ifs_core import coding_point
 
-    if not isinstance(base, int) or isinstance(base, bool) or base < 2:
-        raise ValueError(f"base must be an int >= 2, got {base!r}")
-    if not isinstance(n_digits, int) or isinstance(n_digits, bool) or n_digits < 0:
-        raise ValueError(f"n_digits must be an int >= 0, got {n_digits!r}")
+    _require_int("base", base, 2)
+    _require_int("n_digits", n_digits, 0)
     rng = np.random.default_rng(rng_seed)
     need = Fraction(base) ** -(n_digits + GUARD_DIGITS)
     log_need = -(n_digits + GUARD_DIGITS) * math.log(base)
@@ -131,8 +135,9 @@ def digit_frequency_test(stream, n, block_len):
     """Chi-square uniformity test over digit blocks of length 1..block_len."""
     from scipy import stats as sps
 
-    if not 1 <= block_len <= n:
-        raise ValueError(f"need 1 <= block_len <= N, got block_len {block_len} and N {n}")
+    ints = all(isinstance(v, int) and not isinstance(v, bool) for v in (block_len, n))
+    if not ints or not 1 <= block_len <= n:
+        raise ValueError(f"need ints 1 <= block_len <= N, got block_len {block_len!r} and N {n!r}")
     if n > stream.certified_upto:
         raise PreconditionError("N exceeds the certified digit count")
     digits = stream.digits[:n]
@@ -172,10 +177,8 @@ def weyl_sums(source, base, q_set, n):
     `source` is an exact rational x (big-integer modular orbit, any N) or a
     DigitStream (orbit read off certified digits; N is capped so that every
     orbit value is accurate to base^-(certified - n - 12))."""
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
+    _require_int("base", base, 2)
+    _require_int("N", n, 1)
     period = 0
     if isinstance(source, DigitStream):
         if source.base != base:

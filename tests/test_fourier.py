@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from fractalab.fourier import (
     BudgetError,
+    _word_tree,
     decay_profile,
     del_criterion_diagnostic,
     fourier_mc,
@@ -22,6 +24,7 @@ from fractalab.fourier import (
 )
 from fractalab.cocycle_walk import lyapunov
 from fractalab.ifs_core import (
+    BUILTINS,
     AffineMap,
     Ifs,
     PreconditionError,
@@ -189,6 +192,79 @@ def test_node_count_matches_a_breadth_first_oracle(name, q):
     assert fourier_word_tree(ifs, w, q, tol, max_nodes=s.nodes).nodes == s.nodes
     with pytest.raises(BudgetError):
         fourier_word_tree(ifs, w, q, tol, max_nodes=s.nodes - 1)
+
+
+def _negative_golden():
+    """{-r x + r, r^2 x + 1 - r^2} on [0, 1], r = 1/phi: a negative ratio in Q(sqrt 5)."""
+    r = golden_ratio_conjugate()
+    return Ifs([AffineMap(-r, r), AffineMap(r * r, 1 - r * r)], (0, 1), name="negative-golden")
+
+
+def _bits(s):
+    return s.value.real.hex(), s.value.imag.hex(), s.nodes, s.q, s.error_bound
+
+
+AFFINE_SYSTEMS = [builtin(name) for name in BUILTINS if builtin(name)[0].is_affine]
+
+
+@pytest.mark.parametrize("ifs, w", AFFINE_SYSTEMS + [(_negative_golden(), (F(1, 3), F(2, 3)))],
+                         ids=[ifs.name for ifs, _ in AFFINE_SYSTEMS] + ["negative-golden"])
+def test_one_evaluator_gives_the_bits_of_fresh_calls_in_any_q_order(ifs, w):
+    # one scale graph serves every q: it grows at the largest q seen and
+    # keeps no per-q value, so the q order cannot move a bit
+    r = golden_ratio_conjugate()
+    qs = [F(1234, 7), F(-98765, 13), 3**9, r**-9, -(r**-14), r**-3 + F(1, 2), 777.25, -4321.5, 12.0, 0, 0.5]
+    tol = 1e-6
+    fresh = [_bits(fourier_word_tree(ifs, w, q, tol)) for q in qs]
+    assert len(set(fresh)) == len(qs)
+    increasing = sorted(range(len(qs)), key=lambda i: abs(float(qs[i])))
+    shuffled = list(range(len(qs)))
+    random.Random(7).shuffle(shuffled)
+    for idx in (increasing, increasing[::-1], shuffled):
+        tree = _word_tree(ifs, w, tol)
+        assert [_bits(tree(qs[i])) for i in idx] == [fresh[i] for i in idx]
+
+
+def test_budget_holds_per_call_on_a_grown_graph():
+    ifs, w = builtin("aperiodic-125")
+    q, tol = F(98765, 7), 1e-8
+    s = fourier_word_tree(ifs, w, q, tol)
+    # a larger q stops growing the graph once past the budget, and the graph
+    # it leaves still gives this q's count, and the bits of fresh calls below
+    tree = _word_tree(ifs, w, tol, max_nodes=s.nodes - 1)
+    with pytest.raises(BudgetError, match=f"exceeded {s.nodes - 1} nodes"):
+        tree(q * 1000)
+    with pytest.raises(BudgetError):
+        tree(q)
+    assert _bits(tree(q / 3)) == _bits(fourier_word_tree(ifs, w, q / 3, tol))
+    tree = _word_tree(ifs, w, tol, max_nodes=s.nodes)
+    assert _bits(tree(q)) == _bits(s)
+    # the graph now holds q's tree whole: smaller budgets are checked on the
+    # count of each call, not on the graph
+    assert _bits(tree(q / 7)) == _bits(fourier_word_tree(ifs, w, q / 7, tol))
+    tree = _word_tree(ifs, w, tol)
+    tree(q)
+    with pytest.raises(BudgetError):
+        _word_tree(ifs, w, tol, max_nodes=s.nodes - 1)(q)
+
+
+def test_a_huge_q_stops_growing_the_graph_at_the_budget():
+    # q = 1e300 needs scales down to 3^-645, where they turn subnormal; a
+    # graph grown past the budget would end in that PreconditionError
+    tree = _word_tree(cantor(), HALF, 1e-3, max_nodes=50)
+    with pytest.raises(BudgetError, match="exceeded 50 nodes"):
+        tree(1e300)
+    assert _bits(tree(1e10)) == _bits(fourier_word_tree(cantor(), HALF, 1e10, 1e-3))
+
+
+def test_scales_the_floats_cannot_order_are_refused():
+    # a ratio within 2^-48 of 1, and a tree reaching subnormal scales: a
+    # child's float need not fall below its parent's there
+    near_one = Ifs([AffineMap(1 - F(1, 2**50), 0), AffineMap(F(1, 2), F(1, 2))], (0, 1))
+    with pytest.raises(PreconditionError, match="ratio"):
+        fourier_word_tree(near_one, HALF, 1, 1e-3)
+    with pytest.raises(PreconditionError, match="subnormal"):
+        fourier_word_tree(cantor(), HALF, 1e300, 1e-300)
 
 
 def test_deep_word_tree_returns_the_product_value():

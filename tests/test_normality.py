@@ -254,6 +254,34 @@ def test_digits_of_sample_names_a_bad_base_or_digit_count(base, n_digits, needle
         digits_of_sample(cantor(), HALF, base, n_digits)
 
 
+def _stream_40():
+    return _rational_stream(F(1, 3), 2, 40)
+
+
+@pytest.mark.parametrize(
+    "call, needle",
+    [
+        (lambda: weyl_sums(F(1, 3), 2.0, (1,), 10), "^base must be an int"),
+        (lambda: weyl_sums(F(1, 3), True, (1,), 10), "^base must be an int"),
+        (lambda: weyl_sums(F(1, 3), 2, (1,), 10.0), "^N must be an int"),
+        (lambda: weyl_sums(F(1, 3), 2, (1,), 10.5), "^N must be an int"),
+        (lambda: weyl_sums(_stream_40(), 2, (1,), 10.5), "^N must be an int"),
+        (lambda: weyl_sums(F(1, 3), 2, (1,), True), "^N must be an int"),
+        (lambda: digit_frequency_test(_stream_40(), 20.0, 2), "^need ints 1 <= block_len <= N"),
+        (lambda: digit_frequency_test(_stream_40(), True, 1), "^need ints 1 <= block_len <= N"),
+        (lambda: digit_frequency_test(_stream_40(), 20, 2.0), "^need ints 1 <= block_len <= N"),
+        (lambda: digit_frequency_test(_stream_40(), 20, True), "^need ints 1 <= block_len <= N"),
+    ],
+    ids=["weyl-base-float", "weyl-base-bool", "weyl-n-float", "weyl-n-fraction", "weyl-stream-n-fraction",
+         "weyl-n-bool", "chi2-n-float", "chi2-n-bool", "chi2-block-float", "chi2-block-bool"],
+)
+def test_non_int_base_n_and_block_len_are_named(call, needle):
+    # a float or bool here once gave float digit counts, or a TypeError from
+    # slicing, instead of a ValueError naming the parameter
+    with pytest.raises(ValueError, match=needle):
+        call()
+
+
 def test_weyl_sums_modulus_bounds():
     stats = weyl_sums(F(5, 17), 3, (1, 2, 5), 500)
     for q, w in stats.weyl.items():
