@@ -50,7 +50,8 @@ def _increments(ifs, sym, x):
 def _walk_matrix(ifs, p, n_paths, length, rng):
     """(symbols, X) for n_paths walks of the given length.
 
-    symbols is 0-based (n_paths, length); X[i, j] is the increment
+    symbols is 0-based (n_paths, length) in _draw_symbols' narrow type;
+    X, a new array the caller may overwrite, has X[i, j] the increment
     X_{j+1} = -log|f'_{omega_{j+1}}(x_{sigma^{j+1} omega})|.
 
     A smooth system draws T = _smooth_tail_length more symbols per row and
@@ -68,7 +69,7 @@ def _walk_matrix(ifs, p, n_paths, length, rng):
     """
     if ifs.is_affine:
         sym = _draw_symbols(ifs, p, rng, (n_paths, length))
-        return sym, ifs.steps[sym]
+        return sym, ifs.steps[sym.astype(np.intp)]  # an intp index gathers faster
 
     tail = _smooth_tail_length(ifs)
     sym = _draw_symbols(ifs, p, rng, (n_paths, length + tail))
@@ -198,7 +199,7 @@ def gamma_law(ifs, p, eta_prime, k, chi, rng_seed=0):
     return GammaLaw(kchi=kchi, d_prime=dp, atoms=[(w, float(v)) for v in xs])
 
 
-@dataclass
+@dataclass(slots=True)
 class CellStat:
     prefix: tuple
     suffix: tuple
@@ -234,8 +235,8 @@ def _first_at_least(S, target):
 
 def _gather_words(words, start, stop):
     """Rows words[r, start[r] : stop[r] + 1] of 1-based symbols, left-aligned
-    and padded with 0, so that row order is the order of the word tuples."""
-    stop = np.minimum(stop, words.shape[1] - 1)
+    and padded with 0, so that row order is the order of the word tuples;
+    every stop[r] is a column of words."""
     cols = start[:, None] + np.arange(int((stop - start).max()) + 1)
     out = np.take_along_axis(words, np.minimum(cols, words.shape[1] - 1), axis=1)
     return np.where(cols <= stop[:, None], out, 0)
@@ -256,11 +257,17 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
     Only affine systems are supported: the cell partition needs the exact
     tilde walk, which is only available symbol-wise in the affine case.
 
-    Each key is a row of 1-based symbols, prefix then suffix, each
+    Each chunk of paths is one _walk_matrix draw; S is the cumsum of its
+    increments, taken in place.  Each key is a row of 1-based symbols (the
+    sampler's narrow type, which holds n), prefix then suffix, each
     left-aligned and padded with 0, so that row order is tuple order.  One
     lexsort on (key, S_tau) puts every cell in a contiguous run sorted by
     S_tau, and each cell's distance to the uniform law on
     [k*chi, k*chi + X_1] is the sorted-sample formula reduced over its run.
+    A cell's prefix and suffix tuples are the first min(ph, L-1) + 1 and
+    min(q, L-1) - j + 1 symbols of its key's two parts, lengths taken at the
+    run's first path, with ph, j and q the hit columns of h, k and h' (ph
+    = -1 for h = 0, an empty prefix).
     """
     if not ifs.is_affine:
         raise PreconditionError(
@@ -280,21 +287,23 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
     length = int(math.ceil(((k + h + h_prime) * chi + 3 * dp) / d)) + 4
     rng = np.random.default_rng(rng_seed)
 
-    values, prefixes, suffixes = [], [], []
+    values, prefixes, suffixes, prefix_lens, suffix_lens = [], [], [], [], []
     done = 0
     while done < paths:
         m = min(_CHUNK, paths - done)
-        sym = _draw_symbols(ifs, p, rng, (m, length))
-        S = np.cumsum(ifs.steps[sym], axis=1)
-        words = sym.astype(np.min_scalar_type(ifs.n)) + 1  # narrow keys sort faster
+        sym, S = _walk_matrix(ifs, p, m, length, rng)
+        np.cumsum(S, axis=1, out=S)
+        words = sym + 1  # in the sampler's narrow type, which holds n: narrow keys sort faster
         rows = np.arange(m)
         j = _first_at_least(S, k * chi)  # tau_k - 1
         base = np.where(j > 0, S[rows, np.maximum(j - 1, 0)], 0.0)
-        q = _first_at_least(S, (base + h_prime * chi)[:, None])
-        ph = _first_at_least(S, h * chi) if h > 0 else np.full(m, -1)
+        q = np.minimum(_first_at_least(S, (base + h_prime * chi)[:, None]), length - 1)
+        ph = np.minimum(_first_at_least(S, h * chi), length - 1) if h > 0 else np.full(m, -1)
         values.append(S[rows, j])
         prefixes.append(_gather_words(words, np.zeros(m, dtype=np.intp), ph))
         suffixes.append(_gather_words(words, j, q))
+        prefix_lens.append(ph + 1)
+        suffix_lens.append(q - j + 1)
         done += m
 
     s_tau = np.concatenate(values)
@@ -311,9 +320,14 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
     rank = np.arange(paths) - np.repeat(starts, counts)
     ks = np.maximum.reduceat(np.maximum((rank + 1) / n - u, u - rank / n), starts)
 
+    first = order[starts]
     stats = [
-        CellStat(tuple(filter(None, key[:pw])), tuple(filter(None, key[pw:])), c, v)
-        for key, c, v in zip(keys[starts].tolist(), counts.tolist(), ks.tolist())
+        CellStat(tuple(pre[:a]), tuple(suf[:b]), c, v)
+        for pre, suf, a, b, c, v in zip(
+            keys[starts, :pw].tolist(), keys[starts, pw:].tolist(),
+            np.concatenate(prefix_lens)[first].tolist(), np.concatenate(suffix_lens)[first].tolist(),
+            counts.tolist(), ks.tolist(),
+        )
     ]
     included = counts >= min_cell
     if included.any():
@@ -377,12 +391,20 @@ def clt_experiment(ifs, p, n, paths, rng_seed=0):
 def bracket_check(ifs, p, pairs, rng_seed=0):
     """Count violations of S_{tau_k} in [k*chi, k*chi + D'] over sampled
     (path, k) pairs, 10 values of k in [0.5, 50] per path; the bracket is an
-    exact identity, so the count should be zero."""
+    exact identity, so the count should be zero.
+
+    pairs // 10 paths are walked in chunks; a chunk of m paths draws its k
+    values as one (10, m) uniform array after its walk, the stream of 10
+    draws of m, and takes S as the cumsum of the increments in place.
+    """
+    ks_per_path = 10
+    if pairs < ks_per_path:
+        raise ValueError(f"pairs must be >= {ks_per_path}, got {pairs}")
     chi = lyapunov(ifs, p, "exact").value if ifs.is_affine else lyapunov(
         ifs, p, "monte_carlo", n=1_000_000, rng_seed=rng_seed + 1
     ).value
     d, dp = ifs.big_d, ifs.big_d_prime
-    k_max, ks_per_path = 50.0, 10
+    k_max = 50.0
     length = int(math.ceil((k_max * chi + 2 * dp) / d)) + 2
     rng = np.random.default_rng(rng_seed)
     violations = 0
@@ -390,12 +412,10 @@ def bracket_check(ifs, p, pairs, rng_seed=0):
     n_paths = pairs // ks_per_path
     while done < n_paths:
         m = min(_CHUNK // 4, n_paths - done)
-        _, inc = _walk_matrix(ifs, p, m, length, rng)
-        S = np.cumsum(inc, axis=1)
+        _, S = _walk_matrix(ifs, p, m, length, rng)
+        np.cumsum(S, axis=1, out=S)
         rows = np.arange(m)
-        for _ in range(ks_per_path):
-            kvec = rng.uniform(0.5, k_max, size=m)
-            target = kvec * chi
+        for target in rng.uniform(0.5, k_max, size=(ks_per_path, m)) * chi:
             idx = (S >= target[:, None]).argmax(axis=1)
             s_tau = S[rows, idx]
             bad = (s_tau < target - 1e-9) | (s_tau > target + dp + 1e-9)

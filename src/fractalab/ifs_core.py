@@ -248,11 +248,13 @@ class WeightVector(tuple):
 class Ifs:
     """Ordered contractions of a compact ambient interval I = [a, b].
 
-    Derived once at construction: steps, -log sup|f_i'| per map (read-only),
-    and width_float.  For an affine system also field, the d of the Q(sqrt d)
-    of every ratio, translation and end of I (0 if all are rational), forms,
-    the integer forms (ra, rb, ta, tb, c) with f_i(x) = ((ra + rb*sqrt d)*x +
-    ta + tb*sqrt d)/c, and the integer triples (a, b, den) ratio_triples,
+    Derived once at construction: steps, -log sup|f_i'| per map (read-only);
+    big_d D and big_d_prime D', with deriv_bounds() = (e^{-D'}, e^{-D}) the
+    (inf, sup) of |f'| over all maps and x in I; and width_float.  For an
+    affine system also field, the d of the Q(sqrt d) of every ratio,
+    translation and end of I (0 if all are rational), forms, the integer
+    forms (ra, rb, ta, tb, c) with f_i(x) = ((ra + rb*sqrt d)*x + ta + tb*sqrt
+    d)/c, and the integer triples (a, b, den) ratio_triples,
     translation_triples and centre_triple; these five are None with a smooth map.
     For a system with a smooth map and rational data, polys holds each map's
     integer coefficient lists and direction (see _int_poly); None otherwise.
@@ -268,8 +270,12 @@ class Ifs:
             raise ValueError("degenerate ambient interval")
         self.name = name or "ifs"
         self._validate()
-        self.steps = np.array([-math.log(m.deriv_range()[1]) for m in self.maps])
+        ranges = [m.deriv_range() for m in self.maps]
+        self.steps = np.array([-math.log(hi) for _, hi in ranges])
         self.steps.flags.writeable = False
+        self._deriv_bounds = (min(lo for lo, _ in ranges), max(hi for _, hi in ranges))
+        self.big_d = -math.log(self._deriv_bounds[1])
+        self.big_d_prime = -math.log(self._deriv_bounds[0])
         self.width_float = float(self.interval_width())
         self.field = self.forms = self.ratio_triples = self.translation_triples = self.centre_triple = None
         self.polys = None
@@ -315,19 +321,7 @@ class Ifs:
 
     def deriv_bounds(self):
         """(e^{-D'}, e^{-D}) = (inf, sup) of |f'| over all maps and x in I."""
-        lo = min(m.deriv_range()[0] for m in self.maps)
-        hi = max(m.deriv_range()[1] for m in self.maps)
-        return lo, hi
-
-    @property
-    def big_d(self):
-        """D with sup|f'| = e^{-D}."""
-        return -math.log(self.deriv_bounds()[1])
-
-    @property
-    def big_d_prime(self):
-        """D' with inf|f'| = e^{-D'}."""
-        return -math.log(self.deriv_bounds()[0])
+        return self._deriv_bounds
 
     def _validate(self):
         lo, hi = self.interval
@@ -623,11 +617,19 @@ def attractor_interval(ifs):
 def _draw_symbols(ifs, p, rng, shape):
     """0-based symbols of the given shape with P(symbol = i) = p_{i+1}: the
     count of cumulative weights <= u, leaving out the last, which may fall
-    short of 1 in floats; the last symbol takes that round-off."""
+    short of 1 in floats; the last symbol takes that round-off.
+
+    One rng.random(shape) call per draw.  The counts are kept in
+    np.min_scalar_type(ifs.n), which holds n, so symbol + 1 never wraps; one
+    byte up to 255 maps, against intp's eight, which makes the compares and
+    the column reads of _pull_back faster.  A fancy index by such an array
+    is slower than by intp, so a caller that gathers a whole matrix by
+    symbol converts it once (as _walk_matrix does).
+    """
     if len(p) != ifs.n:
         raise ValueError("weight vector length does not match the IFS")
     u = rng.random(shape)
-    sym = np.zeros(u.shape, dtype=np.intp)
+    sym = np.zeros(u.shape, dtype=np.min_scalar_type(ifs.n))
     for c in np.cumsum([float(w) for w in p])[:-1]:
         sym += u >= c
     return sym
@@ -644,7 +646,7 @@ def _column_maps(ifs, sym):
     """
     fs = [m if m.kind != "affine" else (lambda x, r=float(m.ratio), t=float(m.translation): r * x + t)
           for m in ifs.maps]
-    masks = np.equal(sym.T, np.arange(ifs.n)[:, None, None], order="C")
+    masks = np.equal(sym.T, np.arange(ifs.n, dtype=sym.dtype)[:, None, None], order="C")
     occurs = list(map(tuple, masks.any(axis=2).T.tolist()))  # a column of no rows applies map 0
     live = {row: [i for i, hit in enumerate(row) if hit] or [0] for row in set(occurs)}
     present = [live[row] for row in occurs]
@@ -664,14 +666,18 @@ def _pull_back(ifs, sym, x):
 
     sym holds 0-based symbols, one row per entry of x; the word is applied
     innermost (last column) first.  Affine systems gather by symbol: there the
-    masks of _column_maps cost more than they save (1.5-3.5x slower).
+    masks of _column_maps cost more than they save (1.5-3.5x slower).  They
+    walk a contiguous copy of the columns, last first, and update a copy of
+    x in place, r*x then + t, the roundings of r[s] * x + t[s].
     """
     if ifs.is_affine:
         r = np.array([float(m.ratio) for m in ifs.maps])
         t = np.array([float(m.translation) for m in ifs.maps])
-        for j in range(sym.shape[1] - 1, -1, -1):
-            s = sym[:, j]
-            x = r[s] * x + t[s]
+        x = np.array(x, dtype=float)
+        buf = np.empty_like(x)
+        for s in np.ascontiguousarray(sym.T[::-1]):
+            x *= np.take(r, s, out=buf)
+            x += np.take(t, s, out=buf)
         return x
     apply, _, _ = _column_maps(ifs, sym)
     for j in range(sym.shape[1] - 1, -1, -1):

@@ -131,6 +131,57 @@ def test_bracket_check_no_violations():
         assert checked == 20_000
 
 
+@pytest.mark.parametrize("pairs", [-1, 0, 9])
+def test_bracket_check_rejects_fewer_than_ten_pairs(pairs):
+    # pairs // 10 paths: below 10 pairs no path is walked, and (0, 0) read as a pass
+    with pytest.raises(ValueError, match=f"pairs must be >= 10, got {pairs}"):
+        bracket_check(aperiodic_125(), W125, pairs)
+
+
+@pytest.mark.parametrize(
+    "system, pairs, chunk",
+    [("aperiodic-125", 3_000, None), ("cantor", 3_000, None), ("aperiodic-125", 10_070, 1_200)],
+)
+def test_bracket_check_counts_planted_violations_like_a_per_path_reference(
+    monkeypatch, system, pairs, chunk
+):
+    # every 7th path gets a step of D' + 1 at column 25, so a k*chi in the gap
+    # it leaves has S_tau above k*chi + D'.  The reference walks each recorded
+    # row with 10 separate uniform draws of the chunk size from the state the
+    # walk left, so a batched draw that paired a path with another path's k
+    # would differ; _CHUNK = 1,200 gives chunks of 300 paths.
+    ifs, p = registered_affine()[system]
+    walk = cocycle_walk._walk_matrix
+    recorded = []
+
+    def planted(ifs_, p_, m, length, rng):
+        sym, inc = walk(ifs_, p_, m, length, rng)
+        inc[::7, 25] = ifs_.big_d_prime + 1.0
+        recorded.append((inc.copy(), rng.bit_generator.state))
+        return sym, inc
+
+    monkeypatch.setattr(cocycle_walk, "_walk_matrix", planted)
+    if chunk is not None:
+        monkeypatch.setattr(cocycle_walk, "_CHUNK", chunk)
+    violations, checked = bracket_check(ifs, p, pairs, rng_seed=4)
+    assert checked == pairs // 10 * 10
+    assert len(recorded) == (1 if chunk is None else -(-(pairs // 10) // (chunk // 4)))
+
+    chi, dp = lyapunov(ifs, p).value, ifs.big_d_prime
+    expect = 0
+    for inc, state in recorded:
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        kvecs = [rng.uniform(0.5, 50.0, size=len(inc)) for _ in range(10)]
+        for r, row in enumerate(inc.tolist()):
+            S = list(itertools.accumulate(row))
+            for kvec in kvecs:
+                target = float(kvec[r]) * chi
+                s_tau = next((v for v in S if v >= target), S[0])  # argmax of no hit is 0
+                expect += s_tau < target - 1e-9 or s_tau > target + dp + 1e-9
+    assert violations == expect > 0
+
+
 def test_bracket_check_smooth_system():
     violations, checked = bracket_check(smooth_example(), HALF, pairs=2_000, rng_seed=0)
     assert violations == 0
@@ -354,3 +405,30 @@ def test_registered_affine_consistent_with_walks():
     for name, (ifs, w) in registered_affine().items():
         est = lyapunov(ifs, w)
         assert est.value > 0
+
+
+def test_llt_words_of_256_maps_do_not_wrap(monkeypatch):
+    # the keys are the sampler's symbols plus one in its own narrow type; 256
+    # maps need the word 256, which the reference forms from Python ints
+    from fractalab.ifs_core import AffineMap, Ifs, WeightVector
+
+    n = 256
+    ifs = Ifs([AffineMap(F(1, n), F(i, n)) for i in range(n)], (0, 1))
+    p = WeightVector.uniform(n)
+    blocks = []
+    draw = cocycle_walk._draw_symbols
+
+    def record(ifs_, p_, rng, shape):
+        blocks.append(draw(ifs_, p_, rng, shape))
+        return blocks[-1]
+
+    monkeypatch.setattr(cocycle_walk, "_draw_symbols", record)
+    k, h, h_prime, paths = 3, 1, 2.0, 3_000
+    rep = conditional_llt_experiment(ifs, p, k=k, h=h, h_prime=h_prime, paths=paths, rng_seed=5)
+    chi = lyapunov(ifs, p).value
+    cells, median, excluded, _ = _reference_llt_cells(
+        blocks, ifs.steps, k, h, h_prime, chi, paths, rep.min_cell
+    )
+    assert [(c.prefix, c.suffix, c.count, c.ks) for c in rep.cells] == cells
+    assert any(n in c.prefix for c in rep.cells) and any(n in c.suffix for c in rep.cells)
+    assert rep.excluded_mass == excluded

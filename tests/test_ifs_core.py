@@ -504,3 +504,105 @@ def test_draw_symbols_gives_the_last_symbol_the_cumulative_round_off():
     sym = _draw_symbols(ifs, WeightVector.uniform(7), Stub(), (3, 4))
     assert sym.shape == (3, 4)
     assert (sym == 6).all()
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_deriv_bounds_d_and_d_prime_are_the_per_map_extremes(name):
+    # derived once at construction; the floats of the per-map formula
+    ifs, _ = builtin(name)
+    ranges = [m.deriv_range() for m in ifs.maps]
+    lo, hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
+    assert ifs.deriv_bounds() == (lo, hi)
+    assert ifs.big_d == -math.log(hi)
+    assert ifs.big_d_prime == -math.log(lo)
+    assert ifs.steps.tolist() == [-math.log(r[1]) for r in ranges]
+
+
+def _uniform_ifs(n):
+    """{x/n + i/n : i < n} on [0, 1], a rational affine system with n maps."""
+    return Ifs([AffineMap(F(1, n), F(i, n)) for i in range(n)], (0, 1))
+
+
+def _searchsorted_symbols(p, u):
+    """0-based symbols of the uniforms u: the count of cumulative weights <= u,
+    the last weight left out, as int64 (it cannot wrap)."""
+    return np.searchsorted(np.cumsum([float(w) for w in p])[:-1], u, side="right")
+
+
+@pytest.mark.parametrize(
+    "ifs, p",
+    [
+        (cantor(), WeightVector.uniform(2)),
+        (pow2_pair(), WeightVector([F(1, 3), F(2, 3)])),
+        (aperiodic_125(), WeightVector([F(1, 2), F(1, 4), F(1, 4)])),
+        (_uniform_ifs(7), WeightVector([F(i, 28) for i in range(1, 8)])),
+        (_uniform_ifs(256), WeightVector.uniform(256)),
+        (_uniform_ifs(300), WeightVector.uniform(300)),
+    ],
+    ids=["n2", "n2-unequal", "n3", "n7", "n256", "n300"],
+)
+def test_draw_symbols_are_the_searchsorted_counts(ifs, p):
+    from fractalab.ifs_core import _draw_symbols
+
+    shape = (500, 60)
+    sym = _draw_symbols(ifs, p, np.random.default_rng(4), shape)
+    ref = _searchsorted_symbols(p, np.random.default_rng(4).random(shape))
+    assert sym.shape == shape
+    assert np.array_equal(sym, ref)
+    # 1-based words, as the LLT keys and del_criterion_diagnostic form them
+    assert np.array_equal(sym + 1, ref + 1)
+    assert int((sym + 1).max()) == ifs.n
+    one_dim = _draw_symbols(ifs, p, np.random.default_rng(5), 70)
+    assert one_dim.tolist() == _searchsorted_symbols(p, np.random.default_rng(5).random(70)).tolist()
+
+
+def test_one_based_words_of_256_maps_do_not_wrap(monkeypatch):
+    # 256 maps need 9 bits for the word 256; the symbols the sampler's
+    # consumers pass on must be the searchsorted counts plus one
+    from fractalab import fourier
+
+    ifs, p = _uniform_ifs(256), WeightVector.uniform(256)
+    words = []
+
+    def compose(ifs_, word):
+        words.append(list(word))
+        return compose_word(ifs_, word)
+
+    monkeypatch.setattr(fourier, "compose_word", compose)
+    length = int(math.ceil(4 * math.log(3) / ifs.big_d)) + 64
+    del_criterion_diagnostic(ifs, p, 3, 1, 4, samples=20, rng_seed=2)
+    rng = np.random.default_rng(2)
+    assert words == [(_searchsorted_symbols(p, rng.random(length)) + 1).tolist() for _ in range(20)]
+    assert max(map(max, words)) == 256
+
+    prefixes = []
+
+    def enclose(ifs_, prefix, need):
+        prefixes.append(list(prefix))
+        return coding_point(ifs_, prefix, need)
+
+    monkeypatch.setattr(ifs_core, "coding_point", enclose)
+    digits_of_sample(ifs, p, 2, 2000, rng_seed=1)
+    first = prefixes[0]
+    assert first == (_searchsorted_symbols(p, np.random.default_rng(1).random(len(first))) + 1).tolist()
+    assert max(first) == 256
+
+
+def test_affine_pull_back_is_the_per_row_float_composition():
+    # x -> r*x + t per symbol, innermost first, in Python floats; the input
+    # array is left as it was
+    from fractalab.ifs_core import _pull_back
+
+    rng = np.random.default_rng(6)
+    for ifs in (cantor(), aperiodic_125(), _uniform_ifs(7)):
+        sym = rng.integers(0, ifs.n, size=(200, 30)).astype(np.uint8)
+        x = rng.random(200)
+        before = x.copy()
+        out = _pull_back(ifs, sym, x)
+        ref = []
+        for row, v in zip(sym.tolist(), x.tolist()):
+            for s in reversed(row):
+                v = float(ifs.maps[s].ratio) * v + float(ifs.maps[s].translation)
+            ref.append(v)
+        assert out.tolist() == ref
+        assert np.array_equal(x, before)
