@@ -8,10 +8,9 @@ log r_j is rational iff r_i^m = r_j^k has a nonzero integer solution, i.e.
 iff the exponent vectors of the ratios are parallel.  The vectors are taken
 over a coprime base built from the ratios by gcds alone (factor refinement,
 Bach, Driscoll & Shallit 1993), so no integer is ever factored into primes.
-Ratios in one real quadratic field are decided through their field norms
-and one exact power per ratio (`is_periodic`).  Every verdict is exact:
-floats, smooth systems and a set of norm-1 ratios with no small exact
-relation raise PreconditionError instead.
+Ratios in one real quadratic field are decided through their field norms,
+denominator norms or an exact unit Euclid, and one exact power per ratio
+(`is_periodic`).  Every verdict is exact: floats and smooth systems raise.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import mpmath
 import numpy as np
 
 from .ifs_core import Ifs, PreconditionError, WeightVector, compose_word
-from .quadfield import QuadExact, _field, is_exact
+from .quadfield import QuadExact, _field, _fixed, _triple, is_exact
 
 
 # -- exact multiplicative structure -----------------------------------------
@@ -113,7 +112,33 @@ class PeriodicityVerdict:
     certificate: str = ""
 
 
-_MAX_UNIT_EXPONENT = 1000  # largest |m|, |k| read off the float log-ratio of two norm-1 ratios
+def _log(x):
+    """log x for an exact x > 0 from the integers num/den of `quadfield._fixed`:
+    log(num/den) = log(float(x)) in the float range, log num - log den outside it."""
+    num, den = _fixed(_triple(x), _field([x]))
+    return math.log(num / den) if abs(num.bit_length() - den.bit_length()) < 1000 else math.log(num) - math.log(den)
+
+
+def _denominator_norm(x):
+    """D(x), the leading coefficient of x's primitive integer minimal polynomial, for an
+    irrational x = (a + b sqrt d)/den: the norm of its denominator ideal, so D(x^m) =
+    D(x)^|m| when |N(x)| = 1 (Bombieri & Gubler, Heights in Diophantine Geometry, ch. 1)."""
+    a, b, den = _triple(x)
+    return den * den // math.gcd(den * den, 2 * a * den, a * a - x.d * b * b)
+
+
+def _unit_exponent(x, y):
+    """|log x / log y| as a Fraction for units x, y != 1 of one real quadratic field, which are
+    +-e^Z (Dirichlet): Euclid divides A = max(x, 1/x) by the largest power B^m <= A of
+    B = max(y, 1/y), found by squaring, and recurses on B and the remainder until it is 1."""
+    a, b = (x if x > 1 else 1 / x), (y if y > 1 else 1 / y)
+    pows, m = [b], 0
+    while (sq := pows[-1] * pows[-1]) <= a:
+        pows.append(sq)
+    for i in reversed(range(len(pows))):
+        if pows[i] <= a:
+            a, m = a / pows[i], m + (1 << i)
+    return Fraction(m) if a == 1 else m + 1 / _unit_exponent(b, a)
 
 
 def is_periodic(ratios):
@@ -125,11 +150,11 @@ def is_periodic(ratios):
     (`_exponent_lattice`).  Otherwise |r_i|^m = |r_j|^k forces
     |N(r_i)|^m = |N(r_j)|^k on the field norms, so norm exponent vectors
     that are not proportional, or a norm of 1 against one that is not,
-    certify aperiodicity.  Proportional norm vectors leave one exponent
-    pair per ratio, and an exact power decides it.  When every norm is 1
-    the pair is read off the float log-ratio with |m|, |k| <= 1000, and a
-    pair that fails the exact power raises PreconditionError.  Floats raise
-    PreconditionError, and modulus 1 is rejected, as 0 is in every lattice.
+    certify aperiodicity; when every norm is +-1, so do the denominator norms
+    (`_denominator_norm`).  Proportional vectors leave one exponent pair per
+    ratio, and an exact power decides it.  Units (every D is 1) get their pairs
+    from an exact Euclid (`_unit_exponent`).  Floats raise PreconditionError,
+    and modulus 1 is rejected, as 0 is in every lattice.
     """
     if any(abs(r) == 1 for r in ratios):
         raise ValueError("need positive rationals other than 1")
@@ -146,7 +171,7 @@ def is_periodic(ratios):
         return PeriodicityVerdict(
             periodic=True,
             exact=True,
-            generator=abs(math.log(float(xs[0]))),
+            generator=abs(_log(xs[0])),
             generator_expr=f"{'-' if xs[0] < 1 else ''}log({xs[0]})",
             certificate="all contraction ratios share one modulus",
         )
@@ -154,17 +179,21 @@ def is_periodic(ratios):
     rational = not _field(xs)
     # |N(x)| = |x * conj(x)|, which is x^2 for a rational x
     keys = xs if rational else [abs(x.a * x.a - x.d * x.b * x.b) if isinstance(x, QuadExact) else x * x for x in xs]
+    kind, key = ("", None) if rational else ("norm ", "|N(%s)|")
+    if not rational and all(k == 1 for k in keys):  # every x is irrational
+        keys, kind, key = [_denominator_norm(x) for x in xs], "denominator norm ", "D(%s)"
     ones = [k == 1 for k in keys]
-    norm_one = all(ones)
-    if any(ones) and not norm_one:
+    if any(ones) and not all(ones):
         i, j = ones.index(True), ones.index(False)
         return PeriodicityVerdict(
             periodic=False,
             exact=True,
             witness=(i + 1, j + 1),
-            certificate=f"|N(r_i)| = 1 and |N(r_j)| = {keys[j]}, so r_i^m = r_j^k forces k = 0, then m = 0",
+            certificate=f"{key % 'r_i'} = 1 and {key % 'r_j'} = {keys[j]}, so r_i^m = r_j^k forces k = 0, then m = 0",
         )
-    if not norm_one:
+    if all(ones):
+        exps = [_unit_exponent(x, xs[0]) for x in xs]
+    else:
         vecs, pair, u, cs = _exponent_lattice(keys)
         if pair:
             i, j = pair
@@ -173,7 +202,7 @@ def is_periodic(ratios):
                 exact=True,
                 witness=(i + 1, j + 1),
                 certificate=(
-                    f"{'' if rational else 'norm '}exponent vectors {dict(vecs[i])} and "
+                    f"{kind}exponent vectors {dict(vecs[i])} and "
                     f"{dict(vecs[j])} are not proportional, so r_i^m = r_j^k has no solution"
                 ),
             )
@@ -183,41 +212,32 @@ def is_periodic(ratios):
             return PeriodicityVerdict(
                 periodic=True,
                 exact=True,
-                generator=abs(float(g) * math.log(float(base_val))),
+                generator=abs(float(g) * _log(base_val)),
                 generator_expr=f"|{g}*log({base_val})|",
                 certificate=f"all exponent vectors proportional to {u}",
             )
         exps = [Fraction(c, cs[0]) for c in cs]
-    else:
-        log1 = math.log(float(xs[0]))
-        exps = [Fraction(math.log(float(x)) / log1).limit_denominator(_MAX_UNIT_EXPONENT) for x in xs]
-
-    # log r_j = e log r_1 exactly iff r_1^num(e) = r_j^den(e); the float read
-    # of a norm-1 set is bounded first, so the powers stay small
+    if key == "D(%s)":  # D fixes |e| only; e has the sign of log r_j / log r_1
+        exps = [e if (x > 1) == (xs[0] > 1) else -e for e, x in zip(exps, xs)]
+    # log r_j = e log r_1 exactly iff r_1^num(e) = r_j^den(e)
     for j, e in enumerate(exps):
-        if (not norm_one or abs(e.numerator) <= _MAX_UNIT_EXPONENT) and xs[0] ** e.numerator == xs[j] ** e.denominator:
-            continue
-        if norm_one:
-            raise PreconditionError(
-                f"ratios 1 and {j + 1} have norm +-1 and no exact relation r_1^m = r_{j + 1}^k with "
-                f"|m|, |k| <= {_MAX_UNIT_EXPONENT}; their periodicity is not decided"
+        if xs[0] ** e.numerator != xs[j] ** e.denominator:
+            return PeriodicityVerdict(
+                periodic=False,
+                exact=True,
+                witness=(1, j + 1),
+                certificate=(
+                    f"the {kind.strip()}s leave only r_1^{e.numerator} = r_{j + 1}^{e.denominator}, "
+                    "which fails in exact arithmetic"
+                ),
             )
-        return PeriodicityVerdict(
-            periodic=False,
-            exact=True,
-            witness=(1, j + 1),
-            certificate=(
-                f"the norms leave only r_1^{e.numerator} = r_{j + 1}^{e.denominator}, "
-                "which fails in exact arithmetic"
-            ),
-        )
     den = math.lcm(*(e.denominator for e in exps))
     g = Fraction(math.gcd(*(e.numerator * (den // e.denominator) for e in exps)), den)
     return PeriodicityVerdict(
         periodic=True,
         exact=True,
-        generator=float(g) * abs(math.log(float(xs[0]))),
-        generator_expr=f"|{g}*log({xs[0]})|",
+        generator=float(g) * abs(_log(xs[0])),
+        generator_expr=f"{g}*|log r_1|",
         certificate=f"exact powers give log r_j / log r_1 = {', '.join(map(str, exps))}",
     )
 

@@ -234,14 +234,19 @@ def _ratio(x, d, bits=_FIX_BITS):
     return (a << bits) + (root if b > 0 else -root), den << bits
 
 
-def _to_float(x, d):
-    """A triple as a float, within one ulp: the fixed-point precision is
-    raised until num carries 64 significant bits."""
+def _fixed(x, d):
+    """`_ratio`'s num/den, with the precision raised until num has 64 bits."""
     num, den = _ratio(x, d)
     bits = _FIX_BITS
     while x[1] and num.bit_length() <= 64:
         bits *= 2
         num, den = _ratio(x, d, bits)
+    return num, den
+
+
+def _to_float(x, d):
+    """A triple as a float, within one ulp (`_fixed`)."""
+    num, den = _fixed(x, d)
     return num / den
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fractalab
 from fractalab.classify import (
+    _denominator_norm,
     classify_ifs,
     diophantine_scan,
     induce_aperiodic,
@@ -92,20 +93,44 @@ def test_quadratic_powers_of_one_element_are_exact():
     assert not v.periodic and v.exact and v.witness == (1, 3)
 
 
-def test_undecided_norm_one_pair_is_refused():
-    # both have norm 1; (9 + 4 sqrt 2)/7 is no unit of Z[sqrt 2], and no
-    # relation with exponents up to the bound holds
-    a = QuadExact(1, 1, 2).inverse()
-    b = 7 / QuadExact(9, 4, 2)
+def _norm_one_pair():
+    """(1 + sqrt 2)^-1, a unit, and 7/(9 + 4 sqrt 2), a non-unit: both have norm +-1."""
+    return QuadExact(1, 1, 2).inverse(), 7 / QuadExact(9, 4, 2)
+
+
+def test_norm_one_non_unit_pair_is_aperiodic_by_denominator_norms():
     start = time.perf_counter()
-    with pytest.raises(PreconditionError, match="not decided"):
-        is_periodic([a, b])
+    v = is_periodic(list(_norm_one_pair()))
     assert time.perf_counter() - start < 1.0
+    assert not v.periodic and v.exact and v.witness == (1, 2)
+    assert v.certificate.startswith("D(r_i) = 1 and D(r_j) = 7,")
 
 
-def _quad(data):
+def test_unit_relations_above_1000_are_exact():
+    r = golden_ratio_conjugate()
+    v = is_periodic([r, r**1001])
+    assert v.periodic and v.exact
+    assert v.generator == pytest.approx(-math.log(float(r)), rel=1e-12)
+    for ratios in ([r**6, r**100000], [r**100000, r**6]):
+        start = time.perf_counter()
+        v = is_periodic(ratios)
+        assert time.perf_counter() - start < 1.0
+        assert v.periodic and v.exact
+        assert v.generator == pytest.approx(-2 * math.log(float(r)), rel=1e-12)
+
+
+def test_generators_of_ratios_outside_the_float_range():
+    # float(x) underflows to 0.0 for each of these; the logs come from integers
+    v = is_periodic([F(1, 3**1000)] * 2)
+    assert v.periodic and v.generator == pytest.approx(1000 * math.log(3), rel=1e-14)
+    x = F(1, 2**1000 * 3**1001)
+    v = is_periodic([x, x**2])
+    assert v.periodic and v.generator == pytest.approx(1000 * math.log(2) + 1001 * math.log(3), rel=1e-14)
+
+
+def _quad(data, fields=(2, 3, 5, 6, 7, 13)):
     """A random element a + b sqrt(d) of a real quadratic field, b != 0."""
-    d = data.draw(st.sampled_from([2, 3, 5, 6, 7, 13]), label="d")
+    d = data.draw(st.sampled_from(fields), label="d")
     a = data.draw(st.fractions(-9, 9, max_denominator=6), label="a")
     b = data.draw(st.fractions(-4, 4, max_denominator=6).filter(bool), label="b")
     return QuadExact(a, b, d)
@@ -131,14 +156,47 @@ def _relation(x, y, bound=30):
 _UNITS = {2: (1, 1), 3: (2, 1), 5: (F(1, 2), F(1, 2)), 6: (5, 2), 7: (8, 3), 13: (F(3, 2), F(1, 2))}
 
 
-@settings(max_examples=80, deadline=None)
+def _leading_coefficient(z):
+    """The leading coefficient of the primitive integer multiple of z's minimal
+    polynomial X^2 - 2a X + (a^2 - d b^2): the lcm of its denominators."""
+    return math.lcm((2 * z.a).denominator, (z.a * z.a - z.d * z.b * z.b).denominator)
+
+
+def _norm_one(g):
+    """z = g^2 / N(g), of norm 1."""
+    return g * g / (g.a * g.a - g.d * g.b * g.b)
+
+
+_KINDS = ["powers", "prime", "unit", "norm-one powers", "norm-one unit", "big unit"]
+
+
+@settings(max_examples=120, deadline=None)
 @given(data=st.data(), a=st.integers(-5, 5).filter(bool), b=st.integers(-5, 5).filter(bool),
-       p=st.sampled_from([11, 17, 19, 23]), kind=st.sampled_from(["powers", "prime", "unit"]))
+       p=st.sampled_from([11, 17, 19, 23]), kind=st.sampled_from(_KINDS))
 def test_quadratic_pairs_agree_with_brute_force(data, a, b, p, kind):
     g = _quad(data)
+    if kind.startswith("norm-one"):
+        g = _norm_one(g)
+        assume(g.b)
+    unit = QuadExact(*_UNITS[g.d], g.d)
+    if kind == "big unit":
+        # x^(1009 b / c) = y^(a / c) with c = gcd(a, b): exponents above 1000,
+        # out of the brute force's reach, so the relation is checked directly
+        x, y = abs(unit**a), abs(unit ** (1009 * b))
+        c = math.gcd(a, b)
+        assert x ** (1009 * b // c) == y ** (a // c)
+        v = is_periodic([x, y])
+        assert v.periodic and v.exact
+        assert v.generator == pytest.approx(c * math.log(float(unit)), rel=1e-9)
+        return
     x, y = abs(g**a), abs(g**b)
     n = g.a * g.a - g.d * g.b * g.b
-    if kind == "prime":
+    if kind == "norm-one unit":
+        # x^m = y^k gives g^(am - bk) = +-unit^k; as |N(g)| = 1, D(g^n) = D(g)^|n| > 1
+        # for n != 0 while D(unit^k) = 1, so am = bk, and then unit^k = +-1 forces k = 0
+        assume(_leading_coefficient(g) > 1)
+        y = y * unit
+    elif kind == "prime":
         # p divides neither the numerator nor the denominator of N(g), so p
         # appears in N(y) squared and not in N(x): x^m = y^k forces k = 0
         assume(n.numerator % p and n.denominator % p)
@@ -147,12 +205,22 @@ def test_quadratic_pairs_agree_with_brute_force(data, a, b, p, kind):
         # g^(am - bk) = e^k for a unit e of infinite order: the norms force
         # am = bk when |N(g)| != 1, then e^k = 1 forces k = 0
         assume(abs(n) != 1)
-        y = y * QuadExact(*_UNITS[g.d], g.d)
+        y = y * unit
     assume(x != y and x != 1 and y != 1)
     found = _relation(x, y)
-    assert (found is None) == (kind != "powers")
+    assert (found is None) == (not kind.endswith("powers"))
     v = is_periodic([x, y])
     assert v.exact and v.periodic == (found is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_denominator_norm_of_norm_one_powers(data):
+    z = _norm_one(_quad(data, fields=(2, 3, 5, 6, 7, 1510)))
+    assume(z.b and _leading_coefficient(z) > 1)
+    assert _denominator_norm(z) == _leading_coefficient(z)
+    for m in (1, 2, 3, 4, 5):
+        assert _denominator_norm(z**m) == _denominator_norm(z**-m) == _denominator_norm(z) ** m
 
 
 def _spread_ifs(ratios):
@@ -339,8 +407,9 @@ def test_smooth_lattice_is_refused(make):
 
 def test_quadratic_lattice_is_decided_exactly():
     r = golden_ratio_conjugate()
-    v = lattice_check_fixed_point_set(_spread_ifs([r, r**2, r**3]))
-    assert v.contained and not v.trivially and v.exact
+    for top in (3, 1003):
+        v = lattice_check_fixed_point_set(_spread_ifs([r, r**2, r**top]))
+        assert v.contained and not v.trivially and v.exact
     # sorted moduli r/2 < r^2 < r: log(r^2 / (r/2)) / log(r / (r/2)) =
     # log(2r) / log 2 is irrational
     v = lattice_check_fixed_point_set(_spread_ifs([r, r**2, r / 2]))
@@ -422,6 +491,15 @@ def test_induce_reindexes_witness_pair():
     assert sum(ind.q) == 1
     perm = ind.permutation
     assert is_periodic([abs(maps[perm[0] - 1].ratio), abs(maps[perm[1] - 1].ratio)]).periodic is False
+
+
+def test_norm_one_system_is_classified_and_induced():
+    a, b = _norm_one_pair()
+    ifs = Ifs([AffineMap(a, 0), AffineMap(b, 1 - b)], (F(0), F(1)), name="norm-one")
+    v = classify_ifs(ifs).periodicity
+    assert not v.periodic and v.exact and v.witness == (1, 2)
+    ind = induce_aperiodic(ifs, (F(1, 2), F(1, 2)))
+    assert ind.permutation == [1, 2] and ind.psi.n == 3
 
 
 @pytest.mark.parametrize("make", [smooth_example, moebius_example])
