@@ -34,13 +34,14 @@ def _least_root(n):
     """The least integer m with m**k == n for some k >= 1, for n >= 2."""
     k = 2
     while 1 << k <= n:
-        m = 1 << -(-n.bit_length() // k)  # Newton from above to floor(n ** (1/k))
-        while (y := ((k - 1) * m + n // m ** (k - 1)) // k) < m:
-            m = y
-        if m**k == n:
-            n = m
-        else:
-            k += 1
+        e = math.log2(n) / k  # for e < 1000, 2^e is the k-th root within a factor 1 + 2^-40
+        if e < 30:  # an integer root is round(2^e), which 2^e meets within 2^(e-30)
+            m = round(2**e) if abs(2**e - round(2**e)) <= 2 ** (e - 30) else 0
+        else:  # Newton from above to floor(n ** (1/k))
+            m = int(2**e * (1 + 2**-30)) + 1 if e < 1000 else 1 << -(-n.bit_length() // k)
+            while (y := ((k - 1) * m + n // m ** (k - 1)) // k) < m:
+                m = y
+        n, k = (m, k) if m**k == n else (n, k + 1)
     return n
 
 
@@ -119,6 +120,21 @@ def _log(x):
     return math.log(num / den) if abs(num.bit_length() - den.bit_length()) < 1000 else math.log(num) - math.log(den)
 
 
+def _text(x):
+    """str(x) for an int, Fraction, QuadExact or dict of ints, but with each integer past
+    Python's int-to-str limit written as its bit length: no verdict fails on its text."""
+    if isinstance(x, dict):
+        return "{" + ", ".join(f"{_text(k)}: {_text(v)}" for k, v in x.items()) + "}"
+    if isinstance(x, QuadExact):
+        return f"QuadExact({_text(x.a)}{f' + {_text(x.b)}*sqrt({x.d})' if x.b else ''})"
+    if isinstance(x, Fraction) and x.denominator > 1:
+        return f"{_text(x.numerator)}/{_text(x.denominator)}"
+    try:
+        return str(x)
+    except ValueError:
+        return f"{'-' if x < 0 else ''}<{abs(int(x)).bit_length()}-bit integer>"
+
+
 def _denominator_norm(x):
     """D(x), the leading coefficient of x's primitive integer minimal polynomial, for an
     irrational x = (a + b sqrt d)/den: the norm of its denominator ideal, so D(x^m) =
@@ -172,7 +188,7 @@ def is_periodic(ratios):
             periodic=True,
             exact=True,
             generator=abs(_log(xs[0])),
-            generator_expr=f"{'-' if xs[0] < 1 else ''}log({xs[0]})",
+            generator_expr=f"{'-' if xs[0] < 1 else ''}log({_text(xs[0])})",
             certificate="all contraction ratios share one modulus",
         )
 
@@ -189,7 +205,8 @@ def is_periodic(ratios):
             periodic=False,
             exact=True,
             witness=(i + 1, j + 1),
-            certificate=f"{key % 'r_i'} = 1 and {key % 'r_j'} = {keys[j]}, so r_i^m = r_j^k forces k = 0, then m = 0",
+            certificate=(f"{key % 'r_i'} = 1 and {key % 'r_j'} = {_text(keys[j])}, "
+                         "so r_i^m = r_j^k forces k = 0, then m = 0"),
         )
     if all(ones):
         exps = [_unit_exponent(x, xs[0]) for x in xs]
@@ -202,8 +219,8 @@ def is_periodic(ratios):
                 exact=True,
                 witness=(i + 1, j + 1),
                 certificate=(
-                    f"{kind}exponent vectors {dict(vecs[i])} and "
-                    f"{dict(vecs[j])} are not proportional, so r_i^m = r_j^k has no solution"
+                    f"{kind}exponent vectors {_text(vecs[i])} and "
+                    f"{_text(vecs[j])} are not proportional, so r_i^m = r_j^k has no solution"
                 ),
             )
         if rational:
@@ -213,8 +230,8 @@ def is_periodic(ratios):
                 periodic=True,
                 exact=True,
                 generator=abs(float(g) * _log(base_val)),
-                generator_expr=f"|{g}*log({base_val})|",
-                certificate=f"all exponent vectors proportional to {u}",
+                generator_expr=f"|{g}*log({_text(base_val)})|",
+                certificate=f"all exponent vectors proportional to {_text(u)}",
             )
         exps = [Fraction(c, cs[0]) for c in cs]
     if key == "D(%s)":  # D fixes |e| only; e has the sign of log r_j / log r_1

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ifs_core import PreconditionError, _column_maps, _draw_symbols, _pull_back
+from .ifs_core import PreconditionError, _column_maps, _draw_symbols, _pull_back, _row_chunks, validate_word
 
-_CHUNK = 100_000  # paths simulated per chunk to bound peak memory
+_CHUNK = 100_000  # steps per segment of lyapunov's one-path Monte Carlo walk
 _BLOCK = 64  # columns per block of a folded one-path smooth walk
 
 
@@ -111,15 +111,11 @@ def lyapunov(ifs, p, mode="exact", n=100_000, rng_seed=0):
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(rng_seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        _, inc = _walk_matrix(ifs, p, 1, m, rng)
+    total = total_sq = 0.0
+    for start in range(0, n, _CHUNK):
+        _, inc = _walk_matrix(ifs, p, 1, min(_CHUNK, n - start), rng)
         total += float(inc.sum())
         total_sq += float((inc**2).sum())
-        done += m
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return LyapunovEstimate(mean, math.sqrt(var / n), "monte_carlo")
@@ -176,9 +172,7 @@ def gamma_law(ifs, p, eta_prime, k, chi, rng_seed=0):
     """
     if not eta_prime:
         raise PreconditionError("eta_prime must be a nonempty word")
-    if not all(1 <= s <= ifs.n for s in eta_prime):
-        raise ValueError("suffix symbol out of range")
-    first = eta_prime[0]
+    first, *rest = validate_word(ifs, eta_prime)
     kchi = float(k) * float(chi)
     dp = ifs.big_d_prime
     if ifs.is_affine:
@@ -188,15 +182,10 @@ def gamma_law(ifs, p, eta_prime, k, chi, rng_seed=0):
     rng = np.random.default_rng(rng_seed)
     n_atoms = 256
     tail = _draw_symbols(ifs, p, rng, (n_atoms, _smooth_tail_length(ifs)))
-    body = np.tile(np.array(eta_prime[1:], dtype=int) - 1, (n_atoms, 1))
+    body = np.tile(np.array(rest, dtype=int) - 1, (n_atoms, 1))
     x = _pull_back(ifs, np.hstack([body, tail]), np.full(n_atoms, float(ifs.interval_mid())))
-    fm = ifs.maps[first - 1]
-    if fm.kind == "affine":
-        xs = np.full(n_atoms, ifs.steps[first - 1])
-    else:
-        xs = -np.log(np.abs(fm.deriv(x)))
-    w = 1.0 / n_atoms
-    return GammaLaw(kchi=kchi, d_prime=dp, atoms=[(w, float(v)) for v in xs])
+    xs = _increments(ifs, np.full((n_atoms, 1), first - 1), x)[0][:, 0]
+    return GammaLaw(kchi=kchi, d_prime=dp, atoms=[(1.0 / n_atoms, float(v)) for v in xs])
 
 
 @dataclass(slots=True)
@@ -257,13 +246,14 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
     Only affine systems are supported: the cell partition needs the exact
     tilde walk, which is only available symbol-wise in the affine case.
 
-    Each chunk of paths is one _walk_matrix draw; S is the cumsum of its
-    increments, taken in place.  Each key is a row of 1-based symbols (the
-    sampler's narrow type, which holds n), prefix then suffix, each
-    left-aligned and padded with 0, so that row order is tuple order.  One
-    lexsort on (key, S_tau) puts every cell in a contiguous run sorted by
-    S_tau, and each cell's distance to the uniform law on
-    [k*chi, k*chi + X_1] is the sorted-sample formula reduced over its run.
+    The paths are walked in the row chunks of _row_chunks, each one
+    _walk_matrix draw; S is the cumsum of its increments, taken in place.
+    Each key is a row of 1-based symbols (the sampler's narrow type, which
+    holds n), prefix then suffix, each left-aligned and padded with 0, so
+    that row order is tuple order.  One lexsort on (key, S_tau) puts every
+    cell in a contiguous run sorted by S_tau, and each cell's distance to
+    the uniform law on [k*chi, k*chi + X_1] is the sorted-sample formula
+    reduced over its run.
     A cell's prefix and suffix tuples are the first min(ph, L-1) + 1 and
     min(q, L-1) - j + 1 symbols of its key's two parts, lengths taken at the
     run's first path, with ph, j and q the hit columns of h, k and h' (ph
@@ -275,6 +265,8 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
         )
     if not k > 0:
         raise ValueError(f"k must be positive, got {k}")
+    if not h >= 0:
+        raise ValueError(f"h must be >= 0, got {h}")
     if h_prime is None:
         h_prime = math.sqrt(k)
     if not h_prime > 0:
@@ -288,9 +280,7 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
     rng = np.random.default_rng(rng_seed)
 
     values, prefixes, suffixes, prefix_lens, suffix_lens = [], [], [], [], []
-    done = 0
-    while done < paths:
-        m = min(_CHUNK, paths - done)
+    for m in _row_chunks(paths, length):
         sym, S = _walk_matrix(ifs, p, m, length, rng)
         np.cumsum(S, axis=1, out=S)
         words = sym + 1  # in the sampler's narrow type, which holds n: narrow keys sort faster
@@ -304,7 +294,6 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
         suffixes.append(_gather_words(words, j, q))
         prefix_lens.append(ph + 1)
         suffix_lens.append(q - j + 1)
-        done += m
 
     s_tau = np.concatenate(values)
     prefix = _stack_padded(prefixes)
@@ -369,14 +358,7 @@ def clt_experiment(ifs, p, n, paths, rng_seed=0):
         s_n = counts @ ifs.steps
     else:
         chi = lyapunov(ifs, p, "monte_carlo", n=1_000_000, rng_seed=rng_seed + 1).value
-        s_chunks = []
-        done = 0
-        while done < paths:
-            m = min(max(_CHUNK // max(n // 256, 1), 1), paths - done)
-            _, inc = _walk_matrix(ifs, p, m, n, rng)
-            s_chunks.append(inc.sum(axis=1))
-            done += m
-        s_n = np.concatenate(s_chunks)
+        s_n = np.concatenate([_walk_matrix(ifs, p, m, n, rng)[1].sum(axis=1) for m in _row_chunks(paths, n)])
     z = (s_n - n * chi) / math.sqrt(n)
     var = float(z.var())
     if var < 1e-20:
@@ -393,9 +375,11 @@ def bracket_check(ifs, p, pairs, rng_seed=0):
     (path, k) pairs, 10 values of k in [0.5, 50] per path; the bracket is an
     exact identity, so the count should be zero.
 
-    pairs // 10 paths are walked in chunks; a chunk of m paths draws its k
-    values as one (10, m) uniform array after its walk, the stream of 10
-    draws of m, and takes S as the cumsum of the increments in place.
+    pairs // 10 paths are walked in the row chunks of _row_chunks; a chunk
+    of m paths takes S as the cumsum of its increments in place, then draws
+    its k values as one (10, m) uniform array, the stream of 10 draws of m.
+    So the pairs move with the split; the count cannot, as the bracket holds
+    for every pair.
     """
     ks_per_path = 10
     if pairs < ks_per_path:
@@ -408,10 +392,8 @@ def bracket_check(ifs, p, pairs, rng_seed=0):
     length = int(math.ceil((k_max * chi + 2 * dp) / d)) + 2
     rng = np.random.default_rng(rng_seed)
     violations = 0
-    done = 0
     n_paths = pairs // ks_per_path
-    while done < n_paths:
-        m = min(_CHUNK // 4, n_paths - done)
+    for m in _row_chunks(n_paths, length):
         _, S = _walk_matrix(ifs, p, m, length, rng)
         np.cumsum(S, axis=1, out=S)
         rows = np.arange(m)
@@ -420,5 +402,4 @@ def bracket_check(ifs, p, pairs, rng_seed=0):
             s_tau = S[rows, idx]
             bad = (s_tau < target - 1e-9) | (s_tau > target + dp + 1e-9)
             violations += int(bad.sum())
-        done += m
     return violations, n_paths * ks_per_path

@@ -36,7 +36,7 @@ from math import gcd
 
 import numpy as np
 
-from .ifs_core import PreconditionError, _draw_symbols, _pull_back, compose_word
+from .ifs_core import PreconditionError, _draw_symbols, _pull_back, _row_chunks, compose_word
 from .quadfield import QuadExact, _ratio, _times, _to_float, _triple, is_exact
 
 TWO_PI = 2 * math.pi
@@ -247,10 +247,12 @@ def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
 
 
 def sample_points(ifs, p, n_points, rng, eps):
-    """n_points approximate nu-samples, each within eps of a true x_omega."""
+    """n_points approximate nu-samples, each within eps of a true x_omega,
+    pulled back from symbols drawn in the row chunks of _row_chunks."""
     length = max(1, int(math.ceil(math.log(max(ifs.width_float / eps, 2.0)) / ifs.big_d)))
-    sym = _draw_symbols(ifs, p, rng, (n_points, length))
-    return _pull_back(ifs, sym, np.full(n_points, float(ifs.interval_mid())))
+    x = [_pull_back(ifs, _draw_symbols(ifs, p, rng, (m, length)), np.full(m, float(ifs.interval_mid())))
+         for m in _row_chunks(n_points, length)]
+    return np.concatenate([np.empty(0), *x])
 
 
 def fourier_mc(ifs, p, q, samples, rng_seed=0):

@@ -27,9 +27,10 @@ each end of the enclosure moves by at most (L+1) 2^(-K-g) <= 2^(-K-1), the
 rounding of I's ends included.  Every step rounds outward, so containment does not
 depend on the grids.
 
-Float pull-backs through a matrix of symbols (walks, Monte Carlo samples)
-evaluate a smooth system's maps in one column kernel, _column_maps; affine
-systems gather each row's ratio and translation by symbol (see _pull_back).
+Symbol matrices (walks, Monte Carlo samples) are drawn in the row chunks of
+_row_chunks, in the random stream of one big draw, and pulled back in floats:
+a smooth system's maps in one column kernel, _column_maps; affine systems
+gather each row's ratio and translation by symbol (see _pull_back).
 
 Conventions: a word eta = (eta_1, ..., eta_m) over the alphabet {1..n}
 composes left-to-right as f_eta = f_{eta_1} o ... o f_{eta_m}.
@@ -612,6 +613,16 @@ def attractor_interval(ifs):
 
 
 # -- sampling nu -------------------------------------------------------------
+
+
+_CELLS = 1 << 20  # symbols per drawn matrix chunk, bounding the chunk's memory
+
+
+def _row_chunks(rows, width):
+    """Row counts, at most max(1, _CELLS // width) each, summing to rows: rng.random
+    fills row-major, so these chunks of a rows x width draw give its stream."""
+    step = max(1, _CELLS // width)
+    return (min(step, rows - start) for start in range(0, rows, step))
 
 
 def _draw_symbols(ifs, p, rng, shape):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import fractalab
 from fractalab.classify import (
     _denominator_norm,
+    _text,
     classify_ifs,
     diophantine_scan,
     induce_aperiodic,
@@ -126,6 +127,29 @@ def test_generators_of_ratios_outside_the_float_range():
     x = F(1, 2**1000 * 3**1001)
     v = is_periodic([x, x**2])
     assert v.periodic and v.generator == pytest.approx(1000 * math.log(2) + 1001 * math.log(3), rel=1e-14)
+
+
+def test_verdicts_on_ratios_past_the_int_to_str_limit():
+    # each value has an integer of more than 4,300 digits, which str() refuses;
+    # the certificate and generator texts write such an integer by its bit length
+    r = golden_ratio_conjugate()
+    v = is_periodic([r**100000] * 2)
+    assert v.periodic and v.generator == pytest.approx(100000 * abs(math.log(float(r))), rel=1e-12)
+    assert "-bit integer>" in v.generator_expr
+    v = is_periodic([F(1, 3**10000)] * 2)
+    assert v.periodic and v.generator == pytest.approx(10000 * math.log(3), rel=1e-14)
+    assert v.generator_expr == "-log(1/<15850-bit integer>)"
+    v = is_periodic([F(1, 3 * 2**15000 + 1), F(1, 2)])
+    assert not v.periodic and v.exact and v.witness == (1, 2)
+    assert v.certificate.startswith("exponent vectors {<15002-bit integer>: -1} and {2: -1} are not proportional")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ks=st.lists(st.integers(-40, 40), min_size=1, max_size=3))
+def test_text_is_str_where_str_converts(data, ks):
+    x = _quad(data) if data.draw(st.booleans(), label="quadratic") else data.draw(st.fractions(), label="x")
+    vec = {b: k for b, k in zip((2, 3, 10**40 + 1), ks)}
+    assert _text(x) == str(x) and _text(vec) == str(vec)
 
 
 def _quad(data, fields=(2, 3, 5, 6, 7, 13)):

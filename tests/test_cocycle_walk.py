@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fractalab import cocycle_walk
+from fractalab import cocycle_walk, fourier, ifs_core
 from fractalab.cocycle_walk import (
     bracket_check,
     clt_experiment,
@@ -139,17 +139,18 @@ def test_bracket_check_rejects_fewer_than_ten_pairs(pairs):
 
 
 @pytest.mark.parametrize(
-    "system, pairs, chunk",
+    "system, pairs, budget",
     [("aperiodic-125", 3_000, None), ("cantor", 3_000, None), ("aperiodic-125", 10_070, 1_200)],
 )
 def test_bracket_check_counts_planted_violations_like_a_per_path_reference(
-    monkeypatch, system, pairs, chunk
+    monkeypatch, system, pairs, budget
 ):
     # every 7th path gets a step of D' + 1 at column 25, so a k*chi in the gap
     # it leaves has S_tau above k*chi + D'.  The reference walks each recorded
     # row with 10 separate uniform draws of the chunk size from the state the
     # walk left, so a batched draw that paired a path with another path's k
-    # would differ; _CHUNK = 1,200 gives chunks of 300 paths.
+    # would differ; _CELLS = 1,200 gives chunks of 1,200 // 81 = 14 paths and
+    # a short last chunk of 13.
     ifs, p = registered_affine()[system]
     walk = cocycle_walk._walk_matrix
     recorded = []
@@ -161,11 +162,16 @@ def test_bracket_check_counts_planted_violations_like_a_per_path_reference(
         return sym, inc
 
     monkeypatch.setattr(cocycle_walk, "_walk_matrix", planted)
-    if chunk is not None:
-        monkeypatch.setattr(cocycle_walk, "_CHUNK", chunk)
+    if budget is not None:
+        monkeypatch.setattr(ifs_core, "_CELLS", budget)
     violations, checked = bracket_check(ifs, p, pairs, rng_seed=4)
     assert checked == pairs // 10 * 10
-    assert len(recorded) == (1 if chunk is None else -(-(pairs // 10) // (chunk // 4)))
+    rows = [len(inc) for inc, _ in recorded]
+    if budget is None:
+        assert rows == [pairs // 10]
+    else:
+        step = budget // recorded[0][0].shape[1]
+        assert rows == [step] * (len(rows) - 1) + [pairs // 10 - step * (len(rows) - 1)] and 0 < rows[-1] < step
 
     chi, dp = lyapunov(ifs, p).value, ifs.big_d_prime
     expect = 0
@@ -222,7 +228,7 @@ def test_gamma_law_cdf_monotone():
     assert cs[0] == 0 and cs[-1] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("suffix", [(3,), (1, 3), (2, 0)])
+@pytest.mark.parametrize("suffix", [(3,), (1, 3), (2, 0), (2, 1.7), (1.5,)])
 def test_gamma_law_rejects_out_of_range_suffix_symbols(suffix):
     with pytest.raises(ValueError, match="out of range"):
         gamma_law(smooth_example(), HALF, suffix, k=5, chi=1.0)
@@ -268,13 +274,23 @@ def test_clt_smooth_is_the_kstest_statistic():
 
 
 def test_clt_smooth_long_walk_takes_at_least_one_path_per_chunk(monkeypatch):
-    # _CHUNK // (n // 256) is 0 here, as it is at the real _CHUNK for n > 25,600,255;
-    # chi is stubbed, since its 1e6-step walk in chunks of 100 takes about 10 s
-    monkeypatch.setattr(cocycle_walk, "_CHUNK", 100)
+    # _CELLS // n is 0 here, as it is at the real _CELLS for n > 2^20; each of
+    # the 3 paths is then a chunk of its own.  chi is stubbed, since it does
+    # not read _CELLS and its 1e6-step walk takes about 0.3 s
+    monkeypatch.setattr(ifs_core, "_CELLS", 10_000)
     chi = cocycle_walk.LyapunovEstimate(1.0, 0.0, "monte_carlo")
     monkeypatch.setattr(cocycle_walk, "lyapunov", lambda *args, **kwargs: chi)
+    walk = cocycle_walk._walk_matrix
+    rows = []
+
+    def counted(ifs, p, m, *rest):
+        rows.append(m)
+        return walk(ifs, p, m, *rest)
+
+    monkeypatch.setattr(cocycle_walk, "_walk_matrix", counted)
     rep = clt_experiment(smooth_example(), HALF, n=30_000, paths=3, rng_seed=2)
     assert rep.paths == 3 and not rep.zero_variance
+    assert rows == [1, 1, 1]
 
 
 def test_clt_homogeneous_zero_variance():
@@ -312,6 +328,49 @@ def test_llt_lattice_case_far_from_gamma_law():
 def test_llt_rejects_nonpositive_h_prime():
     with pytest.raises(ValueError, match="h_prime"):
         conditional_llt_experiment(aperiodic_125(), W125, k=5, h=0, h_prime=0.0, paths=100)
+
+
+@pytest.mark.parametrize("h", [-3, -19, -1e-9, float("nan")])
+def test_llt_rejects_negative_h(monkeypatch, h):
+    # h = -19 at k = 20 indexed past the walk; h = -3 drew a shorter walk than h = 0
+    monkeypatch.setattr(cocycle_walk, "_walk_matrix", None)  # raised before any walk
+    with pytest.raises(ValueError, match=f"h must be >= 0, got {h}"):
+        conditional_llt_experiment(aperiodic_125(), W125, k=20, h=h, h_prime=None, paths=100)
+
+
+@pytest.mark.parametrize("cells", [5, 100])
+def test_row_chunks_draw_the_stream_of_one_draw(monkeypatch, cells):
+    # each call at a tiny _CELLS, in many chunks, gives the bits it gives at
+    # the real _CELLS, in one.  _CELLS = 100 leaves a short last chunk;
+    # _CELLS = 5 is below every width, so every chunk is one row, and a smooth
+    # CLT row then takes the one-path fold of _walk_matrix
+    calls = {
+        "sample_points": lambda: fourier.sample_points(smooth_example(), HALF, 211, np.random.default_rng(1), 1e-6),
+        "fourier_mc": lambda: fourier.fourier_mc(aperiodic_125(), W125, 7.5, 307, rng_seed=2),
+        "llt": lambda: conditional_llt_experiment(aperiodic_125(), W125, 12, 1, 3.0, 401, rng_seed=3),
+        "clt": lambda: clt_experiment(smooth_example(), HALF, n=20, paths=53, rng_seed=4),
+    }
+    chunks = []
+
+    def recorded(rows, width):
+        chunks.append(list(ifs_core._row_chunks(rows, width)))
+        return chunks[-1]
+
+    monkeypatch.setattr(fourier, "_row_chunks", recorded)
+    monkeypatch.setattr(cocycle_walk, "_row_chunks", recorded)
+
+    def bits(out):
+        return out.tobytes() if isinstance(out, np.ndarray) else repr(out)
+
+    for name, call in calls.items():
+        chunks.clear()
+        one = bits(call())
+        assert len(chunks) == 1 and len(chunks[0]) == 1, name
+        with monkeypatch.context() as m:
+            m.setattr(ifs_core, "_CELLS", cells)
+            chunks.clear()
+            assert bits(call()) == one, name
+        assert len(chunks) == 1 and len(chunks[0]) > 1 and min(chunks[0]) >= 1, name
 
 
 def _reference_llt_cells(symbol_blocks, logr, k, h, h_prime, chi, paths, min_cell):
@@ -355,7 +414,7 @@ def _reference_llt_cells(symbol_blocks, logr, k, h, h_prime, chi, paths, min_cel
 
 
 @pytest.mark.parametrize(
-    "system, k, h, paths, chunk, min_cell",
+    "system, k, h, paths, budget, min_cell",
     [
         ("aperiodic-125", 12, 0, 3_000, None, 30),
         ("aperiodic-125", 12, 2, 3_000, None, 30),
@@ -365,10 +424,11 @@ def _reference_llt_cells(symbol_blocks, logr, k, h, h_prime, chi, paths, min_cel
         ("aperiodic-125", 6, 0, 300, None, 10**6),
     ],
 )
-def test_llt_cells_match_a_per_path_reference(monkeypatch, system, k, h, paths, chunk, min_cell):
+def test_llt_cells_match_a_per_path_reference(monkeypatch, system, k, h, paths, budget, min_cell):
     # the symbols are drawn by searchsorted on the cumulative weights, not by
-    # _draw_symbols, and recorded for the reference; the chunked case joins
-    # chunks whose keys have different widths
+    # _draw_symbols, and recorded for the reference; the chunked case, with
+    # _CELLS = 1,000, joins chunks of 1,000 // 49 = 20 paths whose keys have
+    # different widths, the last of one path
     ifs, p = registered_affine()[system]
     blocks = []
 
@@ -378,19 +438,20 @@ def test_llt_cells_match_a_per_path_reference(monkeypatch, system, k, h, paths, 
         return blocks[-1]
 
     monkeypatch.setattr(cocycle_walk, "_draw_symbols", draw)
-    if chunk is not None:
-        monkeypatch.setattr(cocycle_walk, "_CHUNK", chunk)
+    if budget is not None:
+        monkeypatch.setattr(ifs_core, "_CELLS", budget)
     h_prime = math.sqrt(k)
     rep = conditional_llt_experiment(
         ifs, p, k=k, h=h, h_prime=h_prime, paths=paths, rng_seed=11, min_cell=min_cell
     )
-    assert len(blocks) == (1 if chunk is None else -(-paths // chunk))
+    step = paths if budget is None else budget // blocks[0].shape[1]
+    assert [len(b) for b in blocks] == [step] * (paths // step) + [paths % step] * (paths % step > 0)
     chi = lyapunov(ifs, p).value
     logr = np.array([-math.log(float(abs(m.ratio))) for m in ifs.maps])
     cells, median, excluded, widths = _reference_llt_cells(
         blocks, logr, k, h, h_prime, chi, paths, min_cell
     )
-    if chunk is not None:
+    if budget is not None:
         # the short last chunk has narrower suffix keys than the others
         assert len(set(widths)) > 1
     assert [(c.prefix, c.suffix, c.count, c.ks) for c in rep.cells] == cells

@@ -293,11 +293,12 @@ def test_cli_run_ifs_file_without_weights(tmp_path, kind):
         (["experiment fourier-decay", "ifs builtin:cantor", "q-ratio-powers 0", "assert-min-abs 0.1"],
          "q-ratio-powers"),
         (["experiment llt", "ifs builtin:cantor", "k-list -5", "paths 100"], "k must be positive"),
+        (["experiment llt", "ifs builtin:aperiodic-125", "k-list 20", "h -19"], "h must be >= 0, got -19.0"),
     ],
     ids=["n-max-0", "n-max-3", "n-digits-0", "n-below-block-len", "block-len-0", "q-zero",
          "weight-over-zero", "moser-depth-0", "moser-tau-below-minus-1", "unknown-method", "mc-samples-0", "clt-n-0",
          "clt-paths-0", "llt-paths-0", "del-samples-0", "normality-seeds-0", "ratio-powers-0",
-         "llt-negative-k"],
+         "llt-negative-k", "llt-negative-h"],
 )
 def test_cli_run_edge_parameter_exits_2(tmp_path, capsys, lines, needle):
     cfg = write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
