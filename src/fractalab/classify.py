@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
 
 import mpmath
 import numpy as np
@@ -30,14 +30,38 @@ from .quadfield import QuadExact, _field, _fixed, _triple, is_exact
 # -- exact multiplicative structure -----------------------------------------
 
 
+def _is_prime(n):
+    """Miller-Rabin on the first 12 prime bases, exact for n below
+    318665857834031151167461, a strong pseudoprime to all 12 (Sorenson and
+    Webster, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s)) for a in bases)
+
+
+def _power_residue(n, k):
+    """False only if n is no k-th power: for two primes p = 1 (mod k) not
+    dividing n, n mod p must be a k-th power residue (Euler's criterion)."""
+    primes = (p for p in count(k + 1, k) if _is_prime(p) and n % p)
+    return all(pow(n % p, (p - 1) // k, p) == 1 for p in islice(primes, 2))
+
+
 def _least_root(n):
-    """The least integer m with m**k == n for some k >= 1, for n >= 2."""
+    """The least integer m with m**k == n for some k >= 1, for n >= 2.
+
+    Only prime k are tried (a k-th power is a p-th power for every prime p
+    dividing k), each until n has no k-th root; Newton runs only for a k
+    that passes _power_residue."""
     k = 2
     while 1 << k <= n:
         e = math.log2(n) / k  # for e < 1000, 2^e is the k-th root within a factor 1 + 2^-40
+        m = 0
         if e < 30:  # an integer root is round(2^e), which 2^e meets within 2^(e-30)
-            m = round(2**e) if abs(2**e - round(2**e)) <= 2 ** (e - 30) else 0
-        else:  # Newton from above to floor(n ** (1/k))
+            m = round(2**e) if abs(2**e - round(2**e)) <= 2 ** (e - 30) and _is_prime(k) else 0
+        elif _is_prime(k) and _power_residue(n, k):  # Newton from above to floor(n ** (1/k))
             m = int(2**e * (1 + 2**-30)) + 1 if e < 1000 else 1 << -(-n.bit_length() // k)
             while (y := ((k - 1) * m + n // m ** (k - 1)) // k) < m:
                 m = y

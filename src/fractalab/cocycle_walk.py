@@ -34,15 +34,17 @@ def _increments(ifs, sym, x):
     """(X, x') for smooth walks over the columns of sym, row r entered at x[r].
 
     X[r, j] = -log|f'_{sym[r, j]}| at the point the row holds before column
-    j, and x' is where each row ends after its leftmost column.
+    j, and x' is where each row ends after its leftmost column.  Each column
+    evaluates every smooth map's derivative on all rows, each row keeping
+    its own map's value, as _column_maps does for the maps.
     """
-    apply, present, masks = _column_maps(ifs, sym)
+    apply, masks = _column_maps(ifs, sym)
+    smooth = [(i, m) for i, m in enumerate(ifs.maps) if m.kind != "affine"]
     incs = ifs.steps[sym]  # exact for affine maps; smooth ones are set below
     for j in range(sym.shape[1] - 1, -1, -1):
         # a smooth map takes its increment before its column
-        for i in present[j]:
-            if ifs.maps[i].kind != "affine":
-                incs[:, j] = np.where(masks[i, j], -np.log(np.abs(ifs.maps[i].deriv(x))), incs[:, j])
+        for i, m in smooth:
+            incs[:, j] = np.where(masks[i, j], -np.log(np.abs(m.deriv(x))), incs[:, j])
         x = apply(j, x)
     return incs, x
 

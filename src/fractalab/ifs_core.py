@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 
 import mpmath
@@ -326,7 +327,6 @@ class Ifs:
 
     def _validate(self):
         lo, hi = self.interval
-        fixed = set()
         for i, m in enumerate(self.maps, start=1):
             dmin, dmax = m.deriv_range()
             if not 0 < dmin <= dmax < 1:
@@ -335,25 +335,70 @@ class Ifs:
             img = sorted(m(x) if m.kind == "affine" else _exact_image(m, x) for x in (lo, hi))
             if img[0] < lo or img[1] > hi:
                 raise ValueError(f"map {i} does not map I into I")
-            fixed.add(m.fixed_point() if m.kind == "affine" else round(_smooth_fixed_point(m, self), 12))
-        if len(fixed) < 2:
+        polys = [_fixed_poly(m) for m in self.maps]
+        # a map of least degree has an exact fixed point; every map is tested at it
+        x = _fixed_point(self.maps[min(range(self.n), key=lambda i: len(polys[i]))], lo)
+        if all(_is_root(f, x) for f in polys):
             raise ValueError("all maps share one fixed point; the attractor is a single point")
 
     def __repr__(self):
         return f"Ifs({self.name}, n={self.n})"
 
 
+def _horner(cs, x):
+    """sum(c * x**i) over the coefficients cs, constant term first."""
+    v = cs[-1]
+    for c in reversed(cs[:-1]):
+        v = v * x + c
+    return v
+
+
 def _exact_image(m, x):
     """m(x) = P(x)/Q(x) in exact arithmetic."""
-    p, q = (sum(c * x**i for i, c in enumerate(cs)) for cs in (m.num, m.den))
-    return p / q
+    return _horner(m.num, x) / _horner(m.den, x)
 
 
-def _smooth_fixed_point(m, ifs):
-    x = float(ifs.interval_mid())
-    for _ in range(200):  # Banach iteration converges at rate sup|f'|
-        x = m(x)
-    return x
+def _fixed_poly(m):
+    """P - x*Q for m = P/Q, constant term first: its roots are m's fixed points."""
+    f = [p - q for p, q in zip_longest(m.num, (0, *m.den), fillvalue=0)]
+    while f and f[-1] == 0:
+        f.pop()
+    if not 2 <= len(f) <= 3:
+        raise PreconditionError(f"{m}: P - x*Q has degree {len(f) - 1}; exact fixed points need 1 or 2")
+    return f
+
+
+def _fixed_point(m, lo):
+    """m's fixed point in I = [lo, hi], exact, for P - x*Q linear or quadratic
+    with rational coefficients.  Of the roots (-c1 +- sqrt(disc)) / 2c2, it is
+    the one where the slope c1 + 2c2 x = +-sqrt(disc), which is Q(x) (f'(x) - 1)
+    there, has the sign of -Q on I, as |f'| < 1."""
+    f = _fixed_poly(m)
+    if len(f) == 2:
+        return -f[0] / f[1]
+    c0, c1, c2 = f
+    if any(isinstance(c, QuadExact) for c in f):
+        raise PreconditionError(f"the fixed point of {m} need not lie in a quadratic field")
+    disc = Fraction(c1 * c1 - 4 * c0 * c2)
+    k, n = Fraction(1, disc.denominator), disc.numerator * disc.denominator  # sqrt(disc) = k sqrt(n)
+    for p in range(2, 100):  # small squares out of n, so that sqrt(8) is 2 sqrt(2)
+        while n and n % (p * p) == 0:
+            k, n = k * p, n // (p * p)
+    root = k * math.isqrt(n) if math.isqrt(n) ** 2 == n else QuadExact(0, k, n)
+    return (-c1 - root if _horner(m.den, lo) > 0 else -c1 + root) / (2 * c2)
+
+
+def _is_root(f, x):
+    """Whether the exact x is a root of f, whose coefficients lie in Q or in
+    one Q(sqrt e), x's field or another: f = A + sqrt(e) B with rational A and
+    B, and f(x) = 0 exactly when A(x) = B(x) = 0 or -A(x)/B(x) = sqrt(e)."""
+    quad = [c for c in f if isinstance(c, QuadExact)]
+    a = _horner([c.a if isinstance(c, QuadExact) else c for c in f], x)
+    b = _horner([c.b if isinstance(c, QuadExact) else 0 for c in f], x) if quad else 0
+    if b == 0:
+        return a == 0
+    y = -a / b
+    return y > 0 and y * y == quad[0].d
 
 
 def validate_word(ifs, eta):
@@ -647,29 +692,24 @@ def _draw_symbols(ifs, p, rng, shape):
 
 
 def _column_maps(ifs, sym):
-    """(apply, present, masks) for a smooth system's maps on the symbol matrix sym.
+    """(apply, masks) for a smooth system's maps on the symbol matrix sym.
 
-    apply(j, x) is f_{sym[r, j]}(x[r]) row-wise in floats, present[j] the
-    0-based maps in column j and masks[i, j] the rows of map i there.  Only
-    present maps are evaluated, on all rows, each row keeping its own map's
-    value through np.where: evaluating every map in every column made a
-    one-row walk 1.4-1.9x slower.  Affine maps take floats converted once.
+    apply(j, x) is f_{sym[r, j]}(x[r]) row-wise in floats and masks[i, j] the
+    rows of map i in column j.  Every map is evaluated on all rows, each row
+    keeping its own map's value through np.where.  Affine maps take floats
+    converted once.
     """
     fs = [m if m.kind != "affine" else (lambda x, r=float(m.ratio), t=float(m.translation): r * x + t)
           for m in ifs.maps]
     masks = np.equal(sym.T, np.arange(ifs.n, dtype=sym.dtype)[:, None, None], order="C")
-    occurs = list(map(tuple, masks.any(axis=2).T.tolist()))  # a column of no rows applies map 0
-    live = {row: [i for i, hit in enumerate(row) if hit] or [0] for row in set(occurs)}
-    present = [live[row] for row in occurs]
 
     def apply(j, x):
-        *rest, i = present[j]
-        y = fs[i](x)
-        for i in rest:
+        y = fs[-1](x)
+        for i in range(ifs.n - 1):
             y = np.where(masks[i, j], fs[i](x), y)
         return y
 
-    return apply, present, masks
+    return apply, masks
 
 
 def _pull_back(ifs, sym, x):
@@ -690,7 +730,7 @@ def _pull_back(ifs, sym, x):
             x *= np.take(r, s, out=buf)
             x += np.take(t, s, out=buf)
         return x
-    apply, _, _ = _column_maps(ifs, sym)
+    apply, _ = _column_maps(ifs, sym)
     for j in range(sym.shape[1] - 1, -1, -1):
         x = apply(j, x)
     return x

@@ -164,60 +164,35 @@ def digit_frequency_test(stream, n, block_len):
 class OrbitStats:
     base: int
     n: int
-    digit_counts: dict
-    block_counts: dict  # {block length: {block: count}}
     weyl: dict  # {q: complex W_{q,N}}
-    orbit_period: int = 0  # exact-rational orbits only; 0 when not computed
 
 
-def weyl_sums(source, base, q_set, n):
-    """Weyl sums W_{q,N} = (1/N) sum_{m<=N} e(q * base^m * x) plus digit and
-    block counts (blocks of length 1..3) of the orbit.
+def weyl_sums(stream, base, q_set, n):
+    """Weyl sums W_{q,N} = (1/N) sum_{m<=N} e(q * base^m * x) of the orbit of
+    the point x behind a certified DigitStream.
 
-    `source` is an exact rational x (big-integer modular orbit, any N) or a
-    DigitStream (orbit read off certified digits; N is capped so that every
-    orbit value is accurate to base^-(certified - n - 12))."""
+    Each orbit value T^m x is read off 40 certified digits, fewer where the
+    stream ends; N is capped at certified - 12, so every value is accurate to
+    base^-12 or better."""
     _require_int("base", base, 2)
     _require_int("N", n, 1)
-    period = 0
-    if isinstance(source, DigitStream):
-        if source.base != base:
-            raise ValueError("digit stream base mismatch")
-        slack = 12
-        if n + slack > source.certified_upto:
-            raise PreconditionError(
-                f"N={n} needs {n + slack} certified digits, have {source.certified_upto}"
-            )
-        # orbit value T^m x ~ 0.d_{m+1} d_{m+2} ... d_{m+40}, digits past the
-        # stream read as 0; pass j adds the (j+1)-th digit of every value
-        padded = np.array(source.digits[: n + 40] + [0] * 40, dtype=float)
-        angles = np.zeros(n)
-        scale = 1.0
-        for j in range(40):
-            scale /= base
-            angles += padded[1 + j : n + 1 + j] * scale
-        dig = source.digits[1 : n + 1]
-    else:
-        x = Fraction(source)
-        frac = x - math.floor(x)
-        num, den = frac.numerator, frac.denominator
-        angles = np.empty(n)
-        dig = []
-        seen = {num: 0}
-        num = (num * base) % den
-        for m in range(n):
-            # num / den = T^{m+1} x, whose first digit comes with T^{m+2} x
-            angles[m] = num / den
-            if num in seen and period == 0:
-                period = m + 1 - seen[num]
-            elif period == 0:
-                seen[num] = m + 1
-            digit, num = divmod(num * base, den)
-            dig.append(digit)
-    block_counts = {
-        ell: Counter(zip(*(dig[j:] for j in range(ell))))  # every window of ell digits, in order
-        for ell in range(1, 4)
-    }
+    if not isinstance(stream, DigitStream):
+        raise TypeError(f"weyl_sums needs a DigitStream, got {type(stream).__name__}")
+    if stream.base != base:
+        raise ValueError("digit stream base mismatch")
+    slack = 12
+    if n + slack > stream.certified_upto:
+        raise PreconditionError(
+            f"N={n} needs {n + slack} certified digits, have {stream.certified_upto}"
+        )
+    # orbit value T^m x ~ 0.d_{m+1} d_{m+2} ... d_{m+40}, digits past the
+    # stream read as 0; pass j adds the (j+1)-th digit of every value
+    padded = np.array(stream.digits[: n + 40] + [0] * 40, dtype=float)
+    angles = np.zeros(n)
+    scale = 1.0
+    for j in range(40):
+        scale /= base
+        angles += padded[1 + j : n + 1 + j] * scale
 
     weyl = {}
     phases = np.exp(2j * np.pi * angles)
@@ -229,11 +204,4 @@ def weyl_sums(source, base, q_set, n):
             weyl[q] = complex(np.mean(phases**int(q))) if float(q).is_integer() else complex(
                 np.mean(np.exp(2j * np.pi * qf * angles))
             )
-    return OrbitStats(
-        base=base,
-        n=n,
-        digit_counts=Counter(dig),
-        block_counts=block_counts,
-        weyl=weyl,
-        orbit_period=period,
-    )
+    return OrbitStats(base=base, n=n, weyl=weyl)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import fractalab
 from fractalab.classify import (
     _denominator_norm,
+    _least_root,
     _text,
     classify_ifs,
     diophantine_scan,
@@ -365,6 +366,15 @@ def test_perfect_powers_reduce_to_their_least_root():
     assert (rep.base, rep.exponents, rep.gcd) == (2, [2, 4], 2)
     rep = integer_pisot_form_check(_spread_ifs([F(1, 36), F(1, 216)]))
     assert (rep.base, rep.exponents, rep.gcd) == (6, [2, 3], 1)
+
+
+def test_least_root_of_a_large_power_is_fast():
+    # a 180,061-bit 3001st power, and the same plus 2, which is no power
+    n = (2**60 + 3) ** 3001
+    for value, root in ((n, 2**60 + 3), (n + 2, n + 2)):
+        start = time.perf_counter()
+        assert _least_root(value) == root
+        assert time.perf_counter() - start < 10.0
 
 
 def _run_fresh(code):

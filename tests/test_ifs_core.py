@@ -461,6 +461,32 @@ def test_smooth_map_into_interval_check_is_exact():
         Ifs([over, third], (0, 1))
 
 
+def test_a_shared_fixed_point_is_decided_exactly():
+    # x/3 + 13/60 + x^2/20 and x/3 + 2/9 both fix 1/3
+    fix_third = quadratic_map(F(1, 3), F(13, 60), F(1, 20), (0, 1))
+    with pytest.raises(ValueError, match="share one fixed point"):
+        Ifs([fix_third, AffineMap(F(1, 3), F(2, 9))], (0, 1))
+    # the same quadratic shape fixing 1/3 + 1e-14: two attractor points
+    x = F(1, 3) + F(1, 10**14)
+    Ifs([fix_third, quadratic_map(F(1, 3), x - x / 3 - x * x / 20, F(1, 20), (0, 1))], (0, 1))
+    # 1/(x+2) and (x+1)/(x+3) both fix sqrt(2) - 1
+    root2 = QuadExact(-1, 1, 2)
+    assert ifs_core._fixed_point(moebius_map(0, 1, 1, 2, (0, 1)), 0) == root2
+    with pytest.raises(ValueError, match="share one fixed point"):
+        Ifs([moebius_map(0, 1, 1, 2, (0, 1)), moebius_map(1, 1, 1, 3, (0, 1))], (0, 1))
+    # maps over other fields: Q(sqrt 5) fixes no point of Q(sqrt 2); sqrt(2) - 1
+    # written in Q(sqrt 8) is still the shared point
+    Ifs([moebius_map(0, 1, 1, 2, (0, 1)), AffineMap(golden_ratio_conjugate() / 2, 0)], (0, 1))
+    with pytest.raises(ValueError, match="share one fixed point"):
+        Ifs([moebius_map(0, 1, 1, 2, (0, 1)), AffineMap(F(1, 2), QuadExact(-1, F(1, 2), 8) / 2)], (0, 1))
+    for name in BUILTINS:
+        builtin(name)
+    cubic = ifs_core.SmoothMap("cubic", lambda x: x / 3 + x**3 / 20, lambda x: 1 / 3 + 3 * x**2 / 20,
+                               (0, F(1, 3), 0, F(1, 20)), (1,), 1 / 3, 0.49)
+    with pytest.raises(PreconditionError, match="degree 3"):
+        Ifs([cubic, AffineMap(F(1, 3), F(2, 3))], (0, 1))
+
+
 def test_smooth_system_with_a_quadratic_field_map_raises_a_named_error():
     ifs = Ifs(
         [quadratic_map(F(1, 3), 0, F(1, 20), (0, 1)), AffineMap(F(1, 3), golden_ratio_conjugate())],
