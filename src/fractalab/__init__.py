@@ -11,6 +11,7 @@ from .ifs_core import (
     Enclosure,
     Ifs,
     PreconditionError,
+    ShortPrefixError,
     SmoothMap,
     WeightVector,
     aperiodic_125,
@@ -32,6 +33,7 @@ __all__ = [
     "Ifs",
     "PreconditionError",
     "QuadExact",
+    "ShortPrefixError",
     "SmoothMap",
     "WeightVector",
     "aperiodic_125",

@@ -255,11 +255,8 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
     that row order is tuple order.  One lexsort on (key, S_tau) puts every
     cell in a contiguous run sorted by S_tau, and each cell's distance to
     the uniform law on [k*chi, k*chi + X_1] is the sorted-sample formula
-    reduced over its run.
-    A cell's prefix and suffix tuples are the first min(ph, L-1) + 1 and
-    min(q, L-1) - j + 1 symbols of its key's two parts, lengths taken at the
-    run's first path, with ph, j and q the hit columns of h, k and h' (ph
-    = -1 for h = 0, an empty prefix).
+    reduced over its run.  A cell's prefix and suffix are the nonzero
+    symbols of its key's two parts.
     """
     if not ifs.is_affine:
         raise PreconditionError(
@@ -281,7 +278,7 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
     length = int(math.ceil(((k + h + h_prime) * chi + 3 * dp) / d)) + 4
     rng = np.random.default_rng(rng_seed)
 
-    values, prefixes, suffixes, prefix_lens, suffix_lens = [], [], [], [], []
+    values, prefixes, suffixes = [], [], []
     for m in _row_chunks(paths, length):
         sym, S = _walk_matrix(ifs, p, m, length, rng)
         np.cumsum(S, axis=1, out=S)
@@ -294,8 +291,6 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
         values.append(S[rows, j])
         prefixes.append(_gather_words(words, np.zeros(m, dtype=np.intp), ph))
         suffixes.append(_gather_words(words, j, q))
-        prefix_lens.append(ph + 1)
-        suffix_lens.append(q - j + 1)
 
     s_tau = np.concatenate(values)
     prefix = _stack_padded(prefixes)
@@ -311,12 +306,12 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
     rank = np.arange(paths) - np.repeat(starts, counts)
     ks = np.maximum.reduceat(np.maximum((rank + 1) / n - u, u - rank / n), starts)
 
-    first = order[starts]
+    cells = keys[starts]
     stats = [
         CellStat(tuple(pre[:a]), tuple(suf[:b]), c, v)
         for pre, suf, a, b, c, v in zip(
-            keys[starts, :pw].tolist(), keys[starts, pw:].tolist(),
-            np.concatenate(prefix_lens)[first].tolist(), np.concatenate(suffix_lens)[first].tolist(),
+            cells[:, :pw].tolist(), cells[:, pw:].tolist(),
+            np.count_nonzero(cells[:, :pw], axis=1).tolist(), np.count_nonzero(cells[:, pw:], axis=1).tolist(),
             counts.tolist(), ks.tolist(),
         )
     ]
@@ -337,6 +332,14 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
     )
 
 
+def _chi(ifs, p, rng_seed):
+    """chi for the CLT and bracket experiments: exact for an affine system,
+    Monte Carlo over 1e6 steps on seed rng_seed + 1 for a smooth one."""
+    if ifs.is_affine:
+        return lyapunov(ifs, p, "exact").value
+    return lyapunov(ifs, p, "monte_carlo", n=1_000_000, rng_seed=rng_seed + 1).value
+
+
 @dataclass
 class CltReport:
     n: int
@@ -353,13 +356,12 @@ def clt_experiment(ifs, p, n, paths, rng_seed=0):
     if n < 1 or paths < 1:
         raise ValueError(f"need n >= 1 and paths >= 1, got n {n} and paths {paths}")
     rng = np.random.default_rng(rng_seed)
+    chi = _chi(ifs, p, rng_seed)
     if ifs.is_affine:
-        chi = lyapunov(ifs, p, "exact").value
         w = np.array([float(x) for x in p])
         counts = rng.multinomial(n, w, size=paths)
         s_n = counts @ ifs.steps
     else:
-        chi = lyapunov(ifs, p, "monte_carlo", n=1_000_000, rng_seed=rng_seed + 1).value
         s_n = np.concatenate([_walk_matrix(ifs, p, m, n, rng)[1].sum(axis=1) for m in _row_chunks(paths, n)])
     z = (s_n - n * chi) / math.sqrt(n)
     var = float(z.var())
@@ -386,9 +388,7 @@ def bracket_check(ifs, p, pairs, rng_seed=0):
     ks_per_path = 10
     if pairs < ks_per_path:
         raise ValueError(f"pairs must be >= {ks_per_path}, got {pairs}")
-    chi = lyapunov(ifs, p, "exact").value if ifs.is_affine else lyapunov(
-        ifs, p, "monte_carlo", n=1_000_000, rng_seed=rng_seed + 1
-    ).value
+    chi = _chi(ifs, p, rng_seed)
     d, dp = ifs.big_d, ifs.big_d_prime
     k_max = 50.0
     length = int(math.ceil((k_max * chi + 2 * dp) / d)) + 2

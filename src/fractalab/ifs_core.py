@@ -39,7 +39,6 @@ composes left-to-right as f_eta = f_{eta_1} o ... o f_{eta_m}.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
@@ -52,6 +51,10 @@ from .quadfield import _FIX_BITS, QuadExact, _bounds, _field, _times, _triple, i
 
 class PreconditionError(ValueError):
     """An operation's stated precondition does not hold for these inputs."""
+
+
+class ShortPrefixError(PreconditionError):
+    """coding_point's prefix has a cylinder too wide for the target width."""
 
 
 def _exact(x):
@@ -67,7 +70,7 @@ class Enclosure:
             raise ValueError("enclosure with lo > hi")
         self.lo = lo
         self.hi = hi
-        self.prefix_extended = 0  # set by coding_point when it lengthens ω
+        self.prefix_extended = 0  # always 0: coding_point appends no symbols; perfbench's hook reads it
 
     @property
     def width(self):
@@ -124,9 +127,6 @@ class AffineMap:
         return AffineMap(
             self.ratio * other.ratio, self.ratio * other.translation + self.translation
         )
-
-    def fixed_point(self):
-        return self.translation / (1 - self.ratio)
 
     def __eq__(self, other):
         return (
@@ -463,31 +463,6 @@ def compose_word(ifs, eta):
     return _compose_affine(ifs, eta)
 
 
-def _appended_symbols(ifs, eta, shrink, target_width, strict):
-    """Least k >= 0 with shrink * |r_last|^k * width(I) <= target_width, or
-    < target_width if strict.
-
-    shrink is the exact |r_eta|; k is estimated from the symbol counts in
-    logs and then settled by exact comparisons.
-    """
-    width_i = ifs.interval_width()
-    last = abs(ifs.maps[eta[-1] - 1].ratio)
-
-    def fits(k):
-        w = shrink * last**k * width_i
-        return w < target_width if strict else w <= target_width
-
-    log_shrink = -sum(c * ifs.steps[s - 1] for s, c in Counter(eta).items())
-    log_target = math.log(target_width.numerator) - math.log(target_width.denominator)
-    excess = log_shrink + math.log(float(width_i)) - log_target
-    k = max(0, math.ceil(excess / ifs.steps[eta[-1] - 1]))
-    while not fits(k):
-        k += 1
-    while k and fits(k - 1):
-        k -= 1
-    return k
-
-
 def _int_poly(m, interval):
     """(ps, qs, up) for the map m = P/Q on the interval: the integer
     coefficients of s*P and s*Q, highest power first, for the least s that
@@ -498,6 +473,14 @@ def _int_poly(m, interval):
     return ps, qs, _exact_image(m, lo) < _exact_image(m, hi)
 
 
+def _polys(ifs):
+    """Ifs.polys, which fixed-point enclosures need; None means quadratic-field data."""
+    if ifs.polys is None:
+        raise PreconditionError("smooth-system enclosures need rational coefficients and "
+                                "interval ends, not quadratic-field ones")
+    return ifs.polys
+
+
 def _fixed_point_maps(ifs, bits):
     """Each map's (ps, qs, lshift, rshift, up) on the grid 2^-bits, and the
     ends of I rounded outward to that grid.
@@ -506,11 +489,8 @@ def _fixed_point_maps(ifs, bits):
     left by bits*i, so that Horner at X gives s*P(x) and s*Q(x) at x = X/2^bits
     times 2^(bits*deg); then 2^bits * P/Q is (hp << lshift >> rshift) / hq.
     """
-    if ifs.polys is None:
-        raise PreconditionError("smooth-system enclosures need rational coefficients and "
-                                "interval ends, not quadratic-field ones")
     maps = []
-    for ps, qs, up in ifs.polys:
+    for ps, qs, up in _polys(ifs):
         shift = bits * (len(ps) - len(qs) - 1)
         maps.append(([c << bits * i for i, c in enumerate(ps)], [c << bits * i for i, c in enumerate(qs)],
                      max(-shift, 0), max(shift, 0), up))
@@ -564,11 +544,14 @@ def _smooth_cylinder(ifs, word, bits):
 
 
 def coding_point(ifs, omega_prefix, target_width):
-    """Enclosure of x_omega = lim f_{omega|m}(x0) from a finite prefix.
+    """Enclosure of the cylinder f_eta(I) of the prefix eta, which holds
+    x_omega = lim f_{omega|m}(x0) for every omega beginning with eta.
 
-    If the prefix is too short for the requested width the last symbol is
-    cycled until the contraction product suffices; the number of appended
-    symbols is reported on the result as .prefix_extended.
+    The cylinder must be narrower than target_width: for an affine system
+    its exact width |r_eta| width(I), which may also equal the target when
+    the ends are rational; for a smooth one the bound prod_j sup|f'_{eta_j}|
+    width(I), by a factor of at least e^(-1e-9).  Otherwise it raises
+    ShortPrefixError: a longer prefix is the caller's to draw.
 
     Smooth systems start from K = bit_length(floor(1/target)) + 3 bits.
     Symbol j of the prefix, counted from the outside, is applied on K_j =
@@ -591,22 +574,19 @@ def coding_point(ifs, omega_prefix, target_width):
         # leave room for their rational bounds; the width itself may be
         # rational even then (rational ratios, irrational translations)
         strict = any(isinstance(x, QuadExact) for x in (g.ratio, g.translation, *ifs.interval))
-        extended = _appended_symbols(ifs, omega_prefix, abs(g.ratio), target_width, strict)
-        if extended:
-            g = g.compose(compose_word(ifs, omega_prefix[-1:] * extended))
+        width = abs(g.ratio) * ifs.interval_width()
+        too_wide = width >= target_width if strict else width > target_width
         a, b = sorted((g(ifs.interval[0]), g(ifs.interval[1])))
     else:
-        prefix = list(validate_word(ifs, omega_prefix))
+        prefix = validate_word(ifs, omega_prefix)
+        _polys(ifs)  # the system's data is checked before the prefix
         # log-space so that very small targets never underflow a float
         log_shrink = -sum(ifs.steps[s - 1] for s in prefix)
-        log_width = math.log(ifs.width_float)
         log_target = math.log(target_width.numerator) - math.log(target_width.denominator)
-        extended = 0
-        log_last = -ifs.steps[prefix[-1] - 1]
-        while log_shrink + log_width > log_target - 1e-9:
-            prefix.append(prefix[-1])
-            log_shrink += log_last
-            extended += 1
+        too_wide = log_shrink + math.log(ifs.width_float) > log_target - 1e-9
+    if too_wide:
+        raise ShortPrefixError(f"the cylinder of this {len(omega_prefix)}-symbol prefix is not "
+                               "narrower than target_width; pass a longer prefix")
 
     # rational affine ends are their own bounds; irrational ones and smooth
     # images get bounds at about target/8 first, then finer ones until the
@@ -623,9 +603,7 @@ def coding_point(ifs, omega_prefix, target_width):
         if bhi - alo <= target_width:
             break
         bits *= 2
-    enc = Enclosure(alo, bhi)
-    enc.prefix_extended = extended
-    return enc
+    return Enclosure(alo, bhi)
 
 
 def attractor_interval(ifs):

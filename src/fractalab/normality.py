@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ifs_core import PreconditionError, _draw_symbols
+from .ifs_core import PreconditionError, ShortPrefixError, _draw_symbols
 
 # compose_word stays bound here: perfbench's tracer test wraps and restores it by name
 from .ifs_core import compose_word  # noqa: F401
@@ -82,7 +82,9 @@ def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=
     Draws the symbol sequence from the seed and keeps lengthening the
     drawn prefix (the same stream, so certified digits never change) until
     the enclosure f_eta(I) lies inside a single digit cell at depth
-    n_digits; the enclosure is asked for GUARD_DIGITS digits more.
+    n_digits; the enclosure is asked for GUARD_DIGITS digits more.  A prefix
+    whose cylinder is still too wide for that takes the stream's next
+    symbols, one at a time, until it fits.
     """
     from .ifs_core import coding_point
 
@@ -95,7 +97,12 @@ def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=
 
     prefix = [int(s) + 1 for s in _draw_symbols(ifs, p_weights, rng, base_len)]
     for attempt in range(max_extensions + 1):
-        enc = coding_point(ifs, prefix, need)
+        while True:
+            try:
+                enc = coding_point(ifs, prefix, need)
+                break
+            except ShortPrefixError:
+                prefix.append(int(_draw_symbols(ifs, p_weights, rng, 1)[0]) + 1)
         cell = _cell(enc.lo, base, n_digits)
         if cell == _cell(enc.hi, base, n_digits):
             return DigitStream(

@@ -73,8 +73,11 @@ def test_walk_smooth_matches_composite_derivative():
     sym, inc = cocycle_walk._walk_matrix(ifs, HALF, 1, 30, np.random.default_rng(5))
     n = 12
     symbols = (sym[0] + 1).tolist()
-    # the composite derivative at the coded tail point, innermost map first
-    enc = coding_point(ifs, symbols[n:], F(1, 10**25))
+    # the composite derivative at the coded tail point, innermost map first;
+    # the 18 tail symbols padded by k = ceil(25 log 10 / D) more, which alone
+    # shrink I = [0, 1] below 1e-25
+    tail = symbols[n:] + symbols[-1:] * math.ceil(25 * math.log(10) / ifs.big_d)
+    enc = coding_point(ifs, tail, F(1, 10**25))
     x = float((enc.lo + enc.hi) / 2)
     deriv = 1.0
     for s in reversed(symbols[:n]):

@@ -19,6 +19,7 @@ from fractalab.ifs_core import (
     AffineMap,
     Ifs,
     PreconditionError,
+    ShortPrefixError,
     WeightVector,
     aperiodic_125,
     attractor_interval,
@@ -47,9 +48,18 @@ def test_affine_map_call_and_fixed_point():
     f = AffineMap(F(1, 3), F(2, 3))
     assert f(F(0)) == F(2, 3)
     assert f(F(1)) == F(1)
-    assert f.fixed_point() == F(1)
+    assert ifs_core._fixed_point(f, 0) == F(1)
     g = AffineMap(F(1, 2), 0)
-    assert g.fixed_point() == 0
+    assert ifs_core._fixed_point(g, 0) == 0
+
+
+def _padded(ifs, word, target):
+    """word + word[-1:] * k for k = ceil((log width(I) - log target) / D): k
+    symbols alone shrink I by e^(-kD) <= target, so the padded word's
+    cylinder, with at least one symbol more, is narrower than the target."""
+    target = F(target)
+    log_target = math.log(target.numerator) - math.log(target.denominator)
+    return word + word[-1:] * math.ceil((math.log(ifs.width_float) - log_target) / ifs.big_d)
 
 
 def test_compose_word_is_left_to_right():
@@ -91,24 +101,29 @@ def test_coding_point_periodic_word_hits_exact_limit():
     assert enc.width <= F(1, 2**60)
 
 
-def test_coding_point_auto_extends_short_prefix():
+def test_coding_point_raises_on_a_short_prefix():
     ifs = cantor()
-    enc = coding_point(ifs, [1], F(1, 3**30))
-    assert enc.prefix_extended >= 29
-    assert enc.width <= F(1, 3**30)
-    # repeating symbol 1 converges to the fixed point 0
-    assert enc.lo == 0
+    # the cylinder of [1] is [0, 1/3]: coding_point appends no symbols
+    with pytest.raises(ShortPrefixError, match="1-symbol prefix"):
+        coding_point(ifs, [1], F(1, 3**30))
+    enc = coding_point(ifs, [1] * 30, F(1, 3**30))
+    assert (enc.lo, enc.hi) == (0, F(1, 3**30))
+    # smooth: f_[1, 2](I) is about 1/10 wide
+    with pytest.raises(ShortPrefixError, match="2-symbol prefix"):
+        coding_point(smooth_example(), [1, 2], F(1, 10**12))
+    assert coding_point(smooth_example(), [1, 2] * 20, F(1, 10**12)).width <= F(1, 10**12)
 
 
 def test_coding_point_smooth_reaches_tiny_widths():
-    enc = coding_point(smooth_example(), [1, 2, 1, 2], F(1, 10**80))
+    ifs = smooth_example()
+    enc = coding_point(ifs, _padded(ifs, [1, 2, 1, 2], F(1, 10**80)), F(1, 10**80))
     assert enc.width <= F(1, 10**80)
     assert enc.lo <= enc.hi
 
 
 def test_coding_point_exact_quadratic_ratios():
     ifs = golden_bernoulli()
-    enc = coding_point(ifs, [1, 2, 2, 1], F(1, 10**12))
+    enc = coding_point(ifs, _padded(ifs, [1, 2, 2, 1], F(1, 10**12)), F(1, 10**12))
     assert enc.width <= F(1, 10**12)
     lo, hi = ifs.interval
     lo_f, hi_f = lo.rational_bounds()[0], hi.rational_bounds()[1]
@@ -133,7 +148,7 @@ def test_attractor_interval_contains_coded_points():
     ifs = pow2_pair()
     hull = attractor_interval(ifs)
     for word in ([1, 1, 2], [2, 2, 2], [2, 1, 1, 1]):
-        enc = coding_point(ifs, word, F(1, 10**9))
+        enc = coding_point(ifs, _padded(ifs, word, F(1, 10**9)), F(1, 10**9))
         assert hull.lo <= enc.lo and enc.hi <= hull.hi
 
 
@@ -178,10 +193,10 @@ def test_bernoulli_convolution_interval():
 def test_cantor_enclosure_contains_word_image(word):
     ifs = cantor()
     g = compose_word(ifs, word)
-    enc = coding_point(ifs, word, F(1, 3 ** (len(word) + 5)))
-    # the enclosure sits inside the word cylinder f_eta([0,1])
-    a, b = g(F(0)), g(F(1))
-    assert min(a, b) <= enc.lo and enc.hi <= max(a, b)
+    enc = coding_point(ifs, word, F(1, 3 ** len(word)))
+    # the cylinder f_eta([0, 1]) has rational ends and is exactly as wide as
+    # the target, so it is its own enclosure
+    assert (enc.lo, enc.hi) == tuple(sorted((g(F(0)), g(F(1)))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,14 +259,15 @@ def test_compose_word_refuses_a_smooth_system(word):
 def test_coding_point_long_appended_word_is_fast_and_exact():
     ifs = bernoulli_convolution(F(99, 100))
     start = time.perf_counter()
-    enc = coding_point(ifs, [1, 2], F(1, 10**40))
+    enc = coding_point(ifs, [1, 2] + [2] * 9690, F(1, 10**40))
     elapsed = time.perf_counter() - start
     # x_omega = f1(f2(fix f2)) = f1(100) = 98 for f1 = rx - 1, f2 = rx + 1
     assert 98 in enc
     assert enc.width <= F(1, 10**40)
-    # least k with (99/100)^(2 + k) * 200 <= 1e-40
-    assert enc.prefix_extended == 9690
     assert elapsed < 10
+    # 9,690 is the least k with (99/100)^(2 + k) * 200 <= 1e-40
+    with pytest.raises(ShortPrefixError):
+        coding_point(ifs, [1, 2] + [2] * 9689, F(1, 10**40))
 
 
 def _golden_reference(word, dps=400):
@@ -266,9 +282,9 @@ def _golden_reference(word, dps=400):
 
 @pytest.mark.parametrize("exp10", [30, 50, 300])
 def test_golden_coding_point_encloses_the_high_precision_point(exp10):
-    word = [1, 2] * 75
-    target = F(1, 10**exp10)
-    enc = coding_point(golden_bernoulli(), word, target)
+    ifs, target = golden_bernoulli(), F(1, 10**exp10)
+    word = _padded(ifs, [1, 2] * 75, target)
+    enc = coding_point(ifs, word, target)
     assert enc.width <= target
     x = _golden_reference(word)
     with mpmath.workdps(400):
@@ -283,10 +299,11 @@ def test_coding_point_rational_width_with_irrational_ends_fits_the_target():
     # enclosure; one more symbol leaves room for the rational bounds
     s = QuadExact(-2, 1, 5)  # sqrt(5) - 2
     ifs = Ifs([AffineMap(F(1, 2), 0), AffineMap(F(1, 2), s)], (F(0), F(1)))
-    enc = coding_point(ifs, [2, 2], F(1, 4))
+    with pytest.raises(ShortPrefixError):
+        coding_point(ifs, [2, 2], F(1, 4))
+    enc = coding_point(ifs, [2, 2, 2], F(1, 4))
     assert enc.width <= F(1, 4)
     assert 2 * s in enc  # x_omega = fix f2 = 2s
-    assert enc.prefix_extended == 1
 
 
 def test_golden_digits_of_sample_certifies_200_base_2_digits():
@@ -369,12 +386,12 @@ _CYLINDER_SYSTEMS = {**_COMPOSE_SYSTEMS, **{name: make() for name, make in _SMOO
 @given(st.sampled_from(sorted(_CYLINDER_SYSTEMS)), st.data(), st.integers(5, 80))
 def test_smooth_coding_point_contains_the_high_precision_cylinder(name, data, exp10):
     ifs = _CYLINDER_SYSTEMS[name]
-    word = data.draw(st.lists(st.integers(1, ifs.n), min_size=1, max_size=200))
     target = F(1, 10**exp10)
+    word = _padded(ifs, data.draw(st.lists(st.integers(1, ifs.n), min_size=1, max_size=200)), target)
     enc = coding_point(ifs, word, target)
     assert enc.width <= target
     with mpmath.workdps(400):
-        lo, hi = _reference_cylinder(name, ifs, word + word[-1:] * enc.prefix_extended)
+        lo, hi = _reference_cylinder(name, ifs, word)
         # rational ends are enclosed exactly; 1e-390 covers the reference's
         # own 400-digit rounding and is far below every target
         slack = mpmath.mpf(10) ** -390
@@ -411,12 +428,12 @@ def test_4096_smooth_digits_match_the_high_precision_point(name, seed):
        st.integers(1000, 4100))
 def test_long_smooth_coding_point_contains_the_high_precision_cylinder(name, seed, length, exp2):
     ifs = _SMOOTH_SYSTEMS[name]()
-    word = [int(s) for s in np.random.default_rng(seed).integers(1, ifs.n + 1, length)]
     target = F(1, 2**exp2)
+    word = _padded(ifs, [int(s) for s in np.random.default_rng(seed).integers(1, ifs.n + 1, length)], target)
     enc = coding_point(ifs, word, target)
     assert enc.width <= target
     with mpmath.workdps(1450):  # 2^-4100 is about 1e-1234
-        lo, hi = _reference_cylinder(name, ifs, word + word[-1:] * enc.prefix_extended)
+        lo, hi = _reference_cylinder(name, ifs, word)
         slack = mpmath.mpf(10) ** -1440
         assert _mpf(enc.lo) <= lo + slack and hi - slack <= _mpf(enc.hi)
 

@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 
 from fractalab import ifs_core, normality
 from fractalab.ifs_core import (
+    BUILTINS,
     Enclosure,
     PreconditionError,
+    ShortPrefixError,
+    _draw_symbols,
     aperiodic_125,
+    builtin,
     cantor,
+    coding_point,
     smooth_example,
 )
 from fractalab.normality import (
@@ -123,6 +128,63 @@ def test_certification_matches_shared_digits(cell, base, n, lo_off, width, den):
     lo = F(cell * den + lo_off, den * base**n)
     hi = lo + F(width, den * base**n)
     assert _certify(lo, hi, base, n) == _shared_digits(lo, hi, base, n)
+
+
+def _guarded_coding_point(monkeypatch):
+    """Patch coding_point to record each prefix it is given and each
+    ShortPrefixError it raises; returns the (prefixes, raised) lists."""
+    prefixes, raised = [], []
+
+    def enclose(ifs, prefix, need):
+        prefixes.append(list(prefix))
+        try:
+            return coding_point(ifs, prefix, need)
+        except ShortPrefixError:
+            raised.append(list(prefix))
+            raise
+
+    monkeypatch.setattr(ifs_core, "coding_point", enclose)
+    return prefixes, raised
+
+
+def _stream_prefix(ifs, w, seed, length):
+    """The first `length` 1-based symbols of the seed's stream."""
+    return (_draw_symbols(ifs, w, np.random.default_rng(seed), length) + 1).tolist()
+
+
+def test_digits_of_sample_prefixes_are_long_enough_and_drawn(monkeypatch):
+    # coding_point appends nothing: every prefix the sampler passes is the
+    # stream's own, the last one certifies, and none of these is too short
+    prefixes, raised = _guarded_coding_point(monkeypatch)
+    for name in BUILTINS:
+        ifs, w = builtin(name)
+        for base in (2, 3, 10):
+            for n in (1, 2, 5, 8, 40):
+                for seed in (0, 1):
+                    prefixes.clear()
+                    stream = digits_of_sample(ifs, w, base, n, rng_seed=seed)
+                    assert stream.prefix_len == len(prefixes[-1])
+                    for prefix in prefixes:
+                        assert prefix == _stream_prefix(ifs, w, seed, len(prefix))
+    assert raised == []
+
+
+@pytest.mark.parametrize("n, seed", [(0, 45), (1, 333), (2, 415)])
+def test_digits_of_sample_draws_past_a_prefix_that_is_too_short(monkeypatch, n, seed):
+    # moebius-example's weakest map, (x+2)/3, contracts by exactly 1/3, so a
+    # drawn prefix of that map alone is exactly as wide as 3^-(n+8) and the
+    # float log rule calls it too wide; the sampler then draws the stream's
+    # next symbol instead of repeating one
+    ifs, w = builtin("moebius-example")
+    prefixes, raised = _guarded_coding_point(monkeypatch)
+    stream = digits_of_sample(ifs, w, 3, n, rng_seed=seed)
+    assert raised and set(raised[0]) == {2} and len(raised[0]) == n + 8
+    word = _stream_prefix(ifs, w, seed, stream.prefix_len)
+    assert prefixes[-1] == word
+    x = F(0)  # a point of the certified cylinder, exact
+    for s in reversed(word):
+        x = ifs_core._exact_image(ifs.maps[s - 1], x)
+    assert stream.digits == normality._digits(normality._cell(x, 3, n), 3, n)
 
 
 def test_digit_stream_head_respects_certification():
