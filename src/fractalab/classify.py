@@ -408,7 +408,7 @@ def diophantine_scan(log_ratios, x_max=1000.0):
 class CfReport:
     convergents: list  # (a_k, p_k, q_k)
     max_mu: float  # the largest empirical irrationality exponent mu_k
-    verdict: str  # rational | consistent | liouville-like
+    verdict: str  # consistent | liouville-like
 
 
 def _convergents(terms, q_max):
@@ -431,62 +431,24 @@ def _fraction_terms(x):
         num, den = den, num - a * den
 
 
-def _real_terms(x, dps):
-    """Continued-fraction terms of an mpmath real at `dps` digits."""
-    for _ in range(10_000):
-        with mpmath.workdps(dps):
-            a = int(mpmath.floor(x))
-            frac = x - a
-            # precision exhausted: stop rather than invent terms
-            exhausted = frac < mpmath.mpf(10) ** (-dps + 10)
-            if not exhausted:
-                x = 1 / frac
-        yield a
-        if exhausted:
-            return
-
-
-def li_sahlsten_check(r_i, r_j=None, q_max=10**6):
-    """Continued-fraction profile of x = log r_i / log r_j, or of the exact
-    rational x = r_i when r_j is None (a finite stand-in for a real number,
-    such as a truncated Liouville series).
+def li_sahlsten_check(x, *, q_max=10**6):
+    """Continued-fraction profile of the exact rational x, a finite stand-in
+    for a real number such as a truncated Liouville series.
 
     mu_k = -log|x - p_k/q_k| / log q_k estimates the irrationality exponent
-    along convergents; bounded mu is consistent with the polynomial
-    condition at l = max mu_k, exploding mu is reported Liouville-like.
-    Exact rational log-ratios fail the condition outright.
+    along the convergents with q_k <= q_max (and the first one past it);
+    bounded mu is consistent with the polynomial condition at l = max mu_k,
+    exploding mu is reported Liouville-like.
     """
-    if r_j is None:
-        x = Fraction(r_i)
-        convs = list(_convergents(_fraction_terms(x), q_max))
-    else:
-        # rationality decided exactly first
-        verdict = is_periodic([Fraction(abs(Fraction(r_i))), Fraction(abs(Fraction(r_j)))])
-        if verdict.periodic:
-            return CfReport(convergents=[], max_mu=float("inf"), verdict="rational")
-        dps = 40 + 2 * int(math.log10(q_max))
-        with mpmath.workdps(dps):
-            ri, rj = abs(Fraction(r_i)), abs(Fraction(r_j))
-            x = (mpmath.log(ri.numerator) - mpmath.log(ri.denominator)) / (
-                mpmath.log(rj.numerator) - mpmath.log(rj.denominator)
-            )
-        convs = list(_convergents(_real_terms(x, dps), q_max))
-
+    x = Fraction(x)
+    convs = list(_convergents(_fraction_terms(x), q_max))
     mus = []
     with mpmath.workdps(60):
         for _, pk, qk in convs:
-            if qk < 2:
-                continue
-            if r_j is None:
-                diff = abs(x - Fraction(pk, qk))
-                if diff == 0:
-                    continue  # the terminating convergent of a finite stand-in
-                d = float(mpmath.log(mpmath.mpf(diff.numerator)) - mpmath.log(diff.denominator))
-            else:
-                diff = abs(x - mpmath.mpf(pk) / qk)
-                if diff == 0:
-                    continue
-                d = float(mpmath.log(diff))
+            diff = abs(x - Fraction(pk, qk))
+            if qk < 2 or diff == 0:
+                continue  # diff == 0: the terminating convergent of a finite stand-in
+            d = float(mpmath.log(mpmath.mpf(diff.numerator)) - mpmath.log(diff.denominator))
             mus.append(-d / math.log(qk))
     max_mu = max(mus) if mus else 2.0
     verdict = "liouville-like" if max_mu >= 4.0 else "consistent"

@@ -76,7 +76,7 @@ def _walk_matrix(ifs, p, n_paths, length, rng):
     tail = _smooth_tail_length(ifs)
     sym = _draw_symbols(ifs, p, rng, (n_paths, length + tail))
     if n_paths > 1:
-        x = _pull_back(ifs, sym[:, length:], np.full(n_paths, float(ifs.interval_mid())))
+        x = _pull_back(ifs, sym[:, length:])
         return sym[:, :length], _increments(ifs, sym[:, :length], x)[0]
 
     block = min(_BLOCK, length)
@@ -84,7 +84,7 @@ def _walk_matrix(ifs, p, n_paths, length, rng):
     pad = n_blocks * block - length
     row = np.concatenate([np.zeros(pad, dtype=sym.dtype), sym[0]])
     blocks = row[np.arange(n_blocks)[:, None] * block + np.arange(block + tail)]
-    entry = _pull_back(ifs, blocks[:, block:], np.full(n_blocks, float(ifs.interval_mid())))
+    entry = _pull_back(ifs, blocks[:, block:])
     incs, left = _increments(ifs, blocks[:, :block], entry)
     while (bad := np.flatnonzero(entry[:-1].view(np.int64) != left[1:].view(np.int64))).size:
         entry[bad] = left[bad + 1]
@@ -185,7 +185,7 @@ def gamma_law(ifs, p, eta_prime, k, chi, rng_seed=0):
     n_atoms = 256
     tail = _draw_symbols(ifs, p, rng, (n_atoms, _smooth_tail_length(ifs)))
     body = np.tile(np.array(rest, dtype=int) - 1, (n_atoms, 1))
-    x = _pull_back(ifs, np.hstack([body, tail]), np.full(n_atoms, float(ifs.interval_mid())))
+    x = _pull_back(ifs, np.hstack([body, tail]))
     xs = _increments(ifs, np.full((n_atoms, 1), first - 1), x)[0][:, 0]
     return GammaLaw(kchi=kchi, d_prime=dp, atoms=[(1.0 / n_atoms, float(v)) for v in xs])
 
@@ -383,7 +383,8 @@ def bracket_check(ifs, p, pairs, rng_seed=0):
     of m paths takes S as the cumsum of its increments in place, then draws
     its k values as one (10, m) uniform array, the stream of 10 draws of m.
     So the pairs move with the split; the count cannot, as the bracket holds
-    for every pair.
+    for every pair.  Every row reaches every target: each step is at least D,
+    so S at the last column is at least k_max*chi + 2*D'.
     """
     ks_per_path = 10
     if pairs < ks_per_path:
@@ -400,8 +401,7 @@ def bracket_check(ifs, p, pairs, rng_seed=0):
         np.cumsum(S, axis=1, out=S)
         rows = np.arange(m)
         for target in rng.uniform(0.5, k_max, size=(ks_per_path, m)) * chi:
-            idx = (S >= target[:, None]).argmax(axis=1)
-            s_tau = S[rows, idx]
+            s_tau = S[rows, _first_at_least(S, target[:, None])]
             bad = (s_tau < target - 1e-9) | (s_tau > target + dp + 1e-9)
             violations += int(bad.sum())
     return violations, n_paths * ks_per_path

@@ -250,8 +250,7 @@ def sample_points(ifs, p, n_points, rng, eps):
     """n_points approximate nu-samples, each within eps of a true x_omega,
     pulled back from symbols drawn in the row chunks of _row_chunks."""
     length = max(1, int(math.ceil(math.log(max(ifs.width_float / eps, 2.0)) / ifs.big_d)))
-    x = [_pull_back(ifs, _draw_symbols(ifs, p, rng, (m, length)), np.full(m, float(ifs.interval_mid())))
-         for m in _row_chunks(n_points, length)]
+    x = [_pull_back(ifs, _draw_symbols(ifs, p, rng, (m, length))) for m in _row_chunks(n_points, length)]
     return np.concatenate([np.empty(0), *x])
 
 
@@ -263,7 +262,7 @@ def fourier_mc(ifs, p, q, samples, rng_seed=0):
     if qf == 0:
         return FourierSample(q=0.0, value=1 + 0j, error_bound=0.0, method="monte_carlo")
     rng = np.random.default_rng(rng_seed)
-    eps = 1.0 / (100.0 * abs(qf) * samples) if qf else 1.0
+    eps = 1.0 / (100.0 * abs(qf) * samples)
     # pointwise phase error 2*pi*q*eps, negligible against the MC stderr
     x = sample_points(ifs, p, samples, rng, eps)
     vals = np.exp(2j * np.pi * qf * x)

@@ -551,7 +551,11 @@ def coding_point(ifs, omega_prefix, target_width):
     its exact width |r_eta| width(I), which may also equal the target when
     the ends are rational; for a smooth one the bound prod_j sup|f'_{eta_j}|
     width(I), by a factor of at least e^(-1e-9).  Otherwise it raises
-    ShortPrefixError: a longer prefix is the caller's to draw.
+    ShortPrefixError: a longer prefix is the caller's to draw.  The smooth
+    margin is needed: a bound equal to the target can be the exact width, as
+    for (x+2)/3 repeated m times at 3^-m, whose cylinder [1 - 3^-m, 1] has a
+    non-dyadic end, so no outward-rounded enclosure fits and the doubling of
+    K below would never end.
 
     Smooth systems start from K = bit_length(floor(1/target)) + 3 bits.
     Symbol j of the prefix, counted from the outside, is applied on K_j =
@@ -690,19 +694,19 @@ def _column_maps(ifs, sym):
     return apply, masks
 
 
-def _pull_back(ifs, sym, x):
-    """Row-wise f_{sym[:,0]} o ... o f_{sym[:,-1]}(x) in floats.
+def _pull_back(ifs, sym):
+    """Row-wise f_{sym[:,0]} o ... o f_{sym[:,-1]}(mid I) in floats.
 
-    sym holds 0-based symbols, one row per entry of x; the word is applied
+    sym holds 0-based symbols, one row per point; the word is applied
     innermost (last column) first.  Affine systems gather by symbol: there the
     masks of _column_maps cost more than they save (1.5-3.5x slower).  They
-    walk a contiguous copy of the columns, last first, and update a copy of
-    x in place, r*x then + t, the roundings of r[s] * x + t[s].
+    walk a contiguous copy of the columns, last first, and update x in
+    place, r*x then + t, the roundings of r[s] * x + t[s].
     """
+    x = np.full(sym.shape[0], float(ifs.interval_mid()))
     if ifs.is_affine:
         r = np.array([float(m.ratio) for m in ifs.maps])
         t = np.array([float(m.translation) for m in ifs.maps])
-        x = np.array(x, dtype=float)
         buf = np.empty_like(x)
         for s in np.ascontiguousarray(sym.T[::-1]):
             x *= np.take(r, s, out=buf)

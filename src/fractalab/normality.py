@@ -70,11 +70,6 @@ class DigitStream:
     certified_upto: int
     prefix_len: int = 0
 
-    def head(self, n):
-        if n > self.certified_upto:
-            raise PreconditionError(f"only {self.certified_upto} digits are certified")
-        return self.digits[:n]
-
 
 def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=64):
     """Certified base-`base` digits of a nu-sampled point.
@@ -176,13 +171,18 @@ class OrbitStats:
 
 def weyl_sums(stream, base, q_set, n):
     """Weyl sums W_{q,N} = (1/N) sum_{m<=N} e(q * base^m * x) of the orbit of
-    the point x behind a certified DigitStream.
+    the point x behind a certified DigitStream, at integer frequencies q
+    (Weyl's criterion); a q with a fractional part raises ValueError.
 
     Each orbit value T^m x is read off 40 certified digits, fewer where the
     stream ends; N is capped at certified - 12, so every value is accurate to
-    base^-12 or better."""
+    base^-12 or better.  W_q is the mean of the q-th powers of e(T^m x)."""
     _require_int("base", base, 2)
     _require_int("N", n, 1)
+    q_set = tuple(q_set)  # read twice: checked here, summed below
+    for q in q_set:
+        if q != int(q):
+            raise ValueError(f"q must be an integer frequency, got {q!r}")
     if not isinstance(stream, DigitStream):
         raise TypeError(f"weyl_sums needs a DigitStream, got {type(stream).__name__}")
     if stream.base != base:
@@ -201,14 +201,5 @@ def weyl_sums(stream, base, q_set, n):
         scale /= base
         angles += padded[1 + j : n + 1 + j] * scale
 
-    weyl = {}
     phases = np.exp(2j * np.pi * angles)
-    for q in q_set:
-        qf = float(q)
-        if qf == 0:
-            weyl[q] = 1 + 0j
-        else:
-            weyl[q] = complex(np.mean(phases**int(q))) if float(q).is_integer() else complex(
-                np.mean(np.exp(2j * np.pi * qf * angles))
-            )
-    return OrbitStats(base=base, n=n, weyl=weyl)
+    return OrbitStats(base=base, n=n, weyl={q: complex(np.mean(phases ** int(q))) for q in q_set})

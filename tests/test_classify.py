@@ -476,28 +476,18 @@ def test_scan_respects_x_range():
 # -- continued fractions / irrationality ---------------------------------------
 
 
-def test_li_sahlsten_rational_ratio():
-    rep = li_sahlsten_check(F(1, 4), F(1, 2))
-    assert rep.verdict == "rational"
-
-
-def test_li_sahlsten_log23_consistent():
-    rep = li_sahlsten_check(F(1, 2), F(1, 3), q_max=10**6)
-    assert rep.verdict == "consistent"
-    assert rep.max_mu < 4
-    # convergent chain of log2/log3 starts 0/1, 1/1, 1/2, 2/3, 5/8, 12/19
-    got = [(p, q) for _a, p, q in rep.convergents[:6]]
-    assert got == [(0, 1), (1, 1), (1, 2), (2, 3), (5, 8), (12, 19)]
-    # mu along convergents hovers near 2 for a typical irrational
-    assert 1.5 <= rep.max_mu
-
-
 def test_li_sahlsten_liouville_number():
     # sum 10^{-k!}: continued-fraction denominators explode
     x = sum(F(1, 10 ** math.factorial(k)) for k in range(1, 6))
     rep = li_sahlsten_check(x, q_max=10**30)
     assert rep.verdict == "liouville-like"
     assert rep.max_mu >= 4
+
+
+def test_li_sahlsten_q_max_is_keyword_only():
+    # a second positional argument must not silently become q_max
+    with pytest.raises(TypeError):
+        li_sahlsten_check(F(1, 4), F(1, 2))
 
 
 # -- induced system ------------------------------------------------------------
