@@ -15,7 +15,6 @@ from .ifs_core import (
     SmoothMap,
     WeightVector,
     aperiodic_125,
-    attractor_interval,
     bernoulli_convolution,
     cantor,
     coding_point,
@@ -37,7 +36,6 @@ __all__ = [
     "SmoothMap",
     "WeightVector",
     "aperiodic_125",
-    "attractor_interval",
     "bernoulli_convolution",
     "cantor",
     "coding_point",

@@ -6,10 +6,9 @@ and stopping times tau_k = min{n : S_n >= k*chi} where chi is the Lyapunov
 exponent.  For affine systems the increments depend only on the symbols and
 everything is simulated exactly up to float rounding; smooth systems get a
 backward-evaluation scheme whose coding-point error is below 1e-15 * width(I).
-A one-path smooth walk (lyapunov's Monte Carlo mode) is folded into blocks
-run as the rows of one matrix, with every seam between blocks made exact, so
-it gives the bits of the step-by-step loop in a small fraction of its Python
-iterations (see _walk_matrix).
+lyapunov's Monte Carlo mode walks independent stationary rows of at most
+_ROW steps, so one numpy column step serves every row, and its stderr is the
+spread of the row means (batch means).
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ import numpy as np
 
 from .ifs_core import PreconditionError, _column_maps, _draw_symbols, _pull_back, _row_chunks, validate_word
 
-_CHUNK = 100_000  # steps per segment of lyapunov's one-path Monte Carlo walk
-_BLOCK = 64  # columns per block of a folded one-path smooth walk
+_ROW = 64  # steps per row of lyapunov's Monte Carlo walk
 
 
 def _smooth_tail_length(ifs):
@@ -31,12 +29,11 @@ def _smooth_tail_length(ifs):
 
 
 def _increments(ifs, sym, x):
-    """(X, x') for smooth walks over the columns of sym, row r entered at x[r].
+    """X for smooth walks over the columns of sym, row r entered at x[r].
 
     X[r, j] = -log|f'_{sym[r, j]}| at the point the row holds before column
-    j, and x' is where each row ends after its leftmost column.  Each column
-    evaluates every smooth map's derivative on all rows, each row keeping
-    its own map's value, as _column_maps does for the maps.
+    j.  Each column evaluates every smooth map's derivative on all rows,
+    each row keeping its own map's value, as _column_maps does for the maps.
     """
     apply, masks = _column_maps(ifs, sym)
     smooth = [(i, m) for i, m in enumerate(ifs.maps) if m.kind != "affine"]
@@ -46,7 +43,7 @@ def _increments(ifs, sym, x):
         for i, m in smooth:
             incs[:, j] = np.where(masks[i, j], -np.log(np.abs(m.deriv(x))), incs[:, j])
         x = apply(j, x)
-    return incs, x
+    return incs
 
 
 def _walk_matrix(ifs, p, n_paths, length, rng):
@@ -57,39 +54,13 @@ def _walk_matrix(ifs, p, n_paths, length, rng):
     X_{j+1} = -log|f'_{omega_{j+1}}(x_{sigma^{j+1} omega})|.
 
     A smooth system draws T = _smooth_tail_length more symbols per row and
-    pulls the midpoint of I back through them to the row's coding point.  One
-    row is folded into blocks of _BLOCK columns, the first left-padded so that
-    the last ends at `length`; each block takes the next T drawn symbols as
-    its tail (the last block the drawn tail, so it is exact) and all blocks
-    run as the rows of one matrix.  A block whose entry point (after its tail) is not,
-    bit for bit, its right neighbour's left-end point is run again from that
-    point, until every seam agrees; each pass makes the rightmost wrong seam
-    right for good, so this ends in fewer passes than blocks.  With every
-    seam exact, each column sees the point the step-by-step loop gives it,
-    so the increments are that loop's bits: the code checks the seams, it
-    does not assume them.
+    pulls the midpoint of I back through them to the row's coding point.
     """
     if ifs.is_affine:
         sym = _draw_symbols(ifs, p, rng, (n_paths, length))
         return sym, ifs.steps[sym.astype(np.intp)]  # an intp index gathers faster
-
-    tail = _smooth_tail_length(ifs)
-    sym = _draw_symbols(ifs, p, rng, (n_paths, length + tail))
-    if n_paths > 1:
-        x = _pull_back(ifs, sym[:, length:])
-        return sym[:, :length], _increments(ifs, sym[:, :length], x)[0]
-
-    block = min(_BLOCK, length)
-    n_blocks = -(-length // block)
-    pad = n_blocks * block - length
-    row = np.concatenate([np.zeros(pad, dtype=sym.dtype), sym[0]])
-    blocks = row[np.arange(n_blocks)[:, None] * block + np.arange(block + tail)]
-    entry = _pull_back(ifs, blocks[:, block:])
-    incs, left = _increments(ifs, blocks[:, :block], entry)
-    while (bad := np.flatnonzero(entry[:-1].view(np.int64) != left[1:].view(np.int64))).size:
-        entry[bad] = left[bad + 1]
-        incs[bad], left[bad] = _increments(ifs, blocks[bad, :block], entry[bad])
-    return sym[:, :length], incs.reshape(1, -1)[:, pad:]
+    sym = _draw_symbols(ifs, p, rng, (n_paths, length + _smooth_tail_length(ifs)))
+    return sym[:, :length], _increments(ifs, sym[:, :length], _pull_back(ifs, sym[:, length:]))
 
 
 @dataclass
@@ -100,7 +71,15 @@ class LyapunovEstimate:
 
 
 def lyapunov(ifs, p, mode="exact", n=100_000, rng_seed=0):
-    """Lyapunov exponent chi = -E log|f'| under the stationary sampling."""
+    """Lyapunov exponent chi = -E log|f'| under the stationary sampling.
+
+    The Monte Carlo mode walks rows = max(2, ceil(n / _ROW)) independent
+    stationary rows of ceil(n / rows) steps, so the steps used are n rounded
+    up to whole rows.  Every increment has mean chi, so the value is the mean
+    of the row means, and the stderr is their sample sd / sqrt(rows): batch
+    means, which keep the serial correlation of a smooth walk's increments
+    that the per-step variance leaves out.
+    """
     if mode == "exact":
         if not ifs.is_affine:
             raise PreconditionError("exact Lyapunov exponent requires an affine IFS")
@@ -110,17 +89,15 @@ def lyapunov(ifs, p, mode="exact", n=100_000, rng_seed=0):
         return LyapunovEstimate(chi, 0.0, "exact")
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    rows = max(2, -(-n // _ROW))
+    length = -(-n // rows)
     rng = np.random.default_rng(rng_seed)
-    total = total_sq = 0.0
-    for start in range(0, n, _CHUNK):
-        _, inc = _walk_matrix(ifs, p, 1, min(_CHUNK, n - start), rng)
-        total += float(inc.sum())
-        total_sq += float((inc**2).sum())
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return LyapunovEstimate(mean, math.sqrt(var / n), "monte_carlo")
+    means = np.concatenate([_walk_matrix(ifs, p, m, length, rng)[1].mean(axis=1) for m in _row_chunks(rows, length)])
+    return LyapunovEstimate(float(means.mean()), float(means.std(ddof=1)) / math.sqrt(rows), "monte_carlo")
 
 
 @dataclass
@@ -186,7 +163,7 @@ def gamma_law(ifs, p, eta_prime, k, chi, rng_seed=0):
     tail = _draw_symbols(ifs, p, rng, (n_atoms, _smooth_tail_length(ifs)))
     body = np.tile(np.array(rest, dtype=int) - 1, (n_atoms, 1))
     x = _pull_back(ifs, np.hstack([body, tail]))
-    xs = _increments(ifs, np.full((n_atoms, 1), first - 1), x)[0][:, 0]
+    xs = _increments(ifs, np.full((n_atoms, 1), first - 1), x)[:, 0]
     return GammaLaw(kchi=kchi, d_prime=dp, atoms=[(1.0 / n_atoms, float(v)) for v in xs])
 
 

@@ -426,6 +426,10 @@ def del_criterion_diagnostic(ifs, p, base, q, n_max, samples=200, rng_seed=0):
         raise ValueError("n_max must be >= 4: the tail slope spans the last two octaves")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    try:
+        qf = float(q)
+    except OverflowError:
+        raise ValueError("q overflows a float: |q| must be below 2^1024") from None
     # digits of accuracy needed at shift n_max plus slack
     length = int(math.ceil(n_max * math.log(base) / ifs.big_d)) + 64
     rng = np.random.default_rng(rng_seed)
@@ -451,7 +455,7 @@ def del_criterion_diagnostic(ifs, p, base, q, n_max, samples=200, rng_seed=0):
     tail_slope = (partial[i2] - partial[i1]) / (math.log(ns[i2]) - math.log(ns[i1]))
     return DelCriterionReport(
         base=base,
-        q=float(q),
+        q=qf,
         n_values=ns,
         e_n=e_n,
         partial_sums=partial,

@@ -46,7 +46,7 @@ from math import lcm
 import mpmath
 import numpy as np
 
-from .quadfield import _FIX_BITS, QuadExact, _bounds, _field, _times, _triple, is_exact
+from .quadfield import QuadExact, _bounds, _field, _times, _triple, is_exact
 
 
 class PreconditionError(ValueError):
@@ -608,35 +608,6 @@ def coding_point(ifs, omega_prefix, target_width):
             break
         bits *= 2
     return Enclosure(alo, bhi)
-
-
-def attractor_interval(ifs):
-    """Interval hull of the attractor via the cover hull of depth at most 64.
-
-    H_0 = I and H_d = hull(U_i f_i(H_{d-1})); the H_d are nested decreasing
-    and every one contains K, so the result is a certified over-approximation.
-    Systems with a smooth map take the hull steps in fixed point at
-    2^-_FIX_BITS, rounded outward.
-    """
-    exact = ifs.is_affine
-    if exact:
-        lo, hi = ifs.interval
-    else:
-        maps, ends = _fixed_point_maps(ifs, _FIX_BITS)
-        lo, hi = ends
-    for _ in range(64):
-        if exact:
-            pts = [m(x) for m in ifs.maps for x in (lo, hi)]
-            nlo, nhi = min(pts), max(pts)
-        else:
-            hulls = [_hull_steps(maps, ends, (i,), lo, hi) for i in range(1, ifs.n + 1)]
-            nlo, nhi = min(h[0] for h in hulls), max(h[1] for h in hulls)
-        if nlo == lo and nhi == hi:
-            break
-        lo, hi = nlo, nhi
-    if exact:
-        return Enclosure(_bounds(lo, _FIX_BITS)[0], _bounds(hi, _FIX_BITS)[1])
-    return Enclosure(Fraction(lo, 1 << _FIX_BITS), Fraction(hi, 1 << _FIX_BITS))
 
 
 # -- sampling nu -------------------------------------------------------------

@@ -60,6 +60,24 @@ def test_lyapunov_monte_carlo_rejects_n_below_1(n):
         lyapunov(smooth_example(), HALF, mode="monte_carlo", n=n)
 
 
+@pytest.mark.parametrize("n", [10.5, 4000.0, True, "4000"])
+def test_lyapunov_monte_carlo_rejects_a_non_int_n(n):
+    with pytest.raises(ValueError, match=f"n must be an int >= 1, got {n!r}"):
+        lyapunov(smooth_example(), HALF, mode="monte_carlo", n=n)
+
+
+@pytest.mark.parametrize("make", [smooth_example, moebius_example])
+def test_lyapunov_monte_carlo_stderr_matches_the_spread_of_its_values(make):
+    # the increments of a smooth walk are serially correlated, so the stderr
+    # must come from the spread of independent row means, not from the
+    # per-step variance: over 100 seeds the sd of the values and the mean
+    # stderr agree (their ratio has a sampling sd of about 0.07 here)
+    ifs = make()
+    runs = [lyapunov(ifs, HALF, mode="monte_carlo", n=4_000, rng_seed=seed) for seed in range(100)]
+    ratio = np.std([r.value for r in runs], ddof=1) / np.mean([r.stderr for r in runs])
+    assert 0.8 <= ratio <= 1.25, ratio
+
+
 def test_walk_steps_are_log_ratios():
     sym, inc = cocycle_walk._walk_matrix(cantor(), HALF, 1, 50, np.random.default_rng(0))
     assert inc.shape == (1, 50)
@@ -101,27 +119,20 @@ def _per_step_increments(ifs, word, length):
 
 
 @pytest.mark.parametrize("make", [smooth_example, moebius_example])
-def test_smooth_walk_matrix_matches_a_per_row_reference(monkeypatch, make):
+def test_smooth_walk_matrix_matches_a_per_row_reference(make):
     # each row pulled back alone, one step at a time: elementwise numpy gives
     # the same bits on 1-element and long arrays, so equality is exact, for
-    # many rows and for one row folded into blocks of _BLOCK columns; a
-    # 2-symbol tail leaves nearly every seam between blocks wrong until the
-    # fold runs those blocks again
+    # many rows and for one
     ifs = make()
-    block = cocycle_walk._BLOCK
-    for rows, length, tail in ((64, 40, None), (1, block - 1, None), (1, block, None),
-                               (1, block + 1, None), (1, 4000, None), (1, 4000, 2)):
-        with monkeypatch.context() as m:
-            if tail is not None:
-                m.setattr(cocycle_walk, "_smooth_tail_length", lambda ifs: tail)
-            sym, incs = cocycle_walk._walk_matrix(ifs, HALF, rows, length, np.random.default_rng(3))
-            width = length + cocycle_walk._smooth_tail_length(ifs)
+    for rows, length in ((64, 40), (1, 1), (1, 400)):
+        sym, incs = cocycle_walk._walk_matrix(ifs, HALF, rows, length, np.random.default_rng(3))
+        width = length + cocycle_walk._smooth_tail_length(ifs)
         full = _draw_symbols(ifs, HALF, np.random.default_rng(3), (rows, width))
         assert np.array_equal(sym, full[:, :length])
         ref = np.array([_per_step_increments(ifs, word, length) for word in full])
         if rows > 1:
             assert len(np.unique(sym[:, 0])) == 2  # both maps occur in one column
-        assert np.array_equal(incs, ref), (rows, length, tail)
+        assert np.array_equal(incs, ref), (rows, length)
 
 
 def test_bracket_check_no_violations():
@@ -278,8 +289,9 @@ def test_clt_smooth_is_the_kstest_statistic():
 
 def test_clt_smooth_long_walk_takes_at_least_one_path_per_chunk(monkeypatch):
     # _CELLS // n is 0 here, as it is at the real _CELLS for n > 2^20; each of
-    # the 3 paths is then a chunk of its own.  chi is stubbed, since it does
-    # not read _CELLS and its 1e6-step walk takes about 0.3 s
+    # the 3 paths is then a chunk of its own, a one-row walk of about 10 us a
+    # step (about 0.9 s in all).  chi is stubbed, so that only the CLT's own
+    # walks are counted
     monkeypatch.setattr(ifs_core, "_CELLS", 10_000)
     chi = cocycle_walk.LyapunovEstimate(1.0, 0.0, "monte_carlo")
     monkeypatch.setattr(cocycle_walk, "lyapunov", lambda *args, **kwargs: chi)
@@ -345,14 +357,17 @@ def test_llt_rejects_negative_h(monkeypatch, h):
 def test_row_chunks_draw_the_stream_of_one_draw(monkeypatch, cells):
     # each call at a tiny _CELLS, in many chunks, gives the bits it gives at
     # the real _CELLS, in one.  _CELLS = 100 leaves a short last chunk;
-    # _CELLS = 5 is below every width, so every chunk is one row, and a smooth
-    # CLT row then takes the one-path fold of _walk_matrix
+    # _CELLS = 5 is below every width, so every chunk is one row.  The smooth
+    # CLT also chunks the rows of its Monte Carlo chi, whose n is cut to 2,000
+    # here: at n = 1e6 its 15,625 rows, one a chunk, would take about 20 s
     calls = {
         "sample_points": lambda: fourier.sample_points(smooth_example(), HALF, 211, np.random.default_rng(1), 1e-6),
         "fourier_mc": lambda: fourier.fourier_mc(aperiodic_125(), W125, 7.5, 307, rng_seed=2),
         "llt": lambda: conditional_llt_experiment(aperiodic_125(), W125, 12, 1, 3.0, 401, rng_seed=3),
         "clt": lambda: clt_experiment(smooth_example(), HALF, n=20, paths=53, rng_seed=4),
     }
+    walks = {"clt": 2}  # _row_chunks calls per call; one for the others
+    monkeypatch.setattr(cocycle_walk, "lyapunov", lambda *args, **kwargs: lyapunov(*args, **{**kwargs, "n": 2_000}))
     chunks = []
 
     def recorded(rows, width):
@@ -368,12 +383,12 @@ def test_row_chunks_draw_the_stream_of_one_draw(monkeypatch, cells):
     for name, call in calls.items():
         chunks.clear()
         one = bits(call())
-        assert len(chunks) == 1 and len(chunks[0]) == 1, name
+        assert len(chunks) == walks.get(name, 1) and all(len(c) == 1 for c in chunks), name
         with monkeypatch.context() as m:
             m.setattr(ifs_core, "_CELLS", cells)
             chunks.clear()
             assert bits(call()) == one, name
-        assert len(chunks) == 1 and len(chunks[0]) > 1 and min(chunks[0]) >= 1, name
+        assert len(chunks) == walks.get(name, 1) and all(len(c) > 1 and min(c) >= 1 for c in chunks), name
 
 
 def _reference_llt_cells(symbol_blocks, logr, k, h, h_prime, chi, paths, min_cell):

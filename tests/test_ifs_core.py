@@ -22,7 +22,6 @@ from fractalab.ifs_core import (
     ShortPrefixError,
     WeightVector,
     aperiodic_125,
-    attractor_interval,
     bernoulli_convolution,
     builtin,
     cantor,
@@ -130,28 +129,6 @@ def test_coding_point_exact_quadratic_ratios():
     assert lo_f <= enc.lo and enc.hi <= hi_f
 
 
-def test_attractor_interval_examples():
-    # {x/2, (x+1)/3, (x+1)/5}: attractor hull [0, 1/2] inside [0,1]
-    maps = [AffineMap(F(1, 2), 0), AffineMap(F(1, 3), F(1, 3)), AffineMap(F(1, 5), F(1, 5))]
-    ifs = Ifs(maps, (F(0), F(1)), name="hull-test")
-    enc = attractor_interval(ifs)
-    assert enc.lo == 0
-    # certified over-approximation of sup K = 1/2, tight to the hull depth
-    assert F(1, 2) <= enc.hi <= F(1, 2) + F(1, 3**60)
-    enc = attractor_interval(dyadic_pair())
-    assert (enc.lo, enc.hi) == (0, 1)
-    enc = attractor_interval(cantor())
-    assert (enc.lo, enc.hi) == (0, 1)
-
-
-def test_attractor_interval_contains_coded_points():
-    ifs = pow2_pair()
-    hull = attractor_interval(ifs)
-    for word in ([1, 1, 2], [2, 2, 2], [2, 1, 1, 1]):
-        enc = coding_point(ifs, _padded(ifs, word, F(1, 10**9)), F(1, 10**9))
-        assert hull.lo <= enc.lo and enc.hi <= hull.hi
-
-
 def test_registered_catalogs():
     aff = registered_affine()
     assert len(aff) >= 5
@@ -184,8 +161,6 @@ def test_bernoulli_convolution_interval():
     ifs = bernoulli_convolution(F(1, 3))
     lo, hi = ifs.interval
     assert lo == -F(3, 2) and hi == F(3, 2)
-    enc = attractor_interval(ifs)
-    assert (enc.lo, enc.hi) == (lo, hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,15 +434,6 @@ def test_long_smooth_enclosures_take_one_precision_pass(name, monkeypatch):
     assert counts["calls"] >= 4 and counts["passes"] == counts["calls"]
 
 
-def test_smooth_attractor_hulls_contain_their_fixed_points():
-    enc = attractor_interval(smooth_example())
-    assert 1 in enc  # fixed point of (x+2)/3
-    enc = attractor_interval(moebius_example())
-    assert 1 in enc and F(1, 3) in enc  # 1/3 = f1(1)
-    with mpmath.workdps(60):  # sqrt(2) - 1, the fixed point of 1/(x+2)
-        assert _mpf(enc.lo) <= mpmath.sqrt(2) - 1 <= _mpf(enc.hi)
-
-
 def test_smooth_map_into_interval_check_is_exact():
     third = AffineMap(F(1, 3), 0)
     # x/3 + x^2/20 + 37/60 maps [0, 1] onto [37/60, 1] exactly
@@ -511,8 +477,6 @@ def test_smooth_system_with_a_quadratic_field_map_raises_a_named_error():
     )
     with pytest.raises(PreconditionError, match="quadratic-field"):
         coding_point(ifs, [1, 2], F(1, 10**12))
-    with pytest.raises(PreconditionError, match="quadratic-field"):
-        attractor_interval(ifs)
 
 
 @pytest.mark.parametrize(

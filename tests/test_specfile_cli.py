@@ -289,6 +289,8 @@ def test_cli_run_ifs_file_without_weights(tmp_path, kind):
         (["experiment clt", "ifs builtin:cantor", "n 20", "paths 0"], "paths"),
         (["experiment llt", "ifs builtin:cantor", "k-list 5", "paths 0"], "paths"),
         (["experiment del-criterion", "ifs builtin:cantor", "n-max 8", "samples 0"], "samples"),
+        # Fraction("1e400") parses; its float overflows
+        (["experiment del-criterion", "ifs builtin:cantor", "q 1e400"], "q overflows a float"),
         (["experiment normality", "ifs builtin:cantor", "seeds 0", "assert-pass-fraction 0.9"], "seeds"),
         (["experiment fourier-decay", "ifs builtin:cantor", "q-ratio-powers 0", "assert-min-abs 0.1"],
          "q-ratio-powers"),
@@ -297,7 +299,7 @@ def test_cli_run_ifs_file_without_weights(tmp_path, kind):
     ],
     ids=["n-max-0", "n-max-3", "n-digits-0", "n-below-block-len", "block-len-0", "q-zero",
          "weight-over-zero", "moser-depth-0", "moser-tau-below-minus-1", "unknown-method", "mc-samples-0", "clt-n-0",
-         "clt-paths-0", "llt-paths-0", "del-samples-0", "normality-seeds-0", "ratio-powers-0",
+         "clt-paths-0", "llt-paths-0", "del-samples-0", "del-q-overflow", "normality-seeds-0", "ratio-powers-0",
          "llt-negative-k", "llt-negative-h"],
 )
 def test_cli_run_edge_parameter_exits_2(tmp_path, capsys, lines, needle):
