@@ -18,7 +18,9 @@ certified at any width.
 
 Systems with a smooth map are enclosed in integer fixed point: P/Q is
 evaluated by integer Horner at X/2^K and rounded outward, which is interval
-arithmetic with directed rounding (Moore, Kearfott and Cloud, 2009).  A word
+arithmetic with directed rounding (Moore, Kearfott and Cloud, 2009).  Horner
+runs at one end of each interval only; the other end's P and Q come from
+it by synthetic division, in exact integers (see _hull_steps).  A word
 of L symbols is applied innermost first on grids that coarsen inward:
 symbol j, counted from the outside, on K_j = K + g - (j-1) log2(1/rho) bits
 rounded up to a multiple of 64, with rho = sup|f'| and g = bit_length(L) + 1.
@@ -46,7 +48,7 @@ from math import lcm
 import mpmath
 import numpy as np
 
-from .quadfield import QuadExact, _bounds, _field, _times, _triple, is_exact
+from .quadfield import QuadExact, _bounds, _field, _triple, is_exact
 
 
 class PreconditionError(ValueError):
@@ -414,12 +416,12 @@ def validate_word(ifs, eta):
 
 def _compose_forms(f, g, d):
     """f o g for integer forms: ratio Rf Rg and translation Rf Tg + cg Tf,
-    over cf cg.  One flat tuple per map keeps the word's forms small."""
+    over cf cg.  One flat tuple per map keeps the word's forms small; the
+    products in Q(sqrt d) are written out, as in the word tree's loop."""
     fa, fb, fs, ft, fc = f
     ga, gb, gs, gt, gc = g
-    ra, rb, c = _times((fa, fb, fc), (ga, gb, gc), d)
-    ta, tb, _ = _times((fa, fb, 1), (gs, gt, 1), d)
-    return ra, rb, ta + gc * fs, tb + gc * ft, c
+    return (fa * ga + d * fb * gb, fa * gb + fb * ga,
+            fa * gs + d * fb * gt + gc * fs, fa * gt + fb * gs + gc * ft, fc * gc)
 
 
 def _compose_affine(ifs, eta):
@@ -501,19 +503,28 @@ def _fixed_point_maps(ifs, bits):
 def _hull_steps(maps, ends, word, lo, hi):
     """Fixed-point hull of f_word([lo, hi]) on the grid of maps, innermost
     symbol first.  Each map is monotone on I, so its image of [lo, hi] runs
-    from the floor of its value at one end to the ceiling of its value at the
-    other; Horner is exact, and the image lies in I."""
+    from the floor of its value at one end x to the ceiling of its value at
+    the other end y; the image lies in I.
+
+    Horner runs once, at x.  Its partial values b_k are the coefficients of
+    the quotient S of synthetic division, P(t) = P(x) + (t - x) S(t), and S(y)
+    is evaluated in the same loop; so P(y) = P(x) + (y - x) S(y), the same
+    integer as Horner at y, and likewise for Q.  y - x is narrow next to the
+    grid (in coding_point, at most about 70 bits on grids of thousands of
+    bits), so S(y) and (y - x) S(y) cost little next to a second Horner pass."""
     e0, e1 = ends
     for s in reversed(word):
         ps, qs, ls, rs, up = maps[s - 1]
         x, y = (lo, hi) if up else (hi, lo)
-        xp = xq = yp = yq = 0
+        xp = xq = sp = sq = 0
         for c in ps:
+            sp = sp * y + xp
             xp = xp * x + c
-            yp = yp * y + c
         for c in qs:
+            sq = sq * y + xq
             xq = xq * x + c
-            yq = yq * y + c
+        gap = y - x
+        yp, yq = xp + gap * sp, xq + gap * sq
         if xq < 0:
             xp, xq = -xp, -xq
         if yq < 0:
@@ -585,7 +596,8 @@ def coding_point(ifs, omega_prefix, target_width):
         prefix = validate_word(ifs, omega_prefix)
         _polys(ifs)  # the system's data is checked before the prefix
         # log-space so that very small targets never underflow a float
-        log_shrink = -sum(ifs.steps[s - 1] for s in prefix)
+        steps = ifs.steps.tolist()
+        log_shrink = -sum(steps[s - 1] for s in prefix)
         log_target = math.log(target_width.numerator) - math.log(target_width.denominator)
         too_wide = log_shrink + math.log(ifs.width_float) > log_target - 1e-9
     if too_wide:

@@ -85,19 +85,20 @@ def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=
 
     _require_int("base", base, 2)
     _require_int("n_digits", n_digits, 0)
+    _require_int("max_extensions", max_extensions, 0)
     rng = np.random.default_rng(rng_seed)
     need = Fraction(base) ** -(n_digits + GUARD_DIGITS)
     log_need = -(n_digits + GUARD_DIGITS) * math.log(base)
     base_len = max(1, int(math.ceil((math.log(ifs.width_float) - log_need) / ifs.big_d)))
 
-    prefix = [int(s) + 1 for s in _draw_symbols(ifs, p_weights, rng, base_len)]
+    prefix = (_draw_symbols(ifs, p_weights, rng, base_len) + 1).tolist()
     for attempt in range(max_extensions + 1):
         while True:
             try:
                 enc = coding_point(ifs, prefix, need)
                 break
             except ShortPrefixError:
-                prefix.append(int(_draw_symbols(ifs, p_weights, rng, 1)[0]) + 1)
+                prefix.extend((_draw_symbols(ifs, p_weights, rng, 1) + 1).tolist())
         cell = _cell(enc.lo, base, n_digits)
         if cell == _cell(enc.hi, base, n_digits):
             return DigitStream(
@@ -108,7 +109,7 @@ def digits_of_sample(ifs, p_weights, base, n_digits, rng_seed=0, max_extensions=
             )
         # straddling a digit boundary: extend the sequence and shrink
         extra = max(4, base_len // 8)
-        prefix.extend(int(s) + 1 for s in _draw_symbols(ifs, p_weights, rng, extra))
+        prefix.extend((_draw_symbols(ifs, p_weights, rng, extra) + 1).tolist())
         need /= Fraction(base) ** 2
     raise DigitExtractionError(
         f"point still straddles a base-{base} cell boundary after "

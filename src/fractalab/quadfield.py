@@ -9,8 +9,10 @@ frequency powers and affine images.  Floats and certified rational bounds
 come from one fixed-point reduction in integers (_ratio, via isqrt), which
 no cancellation between a and b*sqrt(d) can spoil; mpmath conversions at an
 explicit working precision remain for callers that want them.  The integer
-triple (a + b*sqrt(d))/den and its product (_triple, _times) are the one
-integer form the word-tree and word-composition engines share.
+triple (a + b*sqrt(d))/den (_triple) is the integer form the word-tree and
+word-composition engines share.  Their inner loops write its product out
+(fourier._word_tree's grow, ifs_core._compose_forms); _times serves the
+products made once per call, such as an exact q times each translation.
 """
 
 from __future__ import annotations

@@ -434,6 +434,45 @@ def test_long_smooth_enclosures_take_one_precision_pass(name, monkeypatch):
     assert counts["calls"] >= 4 and counts["passes"] == counts["calls"]
 
 
+def _assert_hull_steps_are_exact(data, polys, maps, ends, bits):
+    """_hull_steps on a drawn word and [lo, hi] equals the two-end reference:
+    each map's P/Q in Fractions at both ends, the floor of 2^bits f at one
+    end and the ceiling at the other, clamped to the grid's ends.  polys
+    holds (ps, qs, up) as in Ifs.polys; maps is their grid form."""
+    def value(cs, x):
+        return sum(c * x ** (len(cs) - 1 - i) for i, c in enumerate(cs))
+
+    word = data.draw(st.lists(st.integers(1, len(polys)), min_size=1, max_size=40))
+    lo, hi = start = sorted(data.draw(st.integers(*ends)) for _ in range(2))
+    for s in reversed(word):
+        ps, qs, up = polys[s - 1]
+        a, b = (F(value(ps, x), value(qs, x)) * 2**bits for x in (F(lo, 2**bits), F(hi, 2**bits)))
+        a, b = (a, b) if up else (b, a)
+        lo, hi = max(math.floor(a), ends[0]), min(math.ceil(b), ends[1])
+    assert ifs_core._hull_steps(maps, ends, word, *start) == (lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_SMOOTH_SYSTEMS)), st.data(), st.integers(64, 512))
+def test_hull_steps_equal_the_two_end_exact_hull(name, data, bits):
+    ifs = _SMOOTH_SYSTEMS[name]()
+    _assert_hull_steps_are_exact(data, ifs.polys, *ifs_core._fixed_point_maps(ifs, bits), bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(64, 512), st.sampled_from([1, -1]))
+def test_hull_steps_equal_the_two_end_exact_hull_for_cubics(data, bits, sign):
+    # on [0, 1]: (2 - x^3)/(3 + x) falls from 2/3 to 1/4, with P and Q both
+    # negated when sign = -1, and (x^3 + x + 1)/4 rises from 1/4 to 3/4
+    polys = [([-sign, 0, 0, 2 * sign], [sign, 3 * sign], False), ([1, 0, 1, 1], [4], True)]
+    maps = []
+    for ps, qs, up in polys:  # the grid form of _fixed_point_maps, by hand
+        shift = bits * (len(ps) - len(qs) - 1)
+        maps.append(([c << bits * i for i, c in enumerate(ps)], [c << bits * i for i, c in enumerate(qs)],
+                     max(-shift, 0), max(shift, 0), up))
+    _assert_hull_steps_are_exact(data, polys, maps, (0, 2**bits), bits)
+
+
 def test_smooth_map_into_interval_check_is_exact():
     third = AffineMap(F(1, 3), 0)
     # x/3 + x^2/20 + 37/60 maps [0, 1] onto [37/60, 1] exactly

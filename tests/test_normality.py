@@ -293,6 +293,13 @@ def test_digits_of_sample_names_a_bad_base_or_digit_count(base, n_digits, needle
         digits_of_sample(cantor(), HALF, base, n_digits)
 
 
+@pytest.mark.parametrize("max_extensions", [-1, 2.5, True, None])
+def test_digits_of_sample_names_a_bad_extension_budget(max_extensions):
+    # -1 used to raise DigitExtractionError without one attempt, 2.5 a bare TypeError
+    with pytest.raises(ValueError, match="max_extensions"):
+        digits_of_sample(cantor(), HALF, 2, 10, max_extensions=max_extensions)
+
+
 def _stream_40():
     return _rational_stream(F(1, 3), 2, 40)
 
