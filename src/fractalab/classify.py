@@ -358,7 +358,8 @@ class ScanReport:
 
 def diophantine_scan(log_ratios, x_max=1000.0):
     """Scan m(x) = inf_y max_i d(v_i x + y, Z) on a grid of 40 points per decade and fit
-    the polynomial lower envelope m(x) ~ C / x^l."""
+    the polynomial lower envelope m(x) ~ C / x^l.  For two distinct values,
+    positive and min_m are exact over [1, x_max], from m's closed form."""
     vs = [float(v) for v in log_ratios]
     if len(vs) < 2:
         # single ratio: y always cancels the only term, m(x) = 0
@@ -373,7 +374,13 @@ def diophantine_scan(log_ratios, x_max=1000.0):
     n_pts = max(8, int(40 * math.log10(max(x_max, 10.0))))
     xs = np.exp(np.linspace(math.log(1.0), math.log(x_max), n_pts))
     ms = np.array([_inf_y_max_dist(vs, x) for x in xs])
-    positive = bool(ms.min() > 0)
+    positive, min_m = bool(ms.min() > 0), float(ms.min())
+    if len(set(vs)) == 2:
+        # m(x) = d(delta x, Z)/2 is 0 at each x = k/delta, which the grid can
+        # miss; with no such x in [1, x_max], m is least at an end
+        delta = max(vs) - min(vs)
+        positive = math.ceil(delta) > delta * x_max
+        min_m = min(abs(t - round(t)) for t in (delta, delta * x_max)) / 2 if positive else 0.0
     # lower envelope: binwise minima in log x
     n_bins = max(6, n_pts // 12)
     bins = np.linspace(0, math.log(x_max) + 1e-9, n_bins + 1)
@@ -385,20 +392,12 @@ def diophantine_scan(log_ratios, x_max=1000.0):
             i = np.argmin(np.where(sel, ms, np.inf))
             env_x.append(lx[i])
             env_m.append(math.log(ms[i]))
-    if len(env_x) < 3 or not positive:
-        # zero or near-zero values in the scan: no polynomial envelope
-        return ScanReport(
-            xs=xs, ms=ms, fitted_c=0.0, fitted_l=float("inf"), min_m=float(ms.min()), positive=positive,
-        )
-    slope, intercept = np.polyfit(env_x, env_m, 1)
-    return ScanReport(
-        xs=xs,
-        ms=ms,
-        fitted_c=math.exp(float(intercept)),
-        fitted_l=max(-float(slope), 0.0),
-        min_m=float(ms.min()),
-        positive=positive,
-    )
+    # zero or near-zero values in the scan leave no polynomial envelope
+    fitted_c, fitted_l = 0.0, float("inf")
+    if len(env_x) >= 3 and positive:
+        slope, intercept = np.polyfit(env_x, env_m, 1)
+        fitted_c, fitted_l = math.exp(float(intercept)), max(-float(slope), 0.0)
+    return ScanReport(xs=xs, ms=ms, fitted_c=fitted_c, fitted_l=fitted_l, min_m=min_m, positive=positive)
 
 
 # -- continued fractions -----------------------------------------------------

@@ -332,6 +332,8 @@ def clt_experiment(ifs, p, n, paths, rng_seed=0):
 
     if n < 1 or paths < 1:
         raise ValueError(f"need n >= 1 and paths >= 1, got n {n} and paths {paths}")
+    if n >= 2**63:  # rng.multinomial counts in int64
+        raise ValueError(f"n must be below 2^63, got {n}")
     rng = np.random.default_rng(rng_seed)
     chi = _chi(ifs, p, rng_seed)
     if ifs.is_affine:

@@ -352,6 +352,8 @@ def scaled_energy_check(ifs, p, qs, k, rs, chi, samples=20_000, rng_seed=0):
         raise ValueError("r must be positive")
     if any(q == 0 for q in qs):
         raise ValueError("q must be nonzero")
+    if chi * k > math.log(sys.float_info.max):
+        raise ValueError(f"e^(k chi) overflows a float at k = {k}, chi = {chi}")
     dp = ifs.big_d_prime
     tol = 1e-3
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
 from math import lcm
 
@@ -149,8 +150,9 @@ class SmoothMap:
 
     num and den are P's and Q's exact coefficients, constant term first, for
     certified enclosures; f and df are float evaluators of f and f'.
-    (dmin, dmax) bound |f'| over the ambient interval; the walk steps and
-    Ifs.deriv_bounds are derived from them.
+    (dmin, dmax) bound |f'| over the interval I of each Ifs holding the map,
+    which checks them (0 < dmin <= dmax < 1, and at I's ends); the walk steps
+    and Ifs.deriv_bounds are derived from them.
     """
 
     kind = "smooth"
@@ -163,8 +165,6 @@ class SmoothMap:
         self.den = tuple(_exact(c) for c in den)
         self.dmin = float(dmin)
         self.dmax = float(dmax)
-        if not 0 < self.dmin <= self.dmax < 1:
-            raise ValueError("smooth map must satisfy 0 < inf|f'| <= sup|f'| < 1")
 
     def __call__(self, x):
         return self._f(x)
@@ -333,14 +333,21 @@ class Ifs:
             dmin, dmax = m.deriv_range()
             if not 0 < dmin <= dmax < 1:
                 raise ValueError(f"map {i} is not a contraction with f' bounded away from 0")
-            # m is monotone on I; an affine map's call is already exact
-            img = sorted(m(x) if m.kind == "affine" else _exact_image(m, x) for x in (lo, hi))
+            # m is monotone on I, so its image runs between the images of I's ends
+            img = sorted(_exact_image(m, x) for x in (lo, hi))
             if img[0] < lo or img[1] > hi:
                 raise ValueError(f"map {i} does not map I into I")
-        polys = [_fixed_poly(m) for m in self.maps]
-        # a map of least degree has an exact fixed point; every map is tested at it
-        x = _fixed_point(self.maps[min(range(self.n), key=lambda i: len(polys[i]))], lo)
-        if all(_is_root(f, x) for f in polys):
+            # bounds checked at I's ends hold on I for catalog maps, whose |f'| is
+            # monotone; an affine map's are |r| as a float, by decision
+            if m.kind != "affine" and not all(Fraction(dmin) <= _exact_slope(m, x) <= Fraction(dmax)
+                                               for x in (lo, hi)):
+                raise ValueError(f"map {i} ({m.name}): |f'| at an end of I lies outside its "
+                                 f"declared bounds [{dmin}, {dmax}]")
+        # each map's one fixed point in I is a simple root of its P - x*Q (the
+        # derivative there is Q*(f' - 1) != 0), so the gcd G of all of them has
+        # at most one root in I, a simple one, and has it when the maps share it
+        g = reduce(_poly_gcd, [_fixed_poly(m) for m in self.maps])
+        if len(g) > 1 and _horner(g, lo) * _horner(g, hi) <= 0:
             raise ValueError("all maps share one fixed point; the attractor is a single point")
 
     def __repr__(self):
@@ -360,47 +367,35 @@ def _exact_image(m, x):
     return _horner(m.num, x) / _horner(m.den, x)
 
 
+def _exact_slope(m, x):
+    """|m'(x)| = |P'Q - PQ'|/Q^2 at x in exact arithmetic."""
+    p, q = _horner(m.num, x), _horner(m.den, x)
+    dp, dq = (_horner([i * c for i, c in enumerate(cs)][1:] or [0], x) for cs in (m.num, m.den))
+    return abs(dp * q - p * dq) / (q * q)
+
+
 def _fixed_poly(m):
-    """P - x*Q for m = P/Q, constant term first: its roots are m's fixed points."""
+    """P - x*Q for m = P/Q, constant term first, no trailing zero: its roots are m's fixed points."""
     f = [p - q for p, q in zip_longest(m.num, (0, *m.den), fillvalue=0)]
     while f and f[-1] == 0:
         f.pop()
-    if not 2 <= len(f) <= 3:
-        raise PreconditionError(f"{m}: P - x*Q has degree {len(f) - 1}; exact fixed points need 1 or 2")
     return f
 
 
-def _fixed_point(m, lo):
-    """m's fixed point in I = [lo, hi], exact, for P - x*Q linear or quadratic
-    with rational coefficients.  Of the roots (-c1 +- sqrt(disc)) / 2c2, it is
-    the one where the slope c1 + 2c2 x = +-sqrt(disc), which is Q(x) (f'(x) - 1)
-    there, has the sign of -Q on I, as |f'| < 1."""
-    f = _fixed_poly(m)
-    if len(f) == 2:
-        return -f[0] / f[1]
-    c0, c1, c2 = f
-    if any(isinstance(c, QuadExact) for c in f):
-        raise PreconditionError(f"the fixed point of {m} need not lie in a quadratic field")
-    disc = Fraction(c1 * c1 - 4 * c0 * c2)
-    k, n = Fraction(1, disc.denominator), disc.numerator * disc.denominator  # sqrt(disc) = k sqrt(n)
-    for p in range(2, 100):  # small squares out of n, so that sqrt(8) is 2 sqrt(2)
-        while n and n % (p * p) == 0:
-            k, n = k * p, n // (p * p)
-    root = k * math.isqrt(n) if math.isqrt(n) ** 2 == n else QuadExact(0, k, n)
-    return (-c1 - root if _horner(m.den, lo) > 0 else -c1 + root) / (2 * c2)
-
-
-def _is_root(f, x):
-    """Whether the exact x is a root of f, whose coefficients lie in Q or in
-    one Q(sqrt e), x's field or another: f = A + sqrt(e) B with rational A and
-    B, and f(x) = 0 exactly when A(x) = B(x) = 0 or -A(x)/B(x) = sqrt(e)."""
-    quad = [c for c in f if isinstance(c, QuadExact)]
-    a = _horner([c.a if isinstance(c, QuadExact) else c for c in f], x)
-    b = _horner([c.b if isinstance(c, QuadExact) else 0 for c in f], x) if quad else 0
-    if b == 0:
-        return a == 0
-    y = -a / b
-    return y > 0 and y * y == quad[0].d
+def _poly_gcd(f, g):
+    """A gcd of f and g, with coefficients in Q or in one Q(sqrt d), by
+    Euclid's algorithm (Knuth, TAOCP vol. 2, 4.6.1).  Coefficients are listed
+    constant term first, with no trailing zero; [] is the zero polynomial."""
+    while g:
+        f = list(f)
+        while len(f) >= len(g):
+            k, shift = f[-1] / g[-1], len(f) - len(g)
+            for i, c in enumerate(g):
+                f[shift + i] -= k * c
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
+    return f
 
 
 def validate_word(ifs, eta):

@@ -1,10 +1,15 @@
-"""Shared fixtures."""
+"""Shared fixtures, and a hypothesis profile that makes every run draw the
+same examples: derandomized, with no example database carried between runs."""
 
 import functools
 
 import pytest
+from hypothesis import settings
 
 from fractalab.suites import run_suite
+
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

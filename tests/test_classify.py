@@ -454,11 +454,22 @@ def test_quadratic_lattice_is_decided_exactly():
 # -- Diophantine scan ----------------------------------------------------------
 
 
-def test_scan_positive_for_aperiodic_pair():
+def test_scan_of_a_pair_is_not_positive_with_a_zero_in_range():
+    # m(x) = d(x log(3/2), Z)/2 is 0 at the 202 points k/log(3/2) of [1, 500],
+    # all of which the grid misses
     rep = diophantine_scan([math.log(2), math.log(3)], x_max=500.0)
+    assert not rep.positive
+    assert rep.min_m == 0
+    assert rep.ms.min() > 0
+
+
+def test_scan_of_a_pair_with_no_zero_in_range_is_positive():
+    # delta * x_max = 0.5 < 1: m(x) = d(delta x, Z)/2 >= delta/2 on [1, 500]
+    delta = 0.001
+    rep = diophantine_scan([math.log(2), math.log(2) + delta], x_max=500.0)
     assert rep.positive
-    assert rep.fitted_c > 0
-    assert rep.min_m > 0
+    assert rep.min_m == pytest.approx(delta / 2)
+    assert rep.ms.min() >= rep.min_m * (1 - 1e-9)
 
 
 def test_scan_fails_for_single_ratio():

@@ -47,9 +47,6 @@ def test_affine_map_call_and_fixed_point():
     f = AffineMap(F(1, 3), F(2, 3))
     assert f(F(0)) == F(2, 3)
     assert f(F(1)) == F(1)
-    assert ifs_core._fixed_point(f, 0) == F(1)
-    g = AffineMap(F(1, 2), 0)
-    assert ifs_core._fixed_point(g, 0) == 0
 
 
 def _padded(ifs, word, target):
@@ -292,10 +289,12 @@ def test_golden_digits_of_sample_certifies_200_base_2_digits():
 
 # Exact rational maps of the two smooth builtins, for references evaluated
 # in mpmath only: smooth-example {x/3 + x^2/20, (x+2)/3} and moebius-example
-# {1/(x+2), (x+2)/3}, both on [0, 1]; and |f_1'| of their smooth first maps.
+# {1/(x+2), (x+2)/3}, both on [0, 1], and of the cubic system {_CUBIC,
+# (x+2)/3} on [0, 1]; and |f_1'| of the builtins' smooth first maps.
 _SMOOTH_REFERENCE_MAPS = {
     "smooth-example": (lambda x: x / 3 + x * x / 20, lambda x: (x + 2) / 3),
     "moebius-example": (lambda x: 1 / (x + 2), lambda x: (x + 2) / 3),
+    "cubic": (lambda x: x / 3 + x**3 / 20, lambda x: (x + 2) / 3),
 }
 _SMOOTH_REFERENCE_DERIVS = {
     "smooth-example": lambda x: mpmath.mpf(1) / 3 + x / 10,
@@ -483,6 +482,11 @@ def test_smooth_map_into_interval_check_is_exact():
         Ifs([over, third], (0, 1))
 
 
+# x/3 + x^3/20 on [0, 1]: |f'| = 1/3 + 3x^2/20 runs from 1/3 to 29/60
+_CUBIC = ifs_core.SmoothMap("cubic", lambda x: x / 3 + x**3 / 20, lambda x: 1 / 3 + 3 * x**2 / 20,
+                            (0, F(1, 3), 0, F(1, 20)), (1,), 1 / 3, 0.49)
+
+
 def test_a_shared_fixed_point_is_decided_exactly():
     # x/3 + 13/60 + x^2/20 and x/3 + 2/9 both fix 1/3
     fix_third = quadratic_map(F(1, 3), F(13, 60), F(1, 20), (0, 1))
@@ -492,8 +496,6 @@ def test_a_shared_fixed_point_is_decided_exactly():
     x = F(1, 3) + F(1, 10**14)
     Ifs([fix_third, quadratic_map(F(1, 3), x - x / 3 - x * x / 20, F(1, 20), (0, 1))], (0, 1))
     # 1/(x+2) and (x+1)/(x+3) both fix sqrt(2) - 1
-    root2 = QuadExact(-1, 1, 2)
-    assert ifs_core._fixed_point(moebius_map(0, 1, 1, 2, (0, 1)), 0) == root2
     with pytest.raises(ValueError, match="share one fixed point"):
         Ifs([moebius_map(0, 1, 1, 2, (0, 1)), moebius_map(1, 1, 1, 3, (0, 1))], (0, 1))
     # maps over other fields: Q(sqrt 5) fixes no point of Q(sqrt 2); sqrt(2) - 1
@@ -503,10 +505,85 @@ def test_a_shared_fixed_point_is_decided_exactly():
         Ifs([moebius_map(0, 1, 1, 2, (0, 1)), AffineMap(F(1, 2), QuadExact(-1, F(1, 2), 8) / 2)], (0, 1))
     for name in BUILTINS:
         builtin(name)
-    cubic = ifs_core.SmoothMap("cubic", lambda x: x / 3 + x**3 / 20, lambda x: 1 / 3 + 3 * x**2 / 20,
-                               (0, F(1, 3), 0, F(1, 20)), (1,), 1 / 3, 0.49)
-    with pytest.raises(PreconditionError, match="degree 3"):
-        Ifs([cubic, AffineMap(F(1, 3), F(2, 3))], (0, 1))
+    # a cubic map forms a system: no degree is refused
+    Ifs([_CUBIC, AffineMap(F(1, 3), F(2, 3))], (0, 1))
+
+
+_SHARED = {  # name -> (maps, interval, whether all maps share one fixed point)
+    "interior-rational": ([quadratic_map(F(1, 3), F(13, 60), F(1, 20), (0, 1)), AffineMap(F(1, 3), F(2, 9))],
+                          (0, 1), True),
+    "interior-rational-missed": ([quadratic_map(F(1, 3), F(13, 60), F(1, 20), (0, 1)),
+                                  AffineMap(F(1, 3), F(2, 9) + F(1, 10**30))], (0, 1), False),
+    "end-point-1": ([AffineMap(F(1, 2), F(1, 2)), AffineMap(F(1, 3), F(2, 3))], (0, 1), True),
+    "end-points-0-and-1": ([AffineMap(F(1, 2), 0), AffineMap(F(1, 3), F(2, 3))], (0, 1), False),
+    "moebius-sqrt2": ([moebius_map(0, 1, 1, 2, (0, 1)), moebius_map(1, 1, 1, 3, (0, 1))], (0, 1), True),
+    # 1/(x+2) and (x+1)/(x+4) fix sqrt(2) - 1 and (sqrt(13) - 3)/2
+    "moebius-two-points": ([moebius_map(0, 1, 1, 2, (0, 1)), moebius_map(1, 1, 1, 4, (0, 1))], (0, 1), False),
+    "sqrt2-in-Q(sqrt 8)": ([moebius_map(0, 1, 1, 2, (0, 1)), AffineMap(F(1, 2), QuadExact(-1, F(1, 2), 8) / 2)],
+                           (0, 1), True),
+    # x/2 fixes 0 and (x+1)/3 fixes 1/2; the first two fix 0
+    "three-maps-two-share": ([_CUBIC, AffineMap(F(1, 2), 0), AffineMap(F(1, 3), F(1, 3))], (0, 1), False),
+    "cubic-and-x/2-share-0": ([_CUBIC, AffineMap(F(1, 2), 0)], (0, 1), True),
+    "cubic-and-(x+2)/3": ([_CUBIC, AffineMap(F(1, 3), F(2, 3))], (0, 1), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED))
+def test_shared_fixed_point_verdicts(name):
+    maps, interval, shared = _SHARED[name]
+    if shared:
+        with pytest.raises(ValueError, match="share one fixed point"):
+            Ifs(maps, interval)
+    else:
+        Ifs(maps, interval)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3), st.data())
+def test_affine_systems_raise_exactly_when_every_fixed_point_is_shared(n, data):
+    # on I = [-1, 2], r x + t with |r| < 1/2 and fixed point c = t/(1 - r) in
+    # [0, 1] maps I into I; each c is the shared one or drawn freely
+    fraction = st.integers(1, 12).flatmap(lambda b: st.integers(0, b).map(lambda a: F(a, b)))
+    shared = data.draw(fraction)
+    fixed = [data.draw(st.one_of(st.just(shared), fraction)) for _ in range(n)]
+    ratios = [data.draw(st.builds(F, st.integers(-8, 8).filter(bool), st.integers(17, 40))) for _ in range(n)]
+    maps = [AffineMap(r, c * (1 - r)) for r, c in zip(ratios, fixed)]
+    if len(set(fixed)) == 1:
+        with pytest.raises(ValueError, match="share one fixed point"):
+            Ifs(maps, (-1, 2))
+    else:
+        Ifs(maps, (-1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 2), min_size=40, max_size=40))
+def test_cubic_coding_point_contains_the_high_precision_cylinder(word):
+    ifs = Ifs([_CUBIC, AffineMap(F(1, 3), F(2, 3))], (0, 1))
+    # every 40-symbol cylinder is narrower than 0.49^40 < 4.1e-13
+    enc = coding_point(ifs, word, F(1, 10**12))
+    assert enc.width <= F(1, 10**12)
+    with mpmath.workdps(80):
+        lo, hi = _reference_cylinder("cubic", ifs, word)
+        slack = mpmath.mpf(10) ** -70
+        assert _mpf(enc.lo) <= lo + slack and hi - slack <= _mpf(enc.hi)
+
+
+def test_smooth_map_bounds_must_hold_on_the_systems_interval():
+    # sup|f'| = 1/3 + 1/10 on [0, 1], where the bounds were computed, but
+    # 1/3 + 3/10 at the end 3 of [0, 3]; coding_point would double K forever
+    m = quadratic_map(F(1, 3), F(1354, 1000), F(1, 20), (0, 1))
+    with pytest.raises(ValueError, match=r"map 1 \(quadratic.*declared bounds"):
+        Ifs([m, AffineMap(F(1, 3), 0)], (0, 3))
+    # a bound that is not met at an end of I, though I is the one it was made for
+    low = ifs_core.SmoothMap("cubic", _CUBIC, _CUBIC.deriv, _CUBIC.num, _CUBIC.den, 0.34, 0.49)
+    with pytest.raises(ValueError, match=r"map 2 \(cubic\)"):
+        Ifs([AffineMap(F(1, 3), F(2, 3)), low], (0, 1))
+
+
+def test_a_smooth_system_over_two_quadratic_fields_is_refused():
+    shifts = [AffineMap(F(1, 3), QuadExact(0, F(1, 10), d)) for d in (2, 5)]
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        Ifs([quadratic_map(F(1, 3), 0, F(1, 20), (0, 1)), *shifts], (0, 1))
 
 
 def test_smooth_system_with_a_quadratic_field_map_raises_a_named_error():

@@ -287,6 +287,9 @@ def test_cli_run_ifs_file_without_weights(tmp_path, kind):
           "samples 0"], "samples"),
         (["experiment clt", "ifs builtin:cantor", "n 0", "paths 100"], "n >= 1"),
         (["experiment clt", "ifs builtin:cantor", "n 20", "paths 0"], "paths"),
+        (["experiment clt", "ifs builtin:cantor", "n 100000000000000000000", "paths 10"], "below 2^63"),
+        (["experiment scaled-energy", "ifs builtin:cantor", "q-list 100", "k-list 1000", "r-list 0.1"],
+         "e^(k chi) overflows a float"),
         (["experiment llt", "ifs builtin:cantor", "k-list 5", "paths 0"], "paths"),
         (["experiment del-criterion", "ifs builtin:cantor", "n-max 8", "samples 0"], "samples"),
         # Fraction("1e400") parses; its float overflows
@@ -299,8 +302,8 @@ def test_cli_run_ifs_file_without_weights(tmp_path, kind):
     ],
     ids=["n-max-0", "n-max-3", "n-digits-0", "n-below-block-len", "block-len-0", "q-zero",
          "weight-over-zero", "moser-depth-0", "moser-tau-below-minus-1", "unknown-method", "mc-samples-0", "clt-n-0",
-         "clt-paths-0", "llt-paths-0", "del-samples-0", "del-q-overflow", "normality-seeds-0", "ratio-powers-0",
-         "llt-negative-k", "llt-negative-h"],
+         "clt-paths-0", "clt-n-2^63", "energy-exp-overflow", "llt-paths-0", "del-samples-0", "del-q-overflow",
+         "normality-seeds-0", "ratio-powers-0", "llt-negative-k", "llt-negative-h"],
 )
 def test_cli_run_edge_parameter_exits_2(tmp_path, capsys, lines, needle):
     cfg = write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
