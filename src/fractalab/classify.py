@@ -23,7 +23,7 @@ from itertools import combinations, count, islice
 import mpmath
 import numpy as np
 
-from .ifs_core import Ifs, PreconditionError, WeightVector, compose_word
+from .ifs_core import Ifs, PreconditionError, WeightVector, _row_chunks, compose_word
 from .quadfield import QuadExact, _field, _fixed, _triple, is_exact
 
 
@@ -328,22 +328,25 @@ def lattice_check_fixed_point_set(ifs):
 # -- Diophantine scans -------------------------------------------------------
 
 
-def _inf_y_max_dist(vs, x):
-    """inf over y of max_i d(v_i x + y, Z), exactly on the circle.
+def _inf_y_max_dists(vs, xs):
+    """inf over y of max_i d(v_i x + y, Z) at each x of xs, exactly on the circle.
 
     The objective is a max of unit-slope tent functions of y; its minima sit
     at circular midpoints between consecutive tent peaks, so evaluating the
-    finitely many midpoints is exact (up to float rounding).
+    finitely many midpoints is exact (up to float rounding).  Every x is
+    taken in one array pass, in row chunks (_row_chunks) that bound each
+    x-by-midpoint-by-value block.
     """
-    us = np.array([(v * x) % 1.0 for v in vs])
-    peaks = np.sort((0.5 - us) % 1.0)
-    mids = (peaks + np.diff(np.concatenate([peaks, [peaks[0] + 1.0]])) / 2.0) % 1.0
-    best = 1.0
-    for y in mids:
-        vals = (us + y) % 1.0
-        dist = np.minimum(vals, 1.0 - vals)
-        best = min(best, float(dist.max()))
-    return best
+    vs = np.asarray(vs, dtype=float)
+    out, start = [], 0
+    for rows in _row_chunks(len(xs), len(vs) ** 2):
+        us = (vs * xs[start : start + rows, None]) % 1.0
+        start += rows
+        peaks = np.sort((0.5 - us) % 1.0, axis=1)
+        mids = (peaks + np.diff(np.concatenate([peaks, peaks[:, :1] + 1.0], axis=1), axis=1) / 2.0) % 1.0
+        vals = (us[:, None, :] + mids[:, :, None]) % 1.0
+        out.append(np.minimum(vals, 1.0 - vals).max(axis=2).min(axis=1))
+    return np.concatenate(out)
 
 
 @dataclass
@@ -373,7 +376,7 @@ def diophantine_scan(log_ratios, x_max=1000.0):
         )
     n_pts = max(8, int(40 * math.log10(max(x_max, 10.0))))
     xs = np.exp(np.linspace(math.log(1.0), math.log(x_max), n_pts))
-    ms = np.array([_inf_y_max_dist(vs, x) for x in xs])
+    ms = _inf_y_max_dists(vs, xs)
     positive, min_m = bool(ms.min() > 0), float(ms.min())
     if len(set(vs)) == 2:
         # m(x) = d(delta x, Z)/2 is 0 at each x = k/delta, which the grid can

@@ -9,9 +9,11 @@ are held as integer triples (a + b*sqrt(d))/den.
 
 The work splits in two.  The q-independent half is a scale graph: the
 products s with their floats and children s*r_i, grown lazily in order of
-decreasing |s| and shared by every q at one (system, weights, tol).  The
-per-q half finds the scales internal at q, a prefix of that order since the
-leaf rule is monotone in |s|, and sums them bottom up (_word_tree).  An exact
+decreasing |s|.  It is the system's own (Ifs.scale_graph, _ScaleGraph), made
+by the first word-tree call on it and grown by every later one, whatever its
+weights, tol or q.  The per-q half finds the scales internal at q, a prefix
+of that order since the leaf rule is monotone in |s|, and sums them bottom up
+(_word_tree), at a cost set by that prefix, not by the graph.  An exact
 q is multiplied into the translations and the centre once per call, and a
 node's phase is e(s*(q*t)) at its scale s: integer triples multiply in
 Z[sqrt d], which is commutative and associative, so s*(q*t) is the same
@@ -31,12 +33,11 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import islice
 from math import gcd
 
 import numpy as np
 
-from .ifs_core import PreconditionError, _draw_symbols, _pull_back, _row_chunks, compose_word
+from .ifs_core import PreconditionError, _draw_symbols, _pull_back, _require_int, _row_chunks, compose_word
 from .quadfield import QuadExact, _ratio, _times, _to_float, _triple, is_exact
 
 TWO_PI = 2 * math.pi
@@ -82,54 +83,44 @@ def _exact_unit(x):
     return cmath.exp(_I_TWO_PI * _turns((1, 0, 1), _triple(x), x.d if isinstance(x, QuadExact) else 0))
 
 
-def _word_tree(ifs, p, tol, max_nodes=2_000_000):
-    """fourier_word_tree over one (ifs, p, tol), as a function value(q).
+class _ScaleGraph:
+    """The q-independent half of the word tree of one affine system, kept on
+    it as Ifs.scale_graph and grown by every word-tree call on it, whatever
+    its weights, tol, q or budget.  It reads only the ratio triples and the
+    field, and holds no reference to the Ifs.
 
-    The q-independent half is built once and shared by every call: the
-    checks, float weights, translations and centre, and a scale graph that
-    grows lazily.  Node i of the graph is an exact scale (A[i] + B[i]*sqrt d)
-    / D[i] with its float sf[i].  Nodes are expanded from a heap in order of
-    decreasing |sf|: `order` lists the expanded ones in that order, and kids
-    holds the children s*r_j of each, last map first.  A child's |sf| is
-    strictly below its parent's (see _MAX_RATIO), so a child is never a node
-    already expanded, and only the frontier (the heap) needs a map from
-    triples to ids.
+    Node i is an exact scale (A[i] + B[i]*sqrt d)/D[i] with its float sf[i].
+    Nodes are expanded from a heap in order of decreasing |sf|: `order` lists
+    the expanded ones in that order, the children s*r_j of order[m] sit at
+    kids[m*n_maps:(m+1)*n_maps], last map first, and sizes[m] is the number of
+    nodes once order[m] is expanded.  A child's |sf| is strictly below its
+    parent's (see _MAX_RATIO), so a child is never a node already expanded,
+    and only the frontier (the heap) needs a map from triples to ids.
 
-    The leaf rule 2*pi*(|q|*|sf|)*width <= tol is monotone in |sf|, so the
-    scales internal at q are a prefix of `order`.  value(q) expands the
-    heap's top while it is internal at q, finds the prefix by bisection, and
-    sums it bottom up, each node as val += w * phase * child in map order
-    from 0j.  A node's value reads only its children's, so this order gives
-    the bits of any other.  The per-q values live only in that pass.  Each
-    call counts its own nodes, the internal scales plus the distinct leaves,
-    and raises BudgetError past max_nodes however large the graph is.
+    Why a shared graph moves no output bit: heap pops come in increasing
+    (-|sf|, id) order, each child's key being above its parent's, so growth
+    that stops at one threshold and later resumes gives the same ids, order
+    and kids as a single growth to the last threshold.  The leaf rule is
+    monotone in |sf| and a node reads only its children, so each call's tree,
+    and with it its value, nodes and error_bound, is that of a fresh Ifs.
     """
-    if not ifs.is_affine:
-        raise PreconditionError("word-tree Fourier evaluation requires an affine IFS")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    weights = [float(Fraction(w)) for w in p]
-    if len(weights) != ifs.n:
-        raise ValueError("weight vector length does not match the IFS")
-    tol = float(tol)
-    field, ratios, width, n_maps = ifs.field, ifs.ratio_triples[::-1], ifs.width_float, ifs.n
-    if (r_max := max(abs(_to_float(r, field)) for r in ratios)) > _MAX_RATIO:
-        raise PreconditionError(f"word tree needs every |ratio| <= 1 - 2^-48, got {r_max!r}")
-    exact_factors = (*ifs.translation_triples, ifs.centre_triple)
-    float_factors = [_to_float(t, field) for t in exact_factors]
-    root = (1, 0, 1)
-    A, B, D, sf = [1], [0], [1], array("d", [1.0])
-    order, kids = array("i"), array("i")
-    heap, index = [(-1.0, 0, root)], {root: 0}
 
-    def grow(q_abs):
-        # The graph grows only while the heap's top is internal at q_abs, so
-        # every node in it then belongs to this call's tree and its size is
-        # this call's node count so far.  A node is expanded whole, so the
-        # graph stays consistent when the budget is exceeded.  The loop runs
-        # once per node, so it reads local names.
-        frontier, find, d = heap, index, field
-        add_a, add_b, add_d, add_sf, add_kid = A.append, B.append, D.append, sf.append, kids.append
+    def __init__(self, ratios, field):
+        self.ratios, self.field = ratios, field
+        root = (1, 0, 1)
+        self.A, self.B, self.D, self.sf = [1], [0], [1], array("d", [1.0])
+        self.order, self.kids, self.sizes = array("i"), array("i"), array("i")
+        self.heap, self.index = [(-1.0, 0, root)], {root: 0}
+
+    def grow(self, q_abs, width, tol, max_nodes):
+        """Expand the heap's top while it is internal at q_abs.  Then every
+        node of the graph belongs to this call's tree, and the graph's size is
+        this call's node count so far.  A node is expanded whole, so the graph
+        stays consistent when the budget is exceeded.  The loop runs once per
+        node, so it reads local names."""
+        frontier, find, d, ratios, sf = self.heap, self.index, self.field, self.ratios, self.sf
+        add_a, add_b, add_d, add_sf, add_kid = self.A.append, self.B.append, self.D.append, sf.append, self.kids.append
+        add_order, add_size = self.order.append, self.sizes.append
         while frontier:
             top = -frontier[0][0]
             if TWO_PI * (q_abs * top) * width <= tol:
@@ -158,9 +149,47 @@ def _word_tree(ifs, p, tol, max_nodes=2_000_000):
                     add_sf(v)
                     heappush(frontier, (-abs(v), j, t))
                 add_kid(j)
-            order.append(i)
+            add_order(i)
+            add_size(len(sf))
             if len(sf) > max_nodes:
                 raise BudgetError(f"word tree exceeded {max_nodes} nodes at tol={tol}")
+
+
+def _word_tree(ifs, p, tol, max_nodes=2_000_000):
+    """fourier_word_tree over one (ifs, p, tol), as a function value(q).
+
+    The checks, float weights, translations and centre are computed once per
+    evaluator; the scale graph is the system's own (ifs.scale_graph, see
+    _ScaleGraph), made by its first word-tree call and grown by every later
+    one.  The leaf rule 2*pi*(|q|*|sf|)*width <= tol is monotone in |sf|, so
+    the scales internal at q are a prefix of the graph's order.  value(q)
+    grows the graph while the heap's top is internal at q, finds the prefix
+    by bisection, and sums it bottom up, each node as val += w * phase *
+    child in map order from 0j.  A node's value reads only its children's, so
+    this order gives the bits of any other.  The per-q values live only in
+    that pass, in a list sized by the prefix, so a call costs its own tree
+    however large the graph has grown.  Each call counts its own nodes, the
+    internal scales plus the distinct leaves, and raises BudgetError past
+    max_nodes however large the graph is.
+    """
+    if not ifs.is_affine:
+        raise PreconditionError("word-tree Fourier evaluation requires an affine IFS")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    weights = [float(Fraction(w)) for w in p]
+    if len(weights) != ifs.n:
+        raise ValueError("weight vector length does not match the IFS")
+    tol = float(tol)
+    field, width, n_maps = ifs.field, ifs.width_float, ifs.n
+    if (r_max := max(abs(_to_float(r, field)) for r in ifs.ratio_triples)) > _MAX_RATIO:
+        raise PreconditionError(f"word tree needs every |ratio| <= 1 - 2^-48, got {r_max!r}")
+    exact_factors = (*ifs.translation_triples, ifs.centre_triple)
+    float_factors = [_to_float(t, field) for t in exact_factors]
+    if ifs.scale_graph is None:
+        ifs.scale_graph = _ScaleGraph(ifs.ratio_triples[::-1], field)
+    graph = ifs.scale_graph
+    # the graph's lists and arrays grow in place, so these names stay current
+    A, B, D, sf, order, kids, sizes = graph.A, graph.B, graph.D, graph.sf, graph.order, graph.kids, graph.sizes
 
     def value(q):
         d = (q.d if isinstance(q, QuadExact) else 0) or field
@@ -179,7 +208,7 @@ def _word_tree(ifs, p, tol, max_nodes=2_000_000):
         if q == 0:
             return FourierSample(q=0.0, value=1 + 0j, error_bound=0.0, method="word_tree")
         q_abs = abs(q)
-        grow(q_abs)
+        graph.grow(q_abs, width, tol, max_nodes)
         n, hi = 0, len(order)
         while n < hi:
             m = (n + hi) // 2
@@ -191,11 +220,12 @@ def _word_tree(ifs, p, tol, max_nodes=2_000_000):
         def leaf(k):
             return cmath.exp(_I_TWO_PI * (_turns((A[k], B[k], D[k]), mid, d) if exact else (q * sf[k]) * mid))
 
-        vals = [None] * len(sf)
+        # the prefix's nodes and their children are the first sizes[n - 1] ids
+        vals = [None] * (sizes[n - 1] if n else 1)
         nodes = n
         # one reversed iterator yields each node's children in map order
-        rkids = islice(reversed(kids), (len(order) - n) * n_maps, None)
-        for i in islice(reversed(order), len(order) - n, None):
+        rkids = reversed(kids[: n * n_maps])
+        for i in reversed(order[:n]):
             a, b, den, x = A[i], B[i], D[i], q * sf[i]
             val = 0j
             for w, t, k in zip(weights, shifts, rkids):
@@ -240,8 +270,9 @@ def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
     recursion, so its depth is unbounded; more than max_nodes distinct scales
     raise BudgetError.  A ratio within 2^-48 of 1, or a scale below the
     normal floats (|q|*width/tol above about 1e307), raises
-    PreconditionError.  Callers with many q at one (ifs, p, tol) hold one
-    _word_tree and share its scale graph.
+    PreconditionError.  Every call on one Ifs grows and reads its one scale
+    graph (_ScaleGraph); callers with many q at one (ifs, p, tol) hold one
+    _word_tree to make the per-call checks once.
     """
     return _word_tree(ifs, p, tol, max_nodes)(q)
 
@@ -422,6 +453,8 @@ def del_criterion_diagnostic(ifs, p, base, q, n_max, samples=200, rng_seed=0):
     """
     if not ifs.is_affine or ifs.field:
         raise PreconditionError("exact orbit arithmetic requires rational affine maps")
+    for name, value in (("base", base), ("n_max", n_max), ("samples", samples)):
+        _require_int(name, value)
     if base < 2:
         raise ValueError("integer base >= 2 required")
     if n_max < 4:

@@ -64,6 +64,14 @@ def _exact(x):
     return x if isinstance(x, QuadExact) else Fraction(x)
 
 
+def _require_int(name, value, low=None):
+    """ValueError naming the parameter unless value is an int (not a bool),
+    and, when low is given, >= low."""
+    if not isinstance(value, int) or isinstance(value, bool) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an int{bound}, got {value!r}")
+
+
 class Enclosure:
     """Certified interval [lo, hi] (exact rationals) containing a real."""
 
@@ -260,6 +268,8 @@ class Ifs:
     forms (ra, rb, ta, tb, c) with f_i(x) = ((ra + rb*sqrt d)*x + ta + tb*sqrt
     d)/c, and the integer triples (a, b, den) ratio_triples,
     translation_triples and centre_triple; these five are None with a smooth map.
+    scale_graph is None until the first word-tree call on the system makes
+    it; every later call grows and reads it (fourier._ScaleGraph).
     For a system with a smooth map and rational data, polys holds each map's
     integer coefficient lists and direction (see _int_poly); None otherwise.
     """
@@ -282,7 +292,7 @@ class Ifs:
         self.big_d_prime = -math.log(self._deriv_bounds[0])
         self.width_float = float(self.interval_width())
         self.field = self.forms = self.ratio_triples = self.translation_triples = self.centre_triple = None
-        self.polys = None
+        self.polys = self.scale_graph = None
         if not self.is_affine:
             data = [*self.interval] + [c for m in self.maps for c in (*m.num, *m.den)]
             if not any(isinstance(c, QuadExact) for c in data):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ifs_core import PreconditionError, ShortPrefixError, _draw_symbols
+from .ifs_core import PreconditionError, ShortPrefixError, _draw_symbols, _require_int
 
 # compose_word stays bound here: perfbench's tracer test wraps and restores it by name
 from .ifs_core import compose_word  # noqa: F401
@@ -55,12 +55,6 @@ def _convert(rest, base, k):
         return digits
     high, rest = divmod(rest, base ** (k - k // 2))
     return _convert(high, base, k // 2) + _convert(rest, base, k - k // 2)
-
-
-def _require_int(name, value, low):
-    """ValueError naming the parameter unless value is an int (not a bool) >= low."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 @dataclass

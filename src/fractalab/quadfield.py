@@ -11,7 +11,7 @@ no cancellation between a and b*sqrt(d) can spoil; mpmath conversions at an
 explicit working precision remain for callers that want them.  The integer
 triple (a + b*sqrt(d))/den (_triple) is the integer form the word-tree and
 word-composition engines share.  Their inner loops write its product out
-(fourier._word_tree's grow, ifs_core._compose_forms); _times serves the
+(fourier._ScaleGraph.grow, ifs_core._compose_forms); _times serves the
 products made once per call, such as an exact q times each translation.
 """
 

@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import fractalab
 from fractalab.classify import (
     _denominator_norm,
+    _inf_y_max_dists,
     _least_root,
     _text,
     classify_ifs,
@@ -477,6 +479,36 @@ def test_scan_fails_for_single_ratio():
     assert not rep.positive
     # at x = k/log2 the distance can be pushed to 0 by y
     assert rep.min_m < 1e-3
+
+
+def _inf_y_max_dist_at(vs, x):
+    """m(x) at one x, midpoint by midpoint: the scan's own float operations."""
+    us = np.array([(v * x) % 1.0 for v in vs])
+    peaks = np.sort((0.5 - us) % 1.0)
+    mids = (peaks + np.diff(np.concatenate([peaks, [peaks[0] + 1.0]])) / 2.0) % 1.0
+    best = 1.0
+    for y in mids:
+        vals = (us + y) % 1.0
+        best = min(best, float(np.minimum(vals, 1.0 - vals).max()))
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vs=st.lists(st.floats(min_value=0.01, max_value=6.0), min_size=2, max_size=7),
+    x_max=st.floats(min_value=10.0, max_value=1e4),
+)
+def test_scan_values_equal_a_per_x_reference(vs, x_max):
+    rep = diophantine_scan(vs, x_max=x_max)
+    assert len(rep.xs) >= 40
+    assert np.array_equal(rep.ms, [_inf_y_max_dist_at(vs, x) for x in rep.xs])
+
+
+def test_scan_values_in_row_chunks_equal_a_per_x_reference():
+    # 1,100 values make a 1,100 x 1,100 block per x, past one chunk's cap
+    many = np.linspace(0.01, 6.0, 1100).tolist()
+    xs = np.array([1.0, 17.3, 412.9])
+    assert np.array_equal(_inf_y_max_dists(many, xs), [_inf_y_max_dist_at(many, x) for x in xs])
 
 
 def test_scan_respects_x_range():

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -204,47 +205,101 @@ def _bits(s):
     return s.value.real.hex(), s.value.imag.hex(), s.nodes, s.q, s.error_bound
 
 
-AFFINE_SYSTEMS = [builtin(name) for name in BUILTINS if builtin(name)[0].is_affine]
+# each maker builds a fresh system, with no scale graph yet
+AFFINE_MAKERS = [lambda name=name: builtin(name) for name in BUILTINS if builtin(name)[0].is_affine]
+AFFINE_MAKERS.append(lambda: (_negative_golden(), (F(1, 3), F(2, 3))))
 
 
-@pytest.mark.parametrize("ifs, w", AFFINE_SYSTEMS + [(_negative_golden(), (F(1, 3), F(2, 3)))],
-                         ids=[ifs.name for ifs, _ in AFFINE_SYSTEMS] + ["negative-golden"])
-def test_one_evaluator_gives_the_bits_of_fresh_calls_in_any_q_order(ifs, w):
+@pytest.mark.parametrize("make", AFFINE_MAKERS, ids=[make()[0].name for make in AFFINE_MAKERS])
+def test_one_evaluator_gives_the_bits_of_fresh_calls_in_any_q_order(make):
     # one scale graph serves every q: it grows at the largest q seen and
     # keeps no per-q value, so the q order cannot move a bit
     r = golden_ratio_conjugate()
     qs = [F(1234, 7), F(-98765, 13), 3**9, r**-9, -(r**-14), r**-3 + F(1, 2), 777.25, -4321.5, 12.0, 0, 0.5]
     tol = 1e-6
-    fresh = [_bits(fourier_word_tree(ifs, w, q, tol)) for q in qs]
+    w = make()[1]
+    fresh = [_bits(fourier_word_tree(make()[0], w, q, tol)) for q in qs]
     assert len(set(fresh)) == len(qs)
     increasing = sorted(range(len(qs)), key=lambda i: abs(float(qs[i])))
     shuffled = list(range(len(qs)))
     random.Random(7).shuffle(shuffled)
     for idx in (increasing, increasing[::-1], shuffled):
-        tree = _word_tree(ifs, w, tol)
+        tree = _word_tree(make()[0], w, tol)
         assert [_bits(tree(qs[i])) for i in idx] == [fresh[i] for i in idx]
+
+
+SHARED_GRAPH_SYSTEMS = {
+    "aperiodic-125": (aperiodic_125, [W125, (F(1, 5), F(3, 5), F(1, 5))]),
+    "pow2-pair": (lambda: builtin("pow2-pair")[0], [(F(1, 3), F(2, 3)), HALF]),
+    "cantor": (cantor, [HALF, (F(1, 4), F(3, 4))]),
+    "bernoulli-golden": (golden_bernoulli, [HALF, (F(2, 3), F(1, 3))]),
+}
+_q = st.one_of(
+    st.fractions(min_value=-3000, max_value=3000, max_denominator=50),
+    st.floats(min_value=-3000, max_value=3000, allow_nan=False),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SHARED_GRAPH_SYSTEMS)),
+    calls=st.lists(st.tuples(_q, st.sampled_from([1e-3, 1e-6, 1e-8]), st.sampled_from([0, 1])),
+                   min_size=2, max_size=6),
+)
+def test_calls_on_one_system_share_its_graph_and_give_the_bits_of_a_fresh_system(name, calls):
+    make, weights = SHARED_GRAPH_SYSTEMS[name]
+    ifs = make()
+    assert ifs.scale_graph is None
+    graphs = set()
+    for q, tol, k in calls:
+        shared = fourier_word_tree(ifs, weights[k], q, tol)
+        graphs.add(id(ifs.scale_graph))
+        fresh = fourier_word_tree(make(), weights[k], q, tol)
+        assert (shared.value, shared.nodes, shared.error_bound) == (fresh.value, fresh.nodes, fresh.error_bound)
+    assert len(graphs) == 1
+
+
+def test_a_repeat_call_at_the_same_or_a_smaller_q_expands_no_node():
+    ifs, w = builtin("aperiodic-125")
+    fourier_word_tree(ifs, w, F(-5000, 3), 1e-8)
+    expanded = len(ifs.scale_graph.order)
+    for q, tol in ((F(5000, 3), 1e-8), (-1666.0, 1e-8), (F(7, 2), 1e-8), (F(5000, 3), 1e-6)):
+        fourier_word_tree(ifs, (F(1, 5), F(3, 5), F(1, 5)) if q > 0 else w, q, tol)
+        assert len(ifs.scale_graph.order) == expanded
+    fourier_word_tree(ifs, w, 1700, 1e-8)
+    assert len(ifs.scale_graph.order) > expanded
+
+
+def test_the_scale_graph_is_freed_with_its_system():
+    ifs, w = builtin("aperiodic-125")
+    fourier_word_tree(ifs, w, F(123, 4), 1e-6)
+    ref = weakref.ref(ifs.scale_graph)
+    del ifs
+    assert ref() is None
 
 
 def test_budget_holds_per_call_on_a_grown_graph():
     ifs, w = builtin("aperiodic-125")
     q, tol = F(98765, 7), 1e-8
-    s = fourier_word_tree(ifs, w, q, tol)
-    # a larger q stops growing the graph once past the budget, and the graph
-    # it leaves still gives this q's count, and the bits of fresh calls below
+    s = fourier_word_tree(aperiodic_125(), w, q, tol)
+    # a larger q stops growing the system's graph once past the budget, and
+    # the graph it leaves still gives this q's count, and the bits of fresh
+    # systems below
     tree = _word_tree(ifs, w, tol, max_nodes=s.nodes - 1)
     with pytest.raises(BudgetError, match=f"exceeded {s.nodes - 1} nodes"):
         tree(q * 1000)
     with pytest.raises(BudgetError):
         tree(q)
-    assert _bits(tree(q / 3)) == _bits(fourier_word_tree(ifs, w, q / 3, tol))
+    assert _bits(tree(q / 3)) == _bits(fourier_word_tree(aperiodic_125(), w, q / 3, tol))
     tree = _word_tree(ifs, w, tol, max_nodes=s.nodes)
     assert _bits(tree(q)) == _bits(s)
-    # the graph now holds q's tree whole: smaller budgets are checked on the
-    # count of each call, not on the graph
-    assert _bits(tree(q / 7)) == _bits(fourier_word_tree(ifs, w, q / 7, tol))
-    tree = _word_tree(ifs, w, tol)
-    tree(q)
-    with pytest.raises(BudgetError):
+    # once the graph holds more than q's tree, smaller budgets are checked on
+    # the count of each call, not on the graph
+    fourier_word_tree(ifs, w, q * 100, tol)
+    assert len(ifs.scale_graph.sf) > s.nodes
+    assert _bits(tree(q)) == _bits(s)
+    assert _bits(tree(q / 7)) == _bits(fourier_word_tree(aperiodic_125(), w, q / 7, tol))
+    with pytest.raises(BudgetError, match=f"exceeded {s.nodes - 1} nodes"):
         _word_tree(ifs, w, tol, max_nodes=s.nodes - 1)(q)
 
 
@@ -369,6 +424,21 @@ def test_del_criterion_dyadic_bounded():
     assert len(rep.e_n) == len(rep.n_values)
     assert rep.tail_slope < 0.05
     assert all(e >= 0 for e in rep.e_n)
+
+
+@pytest.mark.parametrize(
+    "base, n_max, samples, message",
+    [(2.5, 8, 4, "base must be an int, got 2.5"), (3.0, 8, 4, "base must be an int, got 3.0"),
+     (True, 8, 4, "base must be an int, got True"), (2, 8.0, 4, "n_max must be an int, got 8.0"),
+     (2, 8, 4.0, "samples must be an int, got 4.0"), (2, 8, True, "samples must be an int, got True"),
+     (1, 8, 4, "integer base >= 2 required"), (2, 3, 4, "n_max must be >= 4"), (2, 8, 0, "samples must be >= 1")],
+    ids=["base-float", "base-whole-float", "base-bool", "n_max-float", "samples-float", "samples-bool",
+         "base-1", "n_max-3", "samples-0"],
+)
+def test_del_criterion_takes_only_int_base_n_max_and_samples(base, n_max, samples, message):
+    # a float base made the "exact big-integer" orbit float arithmetic
+    with pytest.raises(ValueError, match=message):
+        del_criterion_diagnostic(cantor(), HALF, base, 1, n_max, samples)
 
 
 def test_del_criterion_requires_rational_affine():
