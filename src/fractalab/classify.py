@@ -194,8 +194,10 @@ def is_periodic(ratios):
     (`_denominator_norm`).  Proportional vectors leave one exponent pair per
     ratio, and an exact power decides it.  Units (every D is 1) get their pairs
     from an exact Euclid (`_unit_exponent`).  Floats raise PreconditionError,
-    and modulus 1 is rejected, as 0 is in every lattice.
+    and modulus 1 is rejected, as 0 is in every lattice, and so is an empty set.
     """
+    if not ratios:
+        raise ValueError("need at least one ratio")
     if any(abs(r) == 1 for r in ratios):
         raise ValueError("need positive rationals other than 1")
     if not all(is_exact(r) for r in ratios):

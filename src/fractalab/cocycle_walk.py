@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ifs_core import PreconditionError, _column_maps, _draw_symbols, _pull_back, _row_chunks, validate_word
+from .ifs_core import (PreconditionError, _column_maps, _draw_symbols, _pull_back, _require_int, _row_chunks,
+                       _weight_vector, validate_word)
 
 _ROW = 64  # steps per row of lyapunov's Monte Carlo walk
 
@@ -83,9 +84,7 @@ def lyapunov(ifs, p, mode="exact", n=100_000, rng_seed=0):
     if mode == "exact":
         if not ifs.is_affine:
             raise PreconditionError("exact Lyapunov exponent requires an affine IFS")
-        if len(p) != ifs.n:
-            raise ValueError("weight vector length does not match the IFS")
-        chi = sum(float(w) * step for w, step in zip(p, ifs.steps.tolist()))
+        chi = sum(w * step for w, step in zip(_weight_vector(ifs, p).floats, ifs.steps.tolist()))
         return LyapunovEstimate(chi, 0.0, "exact")
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
@@ -247,6 +246,7 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
         h_prime = math.sqrt(k)
     if not h_prime > 0:
         raise ValueError("h_prime must be positive")
+    _require_int("paths", paths)
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     chi = lyapunov(ifs, p, "exact").value
@@ -330,15 +330,17 @@ def clt_experiment(ifs, p, n, paths, rng_seed=0):
     """Empirical law of (S_n - n*chi)/sqrt(n) vs the best-fit Gaussian."""
     from scipy.special import ndtr
 
+    _require_int("n", n)
+    _require_int("paths", paths)
     if n < 1 or paths < 1:
         raise ValueError(f"need n >= 1 and paths >= 1, got n {n} and paths {paths}")
     if n >= 2**63:  # rng.multinomial counts in int64
         raise ValueError(f"n must be below 2^63, got {n}")
+    p = _weight_vector(ifs, p)
     rng = np.random.default_rng(rng_seed)
     chi = _chi(ifs, p, rng_seed)
     if ifs.is_affine:
-        w = np.array([float(x) for x in p])
-        counts = rng.multinomial(n, w, size=paths)
+        counts = rng.multinomial(n, p.floats, size=paths)
         s_n = counts @ ifs.steps
     else:
         s_n = np.concatenate([_walk_matrix(ifs, p, m, n, rng)[1].sum(axis=1) for m in _row_chunks(paths, n)])
@@ -366,6 +368,7 @@ def bracket_check(ifs, p, pairs, rng_seed=0):
     so S at the last column is at least k_max*chi + 2*D'.
     """
     ks_per_path = 10
+    _require_int("pairs", pairs)
     if pairs < ks_per_path:
         raise ValueError(f"pairs must be >= {ks_per_path}, got {pairs}")
     chi = _chi(ifs, p, rng_seed)

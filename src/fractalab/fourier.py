@@ -7,20 +7,21 @@ once per distinct exact ratio product, so the cost is polynomial in log q
 translations and exact frequencies, rational or in a quadratic field Q(sqrt d),
 are held as integer triples (a + b*sqrt(d))/den.
 
-The work splits in two.  The q-independent half is a scale graph: the
-products s with their floats and children s*r_i, grown lazily in order of
-decreasing |s|.  It is the system's own (Ifs.scale_graph, _ScaleGraph), made
-by the first word-tree call on it and grown by every later one, whatever its
-weights, tol or q.  The per-q half finds the scales internal at q, a prefix
-of that order since the leaf rule is monotone in |s|, and sums them bottom up
-(_word_tree), at a cost set by that prefix, not by the graph.  An exact
-q is multiplied into the translations and the centre once per call, and a
-node's phase is e(s*(q*t)) at its scale s: integer triples multiply in
-Z[sqrt d], which is commutative and associative, so s*(q*t) is the same
-triple of integers as (q*s)*t.  A phase is reduced mod 1 in integers:
-exactly for rationals, and in 128-bit fixed point via isqrt
-(quadfield._ratio) for b != 0, since Pisot-scale non-decay is destroyed by
-even a float-epsilon drift of q.
+The work splits in two.  The q-independent half is the system's: its
+checks, triples and floats, and a scale graph, the products s with their
+floats and children s*r_i, grown lazily in order of decreasing |s|.  It is
+made by the first word-tree call on the system (Ifs.scale_graph,
+_ScaleGraph) and grown by every later one, whatever its weights, tol or q;
+the weights' floats are their WeightVector's.  The per-q half,
+fourier_word_tree, finds the scales internal at q, a prefix of that order
+since the leaf rule is monotone in |s|, and sums them bottom up, at a cost
+set by that prefix, not by the graph.  An exact q is multiplied into the
+translations and the centre once per call, and a node's phase is
+e(s*(q*t)) at its scale s: integer triples multiply in Z[sqrt d], which is
+commutative and associative, so s*(q*t) is the same triple of integers as
+(q*s)*t.  A phase is reduced mod 1 in integers: exactly for rationals, and
+in 128-bit fixed point via isqrt (quadfield._ratio) for b != 0, since
+Pisot-scale non-decay is destroyed by even a float-epsilon drift of q.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from math import gcd
 
 import numpy as np
 
-from .ifs_core import PreconditionError, _draw_symbols, _pull_back, _require_int, _row_chunks, compose_word
+from .ifs_core import (PreconditionError, WeightVector, _draw_symbols, _pull_back, _require_int, _row_chunks,
+                       _weight_vector, compose_word)
 from .quadfield import QuadExact, _ratio, _times, _to_float, _triple, is_exact
 
 TWO_PI = 2 * math.pi
@@ -84,10 +86,15 @@ def _exact_unit(x):
 
 
 class _ScaleGraph:
-    """The q-independent half of the word tree of one affine system, kept on
-    it as Ifs.scale_graph and grown by every word-tree call on it, whatever
-    its weights, tol, q or budget.  It reads only the ratio triples and the
-    field, and holds no reference to the Ifs.
+    """The word tree's set-up and q-independent half for one affine system,
+    kept on it as Ifs.scale_graph: made by the first word-tree call on it and
+    grown by every later one, whatever its weights, tol, q or budget.  It
+    holds no reference to the Ifs.
+
+    Making it checks the system (affine, every |r| <= _MAX_RATIO) and keeps
+    what each call reads: the field d, the width of I, the integer triples of
+    the ratios (last map first), translations and centre, and the floats of
+    the last two.
 
     Node i is an exact scale (A[i] + B[i]*sqrt d)/D[i] with its float sf[i].
     Nodes are expanded from a heap in order of decreasing |sf|: `order` lists
@@ -105,8 +112,16 @@ class _ScaleGraph:
     and with it its value, nodes and error_bound, is that of a fresh Ifs.
     """
 
-    def __init__(self, ratios, field):
-        self.ratios, self.field = ratios, field
+    def __init__(self, ifs):
+        if not ifs.is_affine:
+            raise PreconditionError("word-tree Fourier evaluation requires an affine IFS")
+        field = ifs.field
+        ratios = [_triple(r) for r in ifs.ratios]
+        if (r_max := max(abs(_to_float(r, field)) for r in ratios)) > _MAX_RATIO:
+            raise PreconditionError(f"word tree needs every |ratio| <= 1 - 2^-48, got {r_max!r}")
+        self.ratios, self.field, self.width, self.n_maps = ratios[::-1], field, ifs.width_float, ifs.n
+        self.factors = (*map(_triple, ifs.translations), _triple(ifs.interval_mid()))
+        self.float_factors = [_to_float(t, field) for t in self.factors]
         root = (1, 0, 1)
         self.A, self.B, self.D, self.sf = [1], [0], [1], array("d", [1.0])
         self.order, self.kids, self.sizes = array("i"), array("i"), array("i")
@@ -155,126 +170,97 @@ class _ScaleGraph:
                 raise BudgetError(f"word tree exceeded {max_nodes} nodes at tol={tol}")
 
 
-def _word_tree(ifs, p, tol, max_nodes=2_000_000):
-    """fourier_word_tree over one (ifs, p, tol), as a function value(q).
-
-    The checks, float weights, translations and centre are computed once per
-    evaluator; the scale graph is the system's own (ifs.scale_graph, see
-    _ScaleGraph), made by its first word-tree call and grown by every later
-    one.  The leaf rule 2*pi*(|q|*|sf|)*width <= tol is monotone in |sf|, so
-    the scales internal at q are a prefix of the graph's order.  value(q)
-    grows the graph while the heap's top is internal at q, finds the prefix
-    by bisection, and sums it bottom up, each node as val += w * phase *
-    child in map order from 0j.  A node's value reads only its children's, so
-    this order gives the bits of any other.  The per-q values live only in
-    that pass, in a list sized by the prefix, so a call costs its own tree
-    however large the graph has grown.  Each call counts its own nodes, the
-    internal scales plus the distinct leaves, and raises BudgetError past
-    max_nodes however large the graph is.
-    """
-    if not ifs.is_affine:
-        raise PreconditionError("word-tree Fourier evaluation requires an affine IFS")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    weights = [float(Fraction(w)) for w in p]
-    if len(weights) != ifs.n:
-        raise ValueError("weight vector length does not match the IFS")
-    tol = float(tol)
-    field, width, n_maps = ifs.field, ifs.width_float, ifs.n
-    if (r_max := max(abs(_to_float(r, field)) for r in ifs.ratio_triples)) > _MAX_RATIO:
-        raise PreconditionError(f"word tree needs every |ratio| <= 1 - 2^-48, got {r_max!r}")
-    exact_factors = (*ifs.translation_triples, ifs.centre_triple)
-    float_factors = [_to_float(t, field) for t in exact_factors]
-    if ifs.scale_graph is None:
-        ifs.scale_graph = _ScaleGraph(ifs.ratio_triples[::-1], field)
-    graph = ifs.scale_graph
-    # the graph's lists and arrays grow in place, so these names stay current
-    A, B, D, sf, order, kids, sizes = graph.A, graph.B, graph.D, graph.sf, graph.order, graph.kids, graph.sizes
-
-    def value(q):
-        d = (q.d if isinstance(q, QuadExact) else 0) or field
-        if field not in (0, d):
-            raise ValueError("mixed quadratic fields")
-        exact = is_exact(q)
-        if exact:
-            q3 = _triple(q)
-            q = _to_float(q3, d)
-            *shifts, mid = [_times(q3, t, d) for t in exact_factors]
-        else:
-            q = float(q)
-            if not math.isfinite(q):
-                raise ValueError(f"q must be finite, got {q}")
-            *shifts, mid = float_factors
-        if q == 0:
-            return FourierSample(q=0.0, value=1 + 0j, error_bound=0.0, method="word_tree")
-        q_abs = abs(q)
-        graph.grow(q_abs, width, tol, max_nodes)
-        n, hi = 0, len(order)
-        while n < hi:
-            m = (n + hi) // 2
-            if TWO_PI * (q_abs * abs(sf[order[m]])) * width <= tol:
-                hi = m
-            else:
-                n = m + 1
-
-        def leaf(k):
-            return cmath.exp(_I_TWO_PI * (_turns((A[k], B[k], D[k]), mid, d) if exact else (q * sf[k]) * mid))
-
-        # the prefix's nodes and their children are the first sizes[n - 1] ids
-        vals = [None] * (sizes[n - 1] if n else 1)
-        nodes = n
-        # one reversed iterator yields each node's children in map order
-        rkids = reversed(kids[: n * n_maps])
-        for i in reversed(order[:n]):
-            a, b, den, x = A[i], B[i], D[i], q * sf[i]
-            val = 0j
-            for w, t, k in zip(weights, shifts, rkids):
-                u = vals[k]
-                if u is None:
-                    u = vals[k] = leaf(k)
-                    nodes += 1
-                if exact:  # _turns((a, b, den), t, d), written out
-                    c, f, g = t
-                    if b:
-                        z, y, g = a * c + d * b * f, a * f + b * c, den * g
-                    else:
-                        z, y, g = a * c, a * f, den * g
-                    if y:
-                        z, g = _ratio((z, y, g), d)
-                    turns = (z % g) / g
-                else:
-                    turns = x * t
-                val += w * cmath.exp(_I_TWO_PI * turns) * u
-            vals[i] = val
-        if not n:
-            vals[0], nodes = leaf(0), 1
-        if nodes > max_nodes:
-            raise BudgetError(f"word tree exceeded {max_nodes} nodes at tol={tol}")
-        return FourierSample(q=q, value=vals[0], error_bound=tol, method="word_tree", nodes=nodes)
-
-    return value
-
-
 def fourier_word_tree(ifs, p, q, tol, max_nodes=2_000_000):
     """F_q(nu) of an affine IFS to within tol, by the word tree.
 
     F_{qs} = sum_i p_i e(s (q t_i)) F_{q s r_i} over exact scales s, each
-    scale evaluated once, down to leaves where 2*pi*|q s|*width <= tol and
-    F_{qs} is replaced by the phase e(s (q mid)) at the interval centre.  An
-    exact q enters once per call, in the triples q*t_i and q*mid; the product
-    s*(q*t) is the very integer triple (q*s)*t, multiplication in Z[sqrt d]
-    being commutative and associative, so every phase is reduced mod 1 in
-    integers from the same numbers (see _exact_unit).  A float q uses
-    (float(q)*float(s))*float(t).  The triples, field and width are those the
-    Ifs derived; only q's field is reconciled here.  The tree has no
-    recursion, so its depth is unbounded; more than max_nodes distinct scales
-    raise BudgetError.  A ratio within 2^-48 of 1, or a scale below the
-    normal floats (|q|*width/tol above about 1e307), raises
-    PreconditionError.  Every call on one Ifs grows and reads its one scale
-    graph (_ScaleGraph); callers with many q at one (ifs, p, tol) hold one
-    _word_tree to make the per-call checks once.
+    evaluated once, down to leaves where 2*pi*|q s|*width <= tol and F_{qs}
+    is replaced by the phase e(s (q mid)) at the interval centre.  An exact
+    q enters once per call, in the triples q*t_i and q*mid, and each phase
+    is reduced mod 1 in integers (see _exact_unit); a float q uses
+    (float(q)*float(s))*float(t).  The system's first call checks it and
+    makes its scale graph (_ScaleGraph); the weights' floats are their
+    WeightVector's, made from p unless p is one.  The leaf rule is monotone in |sf|,
+    so the scales internal at q are a prefix of the graph's order: a call
+    grows the graph while the heap's top is internal at q, finds the prefix
+    by bisection, and sums it bottom up in a list sized by the prefix, each
+    node as val += w * phase * child in map order from 0j.  A node reads
+    only its children, so this order gives the bits of any other, and a
+    call costs its own tree however large the graph.  A call counts its own
+    nodes, the internal scales plus the distinct leaves, and raises
+    BudgetError past max_nodes.  A system that is not affine, a ratio within
+    2^-48 of 1, or a scale below the normal floats (|q|*width/tol above
+    about 1e307) raises PreconditionError.
     """
-    return _word_tree(ifs, p, tol, max_nodes)(q)
+    if (graph := ifs.scale_graph) is None:
+        graph = ifs.scale_graph = _ScaleGraph(ifs)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    tol = float(tol)
+    field, width, n_maps = graph.field, graph.width, graph.n_maps
+    # _weight_vector(ifs, p) without the call when p is a WeightVector of
+    # n_maps weights: thousands of calls are trees of a dozen nodes
+    weights = (p if isinstance(p, WeightVector) and len(p) == n_maps else _weight_vector(ifs, p)).floats
+    d = (q.d if isinstance(q, QuadExact) else 0) or field
+    if field not in (0, d):
+        raise ValueError("mixed quadratic fields")
+    exact = is_exact(q)
+    if exact:
+        q3 = _triple(q)
+        q = _to_float(q3, d)
+        *shifts, mid = [_times(q3, t, d) for t in graph.factors]
+    else:
+        q = float(q)
+        if not math.isfinite(q):
+            raise ValueError(f"q must be finite, got {q}")
+        *shifts, mid = graph.float_factors
+    if q == 0:
+        return FourierSample(q=0.0, value=1 + 0j, error_bound=0.0, method="word_tree")
+    q_abs = abs(q)
+    graph.grow(q_abs, width, tol, max_nodes)
+    A, B, D, sf, order, kids, sizes = graph.A, graph.B, graph.D, graph.sf, graph.order, graph.kids, graph.sizes
+    n, hi = 0, len(order)
+    while n < hi:
+        m = (n + hi) // 2
+        if TWO_PI * (q_abs * abs(sf[order[m]])) * width <= tol:
+            hi = m
+        else:
+            n = m + 1
+
+    def leaf(k):
+        return cmath.exp(_I_TWO_PI * (_turns((A[k], B[k], D[k]), mid, d) if exact else (q * sf[k]) * mid))
+
+    # the prefix's nodes and their children are the first sizes[n - 1] ids
+    vals = [None] * (sizes[n - 1] if n else 1)
+    nodes = n
+    # one reversed iterator yields each node's children in map order
+    rkids = reversed(kids[: n * n_maps])
+    for i in reversed(order[:n]):
+        a, b, den, x = A[i], B[i], D[i], q * sf[i]
+        val = 0j
+        for w, t, k in zip(weights, shifts, rkids):
+            u = vals[k]
+            if u is None:
+                u = vals[k] = leaf(k)
+                nodes += 1
+            if exact:  # _turns((a, b, den), t, d), written out
+                c, f, g = t
+                if b:
+                    z, y, g = a * c + d * b * f, a * f + b * c, den * g
+                else:
+                    z, y, g = a * c, a * f, den * g
+                if y:
+                    z, g = _ratio((z, y, g), d)
+                turns = (z % g) / g
+            else:
+                turns = x * t
+            val += w * cmath.exp(_I_TWO_PI * turns) * u
+        vals[i] = val
+    if not n:
+        vals[0], nodes = leaf(0), 1
+    if nodes > max_nodes:
+        raise BudgetError(f"word tree exceeded {max_nodes} nodes at tol={tol}")
+    return FourierSample(q=q, value=vals[0], error_bound=tol, method="word_tree", nodes=nodes)
 
 
 def sample_points(ifs, p, n_points, rng, eps):
@@ -287,6 +273,7 @@ def sample_points(ifs, p, n_points, rng, eps):
 
 def fourier_mc(ifs, p, q, samples, rng_seed=0):
     """Monte Carlo F_q(nu) as the empirical mean of e(q x_omega)."""
+    _require_int("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     qf = float(q)
@@ -339,8 +326,7 @@ def decay_profile(ifs, p, q_grid, tol, method="word_tree", samples=100_000, rng_
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise ValueError("q grid must be strictly increasing")
     if method == "word_tree":
-        tree = _word_tree(ifs, p, tol)
-        out = [tree(q) for q in qs]
+        out = [fourier_word_tree(ifs, p, q, tol) for q in qs]
     else:
         out = [fourier_mc(ifs, p, q, samples, rng_seed) for q in qs]
     qmax = float(qs[-1])
@@ -379,6 +365,8 @@ def scaled_energy_check(ifs, p, qs, k, rs, chi, samples=20_000, rng_seed=0):
     """
     from scipy import integrate
 
+    _require_int("samples", samples, 1)
+    p = _weight_vector(ifs, p)
     if any(r <= 0 for r in rs):
         raise ValueError("r must be positive")
     if any(q == 0 for q in qs):
@@ -398,10 +386,8 @@ def scaled_energy_check(ifs, p, qs, k, rs, chi, samples=20_000, rng_seed=0):
         mass = float(np.mean(np.abs(x - y) <= radius))
         masses.append((mass, math.sqrt(max(mass * (1 - mass), 1e-12) / samples) + 1.0 / samples))
 
-    tree = _word_tree(ifs, p, tol)
-
     def integrand(t, qf):
-        return abs(tree(qf * math.exp(-t)).value) ** 2
+        return abs(fourier_word_tree(ifs, p, qf * math.exp(-t), tol).value) ** 2
 
     out = []
     for q in qs:

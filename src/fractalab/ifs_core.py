@@ -6,7 +6,7 @@ ratio/translation) or smooth maps drawn from a small parametric catalog
 bounds on |f'| over the ambient interval.  Every map is also f = P/Q with
 exact coefficient lists num and den, constant term first.  An Ifs derives
 once what the engines read: each map's walk step and, for an affine
-system, its field, integer forms and integer triples (see Ifs).
+system, its field and integer forms (see Ifs).
 
 Affine arithmetic is exact.  A word of affine maps is composed as integer
 maps x -> ((ra + rb*sqrt(d))*x + ta + tb*sqrt(d))/c (d = 0 for rational
@@ -242,7 +242,8 @@ def moebius_map(a, b, c, d, interval):
 
 
 class WeightVector(tuple):
-    """Strictly positive exact probability vector over the maps."""
+    """Strictly positive exact probability vector over the maps, with floats,
+    each float() of its Fraction, made once at construction."""
 
     def __new__(cls, entries):
         vals = tuple(Fraction(e) for e in entries)
@@ -250,7 +251,9 @@ class WeightVector(tuple):
             raise ValueError("weights must be strictly positive")
         if sum(vals) != 1:
             raise ValueError("weights must sum to exactly 1")
-        return super().__new__(cls, vals)
+        self = super().__new__(cls, vals)
+        self.floats = tuple(float(v) for v in vals)
+        return self
 
     @classmethod
     def uniform(cls, n):
@@ -266,10 +269,9 @@ class Ifs:
     affine system also field, the d of the Q(sqrt d) of every ratio,
     translation and end of I (0 if all are rational), forms, the integer
     forms (ra, rb, ta, tb, c) with f_i(x) = ((ra + rb*sqrt d)*x + ta + tb*sqrt
-    d)/c, and the integer triples (a, b, den) ratio_triples,
-    translation_triples and centre_triple; these five are None with a smooth map.
-    scale_graph is None until the first word-tree call on the system makes
-    it; every later call grows and reads it (fourier._ScaleGraph).
+    d)/c; these two are None with a smooth map.  scale_graph is None until
+    the first word-tree call on the system makes it; every later call grows
+    and reads it (fourier._ScaleGraph).
     For a system with a smooth map and rational data, polys holds each map's
     integer coefficient lists and direction (see _int_poly); None otherwise.
     """
@@ -291,19 +293,15 @@ class Ifs:
         self.big_d = -math.log(self._deriv_bounds[1])
         self.big_d_prime = -math.log(self._deriv_bounds[0])
         self.width_float = float(self.interval_width())
-        self.field = self.forms = self.ratio_triples = self.translation_triples = self.centre_triple = None
-        self.polys = self.scale_graph = None
+        self.field = self.forms = self.polys = self.scale_graph = None
         if not self.is_affine:
             data = [*self.interval] + [c for m in self.maps for c in (*m.num, *m.den)]
             if not any(isinstance(c, QuadExact) for c in data):
                 self.polys = tuple(_int_poly(m, self.interval) for m in self.maps)
             return
         self.field = _field((*self.ratios, *self.translations, *self.interval))
-        self.ratio_triples = tuple(_triple(r) for r in self.ratios)
-        self.translation_triples = tuple(_triple(t) for t in self.translations)
-        self.centre_triple = _triple(self.interval_mid())
         forms = []
-        for (ra, rb, rc), (ta, tb, tc) in zip(self.ratio_triples, self.translation_triples):
+        for (ra, rb, rc), (ta, tb, tc) in zip(map(_triple, self.ratios), map(_triple, self.translations)):
             c = lcm(rc, tc)
             forms.append((ra * (c // rc), rb * (c // rc), ta * (c // tc), tb * (c // tc), c))
         self.forms = tuple(forms)
@@ -640,6 +638,14 @@ def _row_chunks(rows, width):
     return (min(step, rows - start) for start in range(0, rows, step))
 
 
+def _weight_vector(ifs, p):
+    """p as a WeightVector of ifs.n weights: p itself if it is one."""
+    p = p if isinstance(p, WeightVector) else WeightVector(p)
+    if len(p) != ifs.n:
+        raise ValueError("weight vector length does not match the IFS")
+    return p
+
+
 def _draw_symbols(ifs, p, rng, shape):
     """0-based symbols of the given shape with P(symbol = i) = p_{i+1}: the
     count of cumulative weights <= u, leaving out the last, which may fall
@@ -652,11 +658,10 @@ def _draw_symbols(ifs, p, rng, shape):
     is slower than by intp, so a caller that gathers a whole matrix by
     symbol converts it once (as _walk_matrix does).
     """
-    if len(p) != ifs.n:
-        raise ValueError("weight vector length does not match the IFS")
+    p = _weight_vector(ifs, p)
     u = rng.random(shape)
     sym = np.zeros(u.shape, dtype=np.min_scalar_type(ifs.n))
-    for c in np.cumsum([float(w) for w in p])[:-1]:
+    for c in np.cumsum(p.floats)[:-1]:
         sym += u >= c
     return sym
 

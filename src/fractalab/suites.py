@@ -126,9 +126,8 @@ def suite_fourier_oracle():
     total = 0
     bound = 4.0 / math.sqrt(samples) + tol
     for name, (ifs, w) in registered_affine().items():
-        tree = fr._word_tree(ifs, w, tol)
         for i, q in enumerate(qs):
-            wt = tree(Fraction(q).limit_denominator(10**6))
+            wt = fr.fourier_word_tree(ifs, w, Fraction(q).limit_denominator(10**6), tol)
             mc = fr.fourier_mc(ifs, w, float(q), samples, rng_seed=2026 + i)
             diff = abs(wt.value - mc.value)
             ok = diff <= bound + mc.error_bound
@@ -160,14 +159,13 @@ def suite_fourier_recursion():
     for name, (ifs, w) in registered_affine().items():
         qs = sorted(set(int(x) for x in rng.integers(1, 2000, size=100)))
         bad = 0
-        tree = fr._word_tree(ifs, w, tol)
         for q in qs:
             qf = Fraction(q)
-            lhs = tree(qf).value
+            lhs = fr.fourier_word_tree(ifs, w, qf, tol).value
             rhs = 0j
-            for wi, m in zip(w, ifs.maps):
-                child = tree(qf * m.ratio).value
-                rhs += float(wi) * fr._exact_unit(qf * m.translation) * child
+            for wi, m in zip(w.floats, ifs.maps):
+                child = fr.fourier_word_tree(ifs, w, qf * m.ratio, tol).value
+                rhs += wi * fr._exact_unit(qf * m.translation) * child
             resid = abs(lhs - rhs)
             worst = max(worst, resid)
             if resid > 2 * tol:
@@ -196,10 +194,9 @@ def suite_pisot_nondecay():
     r = ifs.maps[0].ratio
     rows = []
     mags = []
-    tree = fr._word_tree(ifs, w, 1e-6)
     for n in range(1, n_max + 1):
         q = r ** (-n)  # exact quadratic-field frequency
-        s = tree(q)
+        s = fr.fourier_word_tree(ifs, w, q, 1e-6)
         mags.append(abs(s.value))
         rows.append((n, f"{float(q):.8g}", f"{abs(s.value):.10f}"))
     floor = min(mags)
@@ -605,8 +602,7 @@ def _run_fourier_decay(p):
         if not ifs.is_affine:
             raise PreconditionError("q-ratio-powers requires an affine IFS")
         r = ifs.maps[0].ratio
-        tree = fr._word_tree(ifs, w, tol)
-        samples = [tree(r ** (-n)) for n in range(1, n_max + 1)]
+        samples = [fr.fourier_word_tree(ifs, w, r ** (-n), tol) for n in range(1, n_max + 1)]
     elif p["q-grid"] is None:
         raise ConfigError("missing config field: q-grid")
     else:

@@ -299,6 +299,11 @@ def test_modulus_one_ratio_is_rejected(ratios):
         is_periodic(ratios)
 
 
+def test_an_empty_ratio_set_is_rejected_by_name():
+    with pytest.raises(ValueError, match="need at least one ratio"):
+        is_periodic([])
+
+
 def _trial_division(n):
     """Prime exponents of the integer n >= 1."""
     out, p = {}, 2

@@ -145,6 +145,24 @@ def test_bracket_check_no_violations():
         assert checked == 20_000
 
 
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: clt_experiment(aperiodic_125(), W125, 10.5, 100), "n must be an int, got 10.5"),
+        (lambda: clt_experiment(aperiodic_125(), W125, 10, 100.0), "paths must be an int, got 100.0"),
+        (lambda: clt_experiment(aperiodic_125(), W125, True, 100), "n must be an int, got True"),
+        (lambda: conditional_llt_experiment(aperiodic_125(), W125, 4, 0, None, 100.0), "paths must be an int"),
+        (lambda: bracket_check(aperiodic_125(), W125, 1000.0), "pairs must be an int, got 1000.0"),
+    ],
+    ids=["clt-n-float", "clt-paths-float", "clt-n-bool", "llt-paths-float", "bracket-pairs-float"],
+)
+def test_walk_counts_must_be_ints(run, message):
+    # clt_experiment walked 10 steps for n = 10.5 and reported n = 10.5; the
+    # others ended in a bare TypeError
+    with pytest.raises(ValueError, match=message):
+        run()
+
+
 @pytest.mark.parametrize("pairs", [-1, 0, 9])
 def test_bracket_check_rejects_fewer_than_ten_pairs(pairs):
     # pairs // 10 paths: below 10 pairs no path is walked, and (0, 0) read as a pass

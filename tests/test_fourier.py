@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from fractalab.fourier import (
     BudgetError,
-    _word_tree,
     decay_profile,
     del_criterion_diagnostic,
     fourier_mc,
@@ -224,8 +223,8 @@ def test_one_evaluator_gives_the_bits_of_fresh_calls_in_any_q_order(make):
     shuffled = list(range(len(qs)))
     random.Random(7).shuffle(shuffled)
     for idx in (increasing, increasing[::-1], shuffled):
-        tree = _word_tree(make()[0], w, tol)
-        assert [_bits(tree(qs[i])) for i in idx] == [fresh[i] for i in idx]
+        ifs = make()[0]
+        assert [_bits(fourier_word_tree(ifs, w, qs[i], tol)) for i in idx] == [fresh[i] for i in idx]
 
 
 SHARED_GRAPH_SYSTEMS = {
@@ -285,31 +284,32 @@ def test_budget_holds_per_call_on_a_grown_graph():
     # a larger q stops growing the system's graph once past the budget, and
     # the graph it leaves still gives this q's count, and the bits of fresh
     # systems below
-    tree = _word_tree(ifs, w, tol, max_nodes=s.nodes - 1)
     with pytest.raises(BudgetError, match=f"exceeded {s.nodes - 1} nodes"):
-        tree(q * 1000)
+        fourier_word_tree(ifs, w, q * 1000, tol, max_nodes=s.nodes - 1)
     with pytest.raises(BudgetError):
-        tree(q)
-    assert _bits(tree(q / 3)) == _bits(fourier_word_tree(aperiodic_125(), w, q / 3, tol))
-    tree = _word_tree(ifs, w, tol, max_nodes=s.nodes)
-    assert _bits(tree(q)) == _bits(s)
+        fourier_word_tree(ifs, w, q, tol, max_nodes=s.nodes - 1)
+    fresh = fourier_word_tree(aperiodic_125(), w, q / 3, tol)
+    assert _bits(fourier_word_tree(ifs, w, q / 3, tol, max_nodes=s.nodes - 1)) == _bits(fresh)
+    assert _bits(fourier_word_tree(ifs, w, q, tol, max_nodes=s.nodes)) == _bits(s)
     # once the graph holds more than q's tree, smaller budgets are checked on
     # the count of each call, not on the graph
     fourier_word_tree(ifs, w, q * 100, tol)
     assert len(ifs.scale_graph.sf) > s.nodes
-    assert _bits(tree(q)) == _bits(s)
-    assert _bits(tree(q / 7)) == _bits(fourier_word_tree(aperiodic_125(), w, q / 7, tol))
+    assert _bits(fourier_word_tree(ifs, w, q, tol, max_nodes=s.nodes)) == _bits(s)
+    fresh = fourier_word_tree(aperiodic_125(), w, q / 7, tol)
+    assert _bits(fourier_word_tree(ifs, w, q / 7, tol, max_nodes=s.nodes)) == _bits(fresh)
     with pytest.raises(BudgetError, match=f"exceeded {s.nodes - 1} nodes"):
-        _word_tree(ifs, w, tol, max_nodes=s.nodes - 1)(q)
+        fourier_word_tree(ifs, w, q, tol, max_nodes=s.nodes - 1)
 
 
 def test_a_huge_q_stops_growing_the_graph_at_the_budget():
     # q = 1e300 needs scales down to 3^-645, where they turn subnormal; a
     # graph grown past the budget would end in that PreconditionError
-    tree = _word_tree(cantor(), HALF, 1e-3, max_nodes=50)
+    ifs = cantor()
     with pytest.raises(BudgetError, match="exceeded 50 nodes"):
-        tree(1e300)
-    assert _bits(tree(1e10)) == _bits(fourier_word_tree(cantor(), HALF, 1e10, 1e-3))
+        fourier_word_tree(ifs, HALF, 1e300, 1e-3, max_nodes=50)
+    fresh = fourier_word_tree(cantor(), HALF, 1e10, 1e-3)
+    assert _bits(fourier_word_tree(ifs, HALF, 1e10, 1e-3, max_nodes=50)) == _bits(fresh)
 
 
 def test_scales_the_floats_cannot_order_are_refused():
@@ -439,6 +439,29 @@ def test_del_criterion_takes_only_int_base_n_max_and_samples(base, n_max, sample
     # a float base made the "exact big-integer" orbit float arithmetic
     with pytest.raises(ValueError, match=message):
         del_criterion_diagnostic(cantor(), HALF, base, 1, n_max, samples)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: fourier_mc(cantor(), HALF, 3.0, True),
+        lambda: fourier_mc(cantor(), HALF, 3.0, 100.0),
+        lambda: decay_profile(cantor(), HALF, [1, 2, 3], 1e-3, method="monte_carlo", samples=100.0),
+        lambda: scaled_energy_check(cantor(), HALF, [10.0], 1, [0.1], math.log(3), samples=100.0),
+        lambda: scaled_energy_check(cantor(), HALF, [10.0], 1, [0.1], math.log(3), samples=0),
+    ],
+    ids=["fourier_mc-bool", "fourier_mc-float", "decay_profile-float", "scaled_energy-float", "scaled_energy-0"],
+)
+def test_samples_must_be_an_int(run):
+    # True ran one sample; a float ended in a bare TypeError, and
+    # scaled_energy_check's 0 in a ZeroDivisionError
+    with pytest.raises(ValueError, match="samples must be an int"):
+        run()
+
+
+def test_fourier_mc_keeps_its_range_message():
+    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+        fourier_mc(cantor(), HALF, 3.0, 0)
 
 
 def test_del_criterion_requires_rational_affine():

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalab import ifs_core
-from fractalab.cocycle_walk import lyapunov
-from fractalab.fourier import del_criterion_diagnostic, fourier_mc, sample_points
+from fractalab.cocycle_walk import clt_experiment, lyapunov
+from fractalab.fourier import del_criterion_diagnostic, fourier_mc, fourier_word_tree, sample_points
 from fractalab.ifs_core import (
     BUILTINS,
     AffineMap,
@@ -79,6 +79,13 @@ def test_weight_vector_must_sum_to_one():
     WeightVector([F(1, 2), F(1, 2)])
     with pytest.raises(ValueError):
         WeightVector([F(1, 2), F(1, 3)])
+
+
+def test_weight_vector_floats_are_the_floats_of_its_fractions():
+    w = WeightVector([0.5, "1/3", F(1, 6)])
+    assert w == (F(1, 2), F(1, 3), F(1, 6))
+    assert w.floats == (0.5, float(F(1, 3)), float(F(1, 6)))
+    assert ifs_core._weight_vector(aperiodic_125(), w) is w
 
 
 def test_ifs_requires_contraction_and_invariance():
@@ -595,7 +602,7 @@ def test_smooth_system_with_a_quadratic_field_map_raises_a_named_error():
         coding_point(ifs, [1, 2], F(1, 10**12))
 
 
-@pytest.mark.parametrize(
+_WEIGHT_RUNS = pytest.mark.parametrize(
     "run",
     [
         lambda ifs, p: sample_points(ifs, p, 100, np.random.default_rng(0), 1e-6),
@@ -603,14 +610,35 @@ def test_smooth_system_with_a_quadratic_field_map_raises_a_named_error():
         lambda ifs, p: del_criterion_diagnostic(ifs, p, 2, 1, 64, samples=4),
         lambda ifs, p: digits_of_sample(ifs, p, 2, 40),
         lambda ifs, p: lyapunov(ifs, p, "exact"),
+        lambda ifs, p: fourier_word_tree(ifs, p, F(7, 3), 1e-3),
+        lambda ifs, p: clt_experiment(ifs, p, 10, 100),
     ],
     ids=["sample_points", "fourier_mc", "del_criterion_diagnostic", "digits_of_sample",
-         "lyapunov_exact"],
+         "lyapunov_exact", "fourier_word_tree", "clt_experiment"],
 )
+
+
+@_WEIGHT_RUNS
 def test_nu_sampling_rejects_a_weight_vector_of_the_wrong_length(run):
     # two weights for three maps would silently sample another measure
     with pytest.raises(ValueError, match="weight vector length"):
         run(aperiodic_125(), (F(1, 2), F(1, 2)))
+
+
+@_WEIGHT_RUNS
+@pytest.mark.parametrize(
+    "p, message",
+    [((1, 1, 1), "sum to exactly 1"), ((F(-1, 2), 1, F(1, 2)), "strictly positive"),
+     ((0, F(1, 2), F(1, 2)), "strictly positive"), ((0.1, 0.2, 0.7), "sum to exactly 1")],
+    ids=["sum-3", "negative", "zero", "floats-off-1"],
+)
+def test_nu_sampling_rejects_weights_that_are_not_a_probability_vector(run, p, message):
+    # the word tree returned |F| = 4.34 under a 1e-3 bound for weights (1, 1)
+    # on cantor, and the exact Lyapunov exponent 2 log 3.  Floats are read
+    # exactly: 0.1 + 0.2 + 0.7 is 1.0 in floats but not in Fractions
+    assert sum((0.1, 0.2, 0.7)) == 1 and sum(map(F, (0.1, 0.2, 0.7))) != 1
+    with pytest.raises(ValueError, match=message):
+        run(aperiodic_125(), p)
 
 
 def test_draw_symbols_gives_the_last_symbol_the_cumulative_round_off():

@@ -186,7 +186,7 @@ def test_cli_run_rejected_value_exits_2(tmp_path, capsys, lines, needle):
 def test_cli_run_word_tree_budget_exits_2(tmp_path, capsys, monkeypatch):
     # a tol the node budget cannot reach; the budget is cut so the tree
     # gives up at once instead of after 2e6 nodes
-    monkeypatch.setattr(fourier, "_word_tree", functools.partial(fourier._word_tree, max_nodes=200))
+    monkeypatch.setattr(fourier, "fourier_word_tree", functools.partial(fourier.fourier_word_tree, max_nodes=200))
     lines = ["experiment fourier-decay", "ifs builtin:aperiodic-125", "q-grid 10:100:2-log", "tol 1e-300"]
     cfg = write(tmp_path / "bad.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
     assert main(["run", cfg]) == 2
