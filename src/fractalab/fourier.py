@@ -323,6 +323,8 @@ def decay_profile(ifs, p, q_grid, tol, method="word_tree", samples=100_000, rng_
     if method not in ("word_tree", "monte_carlo"):
         raise ValueError(f"unknown method {method!r}; known: word_tree, monte_carlo")
     qs = list(q_grid)
+    if not qs:
+        raise ValueError("q grid must not be empty")
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise ValueError("q grid must be strictly increasing")
     if method == "word_tree":

@@ -1,10 +1,13 @@
-"""Experiments: the packaged verification suites and the config runners.
+"""Experiments: the config runners and the packaged verification suites.
 
-A suite runs a headline experiment with fixed parameters; a runner runs one
-`fractalab run` experiment kind from a config (`run_config`).  Both return a
-SuiteResult of named pass/fail assertions plus CSV-ready tables.  A suite and
-a runner that measure the same thing share one helper and one pass rule, and
-keep their own tables and assertion texts.
+A runner runs one `fractalab run` experiment kind from a config
+(`run_config`) and returns a SuiteResult of named pass/fail assertions plus
+CSV-ready tables.  A packaged suite is either a topic and a list of fixed
+configs, which `run_suite` runs through `run_config` and joins under the
+suite's name, or a function, for a claim no experiment kind states; a
+function suite's sizes, seeds and tolerances are constants in its body.
+A function suite and a runner that measure the same thing share one helper
+and one pass rule.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from . import classify as cls
 from . import cocycle_walk as cw
 from . import fourier as fr
 from . import normality as nm
-from .ifs_core import PreconditionError, WeightVector, aperiodic_125, builtin, cantor, compose_word, registered_affine
+from .ifs_core import PreconditionError, WeightVector, builtin, cantor, compose_word, registered_affine
 from .specfile import resolve_system
 
 
@@ -71,30 +74,11 @@ def _sci(n):
     return f"{m}e{k}" if k >= 3 else str(n)
 
 
-def _llt_reports(ifs, w, ks, paths, seed, h=0, h_prime=None):
-    """The LltReport at each k, with h' = sqrt(k) unless h_prime is given."""
-    return [cw.conditional_llt_experiment(ifs, w, k, h, h_prime, paths, rng_seed=seed) for k in ks]
-
-
-def _energy_grid(ifs, w, qs, ks, rs, seed):
-    """Rows (q, k, r, lhs, rhs, ok) of the scaled-energy inequality on the grid."""
-    chi = cw.lyapunov(ifs, w, "exact").value
-    by_k = {k: fr.scaled_energy_check(ifs, w, qs, k, rs, chi, rng_seed=seed) for k in ks}
-    return [
-        (q, k, r, f"{out.lhs:.6g}", f"{out.rhs:.6g}", int(out.holds()))
-        for i, q in enumerate(qs) for k in ks for r, out in zip(rs, by_k[k][i])
-    ]
-
-
 def _chi2_pass(ifs, w, base, n_digits, block_len, seed, p_floor):
     """(min p-value, passed) of the block chi-square test on one sampled point."""
     stream = nm.digits_of_sample(ifs, w, base, n_digits, rng_seed=seed)
     p = nm.digit_frequency_test(stream, n_digits, block_len).min_p_value
     return p, p > p_floor
-
-
-def _scan_table(inst):
-    return ("x", "m"), [(f"{x:.5g}", f"{m:.6g}") for x, m in zip(inst.scan.xs, inst.scan.ms)]
 
 
 def _golden_nondecay(n_max):
@@ -208,68 +192,6 @@ def suite_pisot_nondecay():
         abs(floor - closed) <= 1e-6,
         f"floor {floor:.8g}, product {closed:.8g}; the non-decay floor ~ 4.87e-4 "
         f"sits below the nominal 1e-2 scale",
-    )
-    return res
-
-
-# -- 4: aperiodic decay -------------------------------------------------------
-
-
-def suite_aperiodic_decay():
-    res = SuiteResult(
-        "aperiodic-decay",
-        "per-decade max |F_q| strictly decreasing for the aperiodic system",
-    )
-    ifs = aperiodic_125()
-    w = WeightVector.uniform(3)
-    grid = np.geomspace(1.0, 1e5, 5 * 30 + 1)
-    prof = fr.decay_profile(ifs, w, [Fraction(q).limit_denominator(10**7) for q in grid], 1e-4)
-    decades = fr.per_decade_max(prof.samples)
-    seq = [decades[j] for j in sorted(decades) if 0 <= j <= 4]
-    rows = [(j, f"{decades[j]:.8f}") for j in sorted(decades)]
-    res.tables["decades"] = (("decade", "max_abs_F"), rows)
-    res.check(
-        "per-decade max |F_q| strictly decreasing over decades up to 1e5",
-        _decreasing(seq),
-        " > ".join(f"{v:.4g}" for v in seq),
-    )
-    res.check(
-        "log-decay fit is non-degenerate",
-        not prof.degenerate and prof.alpha > 0,
-        f"alpha {prof.alpha:.3f} residual {prof.residual:.3f}",
-    )
-    return res
-
-
-# -- 5: conditional LLT trend -------------------------------------------------
-
-
-def suite_llt_trend():
-    res = SuiteResult(
-        "llt-trend",
-        "per-cell law of S_{tau_k}: Gamma-law agreement trend (aperiodic) and lattice floor (periodic)",
-    )
-    paths, ks = 100_000, (20, 40, 80)
-    rows = []
-    medians = {}
-    for name in ("aperiodic-125", "cantor"):
-        reps = _llt_reports(*builtin(name), ks, paths, 7)
-        medians[name] = [rep.weighted_median_ks for rep in reps]
-        rows += [
-            (name, k, f"{rep.weighted_median_ks:.5f}", f"{rep.excluded_mass:.4f}", len(rep.cells))
-            for k, rep in zip(ks, reps)
-        ]
-    res.tables["llt"] = (("ifs", "k", "weighted_median_ks", "excluded_mass", "cells"), rows)
-    res.check(
-        f"aperiodic weighted-median KS strictly decreasing over k={list(ks)} at {paths} paths",
-        _decreasing(medians["aperiodic-125"]),
-        " -> ".join(f"{v:.4f}" for v in medians["aperiodic-125"]),
-    )
-    cantor_meds = medians["cantor"]
-    res.check(
-        "periodic Cantor median KS >= 0.2 at every k (lattice law)",
-        all(v >= 0.2 for v in cantor_meds),
-        " , ".join(f"{v:.4f}" for v in cantor_meds),
     )
     return res
 
@@ -468,69 +390,64 @@ def suite_classification():
     return res
 
 
-# -- 11: scaled energy --------------------------------------------------------
-
-
-def suite_scaled_energy():
-    res = SuiteResult(
-        "scaled-energy",
-        "scaled-energy inequality: frequency-band energy vs ball-mass bound",
-    )
-    rows = []
-    for name in ("cantor", "bernoulli-1/3"):
-        grid = _energy_grid(*builtin(name), (1e2, 1e3, 1e5), (2, 4, 6), (1e-1, 1e-3, 3e-5), 21)
-        rows += [(name, *row) for row in grid]
-    bad = sum(not row[-1] for row in rows)
-    res.tables["energy"] = (("ifs", "q", "k", "r", "lhs", "rhs", "ok"), rows)
-    res.check("lhs <= rhs + error budget on the full (q, k, r) grid x 2 measures",
-              bad == 0, f"{bad} violations of {len(rows)}")
-    return res
-
-
-# -- 12: Moser instance -------------------------------------------------------
-
-
-def suite_moser():
-    res = SuiteResult(
-        "moser-instance",
-        "Liouville-like frequency tuple passing the finite Diophantine scan",
-    )
-    inst = cls.moser_family(tau=3.0, liouville_depth=3, rng_seed=42)
-    res.check("v starts with (1, 2)", inst.v[0] == 1.0 and inst.v[1] == 2.0, str(inst.v))
-    res.check(
-        "both alphas get the Liouville-like verdict",
-        all(r.verdict == "liouville-like" for r in inst.li_reports),
-        f"max mu {[f'{r.max_mu:.2f}' for r in inst.li_reports]}",
-    )
-    res.check(
-        "scan envelope positive up to x_max = 1e3 with l <= tau + 1",
-        inst.scan.positive and inst.scan.fitted_l <= inst.tau + 1,
-        f"min m {inst.scan.min_m:.3e}, fitted l {inst.scan.fitted_l:.3f}",
-    )
-    res.tables["scan"] = _scan_table(inst)
-    return res
-
-
+# A packaged suite is a function or (topic, configs), each config a dict in
+# the form parse_config returns; run_suite tells the two apart.
+_LLT_TREND = {"experiment": "llt", "seed": "7", "paths": "100000", "k-list": "20 40 80"}
+_ENERGY = {"experiment": "scaled-energy", "seed": "21"}
 BUILTIN_SUITES = {
     "fourier-oracle-agreement": suite_fourier_oracle,
     "fourier-recursion": suite_fourier_recursion,
     "pisot-nondecay": suite_pisot_nondecay,
-    "aperiodic-decay": suite_aperiodic_decay,
-    "llt-trend": suite_llt_trend,
+    "aperiodic-decay": ("per-decade max |F_q| strictly decreasing for the aperiodic system", [
+        {"experiment": "fourier-decay", "ifs": "builtin:aperiodic-125", "weights": "1/3 1/3 1/3",
+         "q-grid": "1:100000:151-log", "tol": "1e-4", "assert-decades-decreasing": "true"},
+    ]),
+    "llt-trend": (
+        "per-cell law of S_{tau_k}: Gamma-law agreement trend (aperiodic) and lattice floor (periodic)", [
+            {**_LLT_TREND, "ifs": "builtin:aperiodic-125", "assert-trend": "true"},
+            {**_LLT_TREND, "ifs": "builtin:cantor", "assert-median-floor": "0.2"},
+        ]),
     "stopping-bracket": suite_stopping_bracket,
     "gamma-law": suite_gamma_law,
     "cantor-digit-normality": suite_digit_normality,
     "digit-certification": suite_digit_certification,
     "classification": suite_classification,
-    "scaled-energy": suite_scaled_energy,
-    "moser-instance": suite_moser,
+    "scaled-energy": ("scaled-energy inequality: frequency-band energy vs ball-mass bound", [
+        {**_ENERGY, "ifs": "builtin:cantor"},
+        {**_ENERGY, "ifs": "builtin:bernoulli-1/3"},
+    ]),
+    "moser-instance": ("Liouville-like frequency tuple passing the finite Diophantine scan", [
+        {"experiment": "moser", "tau": "3", "depth": "3", "seed": "42"},
+    ]),
 }
 
 
 def run_suite(name):
+    """Run the packaged suite `name`.
+
+    A (topic, configs) suite runs each config through run_config.  One
+    config's assertions and tables pass through unchanged.  With several,
+    each assertion is led by its system's name, and the tables of one name
+    are concatenated, each row led by its system's name under the header
+    `ifs`.
+    """
     if name not in BUILTIN_SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(BUILTIN_SUITES)}")
-    return BUILTIN_SUITES[name]()
+    suite = BUILTIN_SUITES[name]
+    if callable(suite):
+        return suite()
+    topic, configs = suite
+    res = SuiteResult(name, topic)
+    runs = [run_config(cfg) for cfg in configs]
+    if len(runs) == 1:
+        res.assertions, res.tables = runs[0][0].assertions, runs[0][0].tables
+        return res
+    for part, p in runs:
+        system = p["ifs"].name
+        res.assertions += [Assertion(f"{system}: {a.desc}", a.passed, a.detail) for a in part.assertions]
+        for tname, (header, rows) in part.tables.items():
+            res.tables.setdefault(tname, (("ifs", *header), []))[1].extend((system, *row) for row in rows)
+    return res
 
 
 # -- config runners: one per `fractalab run` experiment kind ------------------
@@ -603,11 +520,14 @@ def _run_fourier_decay(p):
             raise PreconditionError("q-ratio-powers requires an affine IFS")
         r = ifs.maps[0].ratio
         samples = [fr.fourier_word_tree(ifs, w, r ** (-n), tol) for n in range(1, n_max + 1)]
+        fit = ""
     elif p["q-grid"] is None:
         raise ConfigError("missing config field: q-grid")
     else:
         n_mc = 100_000 if p["samples"] is None else p["samples"]
-        samples = fr.decay_profile(ifs, w, p["q-grid"], tol, p["method"], n_mc, p["seed"]).samples
+        prof = fr.decay_profile(ifs, w, p["q-grid"], tol, p["method"], n_mc, p["seed"])
+        samples = prof.samples
+        fit = f"; fitted alpha {prof.alpha:.3f} residual {prof.residual:.3f}"
     rows = [
         (f"{s.q:.10g}", f"{s.value.real:.10f}", f"{s.value.imag:.10f}",
          f"{abs(s.value):.10f}", f"{s.error_bound:.3g}", s.method)
@@ -620,13 +540,17 @@ def _run_fourier_decay(p):
     if p["assert-decades-decreasing"]:
         decades = fr.per_decade_max(samples)
         seq = [decades[j] for j in sorted(decades)]
-        res.check("per-decade max strictly decreasing", _decreasing(seq), " > ".join(f"{v:.4g}" for v in seq))
+        res.check("per-decade max strictly decreasing", _decreasing(seq),
+                  " > ".join(f"{v:.4g}" for v in seq) + fit)
     return res
 
 
 def _run_llt(p):
     ifs, ks = p["ifs"], p["k-list"]
-    reps = _llt_reports(ifs, p["weights"], ks, p["paths"], p["seed"], p["h"], p["h-prime"])
+    reps = [
+        cw.conditional_llt_experiment(ifs, p["weights"], k, p["h"], p["h-prime"], p["paths"], rng_seed=p["seed"])
+        for k in ks
+    ]
     res = SuiteResult("llt", f"conditional law of S_tau for {ifs.name}")
     rows = []
     for k, rep in zip(ks, reps):
@@ -695,22 +619,28 @@ def _run_moser(p):
     tau = p["tau"]
     inst = cls.moser_family(tau=tau, liouville_depth=p["depth"], rng_seed=p["seed"])
     res = SuiteResult("moser", "generated Liouville-like frequency tuple")
-    res.tables["scan"] = _scan_table(inst)
-    res.check("tuple starts (1, 2)", inst.v[:2] == (1.0, 2.0))
+    res.tables["scan"] = (("x", "m"), [(f"{x:.5g}", f"{m:.6g}") for x, m in zip(inst.scan.xs, inst.scan.ms)])
+    res.check("tuple starts (1, 2)", inst.v[:2] == (1.0, 2.0), str(inst.v))
     res.check("Liouville-like continued fractions",
-              all(r.verdict == "liouville-like" for r in inst.li_reports))
+              all(r.verdict == "liouville-like" for r in inst.li_reports),
+              f"max mu {[f'{r.max_mu:.2f}' for r in inst.li_reports]}")
     res.check("positive scan envelope", inst.scan.positive and inst.scan.fitted_l <= tau + 1,
-              f"fitted l {inst.scan.fitted_l:.3f}")
+              f"min m {inst.scan.min_m:.3e}, fitted l {inst.scan.fitted_l:.3f}")
     return res
 
 
 def _run_scaled_energy(p):
-    ifs = p["ifs"]
+    ifs, w, qs, ks, rs = p["ifs"], p["weights"], p["q-list"], p["k-list"], p["r-list"]
     res = SuiteResult("scaled-energy", f"scaled-energy inequality for {ifs.name}")
-    rows = _energy_grid(ifs, p["weights"], p["q-list"], p["k-list"], p["r-list"], p["seed"])
+    chi = cw.lyapunov(ifs, w, "exact").value
+    by_k = {k: fr.scaled_energy_check(ifs, w, qs, k, rs, chi, rng_seed=p["seed"]) for k in ks}
+    rows = [
+        (q, k, r, f"{out.lhs:.6g}", f"{out.rhs:.6g}", int(out.holds()))
+        for i, q in enumerate(qs) for k in ks for r, out in zip(rs, by_k[k][i])
+    ]
     res.tables["energy"] = (("q", "k", "r", "lhs", "rhs", "ok"), rows)
     bad = sum(not row[-1] for row in rows)
-    res.check("inequality holds across the grid", bad == 0, f"{bad} violations")
+    res.check("inequality holds across the grid", bad == 0, f"{bad} violations of {len(rows)}")
     return res
 
 

@@ -69,7 +69,7 @@ def test_criterion_04_aperiodic_decay_trend(suite_result):
 def test_criterion_05_llt_lattice_floor(suite_result):
     """Periodic Cantor system: per-cell KS distance to the continuous law
     stays >= 0.2 at k = 20, 40, 80 (the stopped sum is lattice-valued)."""
-    subset_passed(suite_result("llt-trend"), "periodic Cantor")
+    subset_passed(suite_result("llt-trend"), "cantor: weighted median KS >= 0.2")
 
 
 def test_criterion_05_llt_aperiodic_trend(suite_result):
@@ -77,7 +77,7 @@ def test_criterion_05_llt_aperiodic_trend(suite_result):
     (1e5 paths) measures 0.05 -> 0.09 -> 0.14: the number of cells grows
     with k, so per-cell counts shrink and KS sampling noise (~0.87/sqrt(n))
     dominates the Gamma-law convergence at this path budget."""
-    subset_passed(suite_result("llt-trend"), "aperiodic weighted-median KS strictly decreasing")
+    subset_passed(suite_result("llt-trend"), "aperiodic-125: weighted median KS strictly decreasing")
 
 
 def test_criterion_06_stopping_time_bracket(suite_result):

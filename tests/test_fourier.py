@@ -389,7 +389,7 @@ def test_word_tree_matches_the_product_formula_with_a_quadratic_translation(q):
 def test_decay_profile_aperiodic_vs_periodic():
     q_grid = np.logspace(0, 4, 60)
     ap = decay_profile(aperiodic_125(), W125, q_grid, 1e-6)
-    assert not ap.degenerate
+    assert not ap.degenerate and ap.alpha > 0
     decades = per_decade_max(ap.samples)
     maxima = [decades[j] for j in sorted(decades)]
     assert all(b < a for a, b in zip(maxima, maxima[1:]))
@@ -398,6 +398,13 @@ def test_decay_profile_aperiodic_vs_periodic():
     decades = per_decade_max(ca.samples)
     ca_maxima = [decades[j] for j in sorted(decades)]
     assert not all(b < 0.5 * a for a, b in zip(ca_maxima, ca_maxima[1:]))
+
+
+@pytest.mark.parametrize("method", ["word_tree", "monte_carlo"])
+def test_decay_profile_rejects_an_empty_grid(method):
+    # it ended in a bare IndexError at the fit's top-decade cut
+    with pytest.raises(ValueError, match="q grid must not be empty"):
+        decay_profile(cantor(), HALF, [], 1e-3, method=method)
 
 
 def test_sample_points_land_in_attractor_hull():

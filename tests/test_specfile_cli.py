@@ -104,10 +104,11 @@ def test_parse_config_rejects_include_cycles(tmp_path):
 
 def test_cli_suites_lists_builtins(capsys):
     assert main(["suites"]) == 0
-    out = capsys.readouterr().out.split()
-    assert "pisot-nondecay" in out
-    assert "aperiodic-decay" in out
-    assert len(out) >= 8
+    assert capsys.readouterr().out.split() == [
+        "fourier-oracle-agreement", "fourier-recursion", "pisot-nondecay", "aperiodic-decay", "llt-trend",
+        "stopping-bracket", "gamma-law", "cantor-digit-normality", "digit-certification", "classification",
+        "scaled-energy", "moser-instance",
+    ]
 
 
 def test_cli_classify_builtin(capsys):

@@ -40,9 +40,52 @@ def test_suite_texts_state_the_counts_they_ran(suite_result):
 
 
 def test_suites_take_no_arguments():
-    """A suite is one fixed experiment: its sizes, seeds and tolerances are
-    constants in its body, so no caller can run a shrunk copy."""
-    assert len(suites.BUILTIN_SUITES) == 12
+    """A suite is a fixed experiment: a function suite's sizes, seeds and
+    tolerances are constants in its body, and a packaged suite's configs name
+    an experiment kind and only keys of that kind, so no caller can run a
+    shrunk copy."""
+    assert list(suites.BUILTIN_SUITES) == [
+        "fourier-oracle-agreement", "fourier-recursion", "pisot-nondecay", "aperiodic-decay", "llt-trend",
+        "stopping-bracket", "gamma-law", "cantor-digit-normality", "digit-certification", "classification",
+        "scaled-energy", "moser-instance",
+    ]
     for name, suite in suites.BUILTIN_SUITES.items():
-        assert not inspect.signature(suite).parameters, name
+        if callable(suite):
+            assert not inspect.signature(suite).parameters, name
+            continue
+        topic, configs = suite
+        assert topic and configs, name
+        for cfg in configs:
+            assert cfg["experiment"] in suites.RUNNERS, name
+            _run, table = suites.RUNNERS[cfg["experiment"]]
+            assert set(cfg) <= {*suites._COMMON, *table}, name
     assert list(inspect.signature(suites.run_suite).parameters) == ["name"]
+
+
+def test_a_packaged_suite_joins_its_configs_under_system_names(monkeypatch):
+    cfg = {"experiment": "llt", "ifs": "builtin:cantor", "k-list": "5 10", "paths": "500", "seed": "3"}
+    floors = [{**cfg, "assert-median-floor": "0.2"}, {**cfg, "assert-median-floor": "2.0"}]
+    monkeypatch.setitem(suites.BUILTIN_SUITES, "joined", ("two floors", floors))
+    monkeypatch.setitem(suites.BUILTIN_SUITES, "single", ("one floor", floors[:1]))
+    res = suites.run_suite("joined")
+    assert (res.name, res.topic) == ("joined", "two floors")
+    assert [a.desc for a in res.assertions] == ["cantor: weighted median KS >= 0.2 at every k",
+                                                "cantor: weighted median KS >= 2.0 at every k"]
+    assert [a.passed for a in res.assertions] == [True, False] and not res.passed
+    assert list(res.tables) == ["cells"]
+    header, rows = res.tables["cells"]
+    part, _ = suites.run_config(floors[0])
+    assert header == ("ifs", *part.tables["cells"][0])
+    assert rows == 2 * [("cantor", *row) for row in part.tables["cells"][1]]
+    one = suites.run_suite("single")
+    assert (one.name, one.topic) == ("single", "one floor")
+    assert [(a.desc, a.passed, a.detail) for a in one.assertions] == [
+        (a.desc, a.passed, a.detail) for a in part.assertions]
+    assert one.tables == part.tables
+
+
+def test_scaled_energy_keeps_its_joined_energy_table(suite_result):
+    header, rows = suite_result("scaled-energy").tables["energy"]
+    assert ",".join(header) == "ifs,q,k,r,lhs,rhs,ok"
+    assert len(rows) == 54
+    assert [row[0] for row in rows] == 27 * ["cantor"] + 27 * ["bernoulli-1/3"]
