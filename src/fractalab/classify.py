@@ -23,7 +23,7 @@ from itertools import combinations, count, islice
 import mpmath
 import numpy as np
 
-from .ifs_core import Ifs, PreconditionError, WeightVector, _row_chunks, compose_word
+from .ifs_core import Ifs, PreconditionError, WeightVector, _require_int, _row_chunks, compose_word
 from .quadfield import QuadExact, _field, _fixed, _triple, is_exact
 
 
@@ -493,8 +493,7 @@ def induce_aperiodic(phi, p):
 def phi_m(phi, m):
     """The stopped-word system Phi_m: compositions g with g'(0) < 1/m whose
     parent prefix still has derivative >= 1/m.  Phi_1 = Phi."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _require_int("m", m, 1)
     if not phi.is_affine or any(mm.ratio <= 0 for mm in phi.maps):
         raise PreconditionError("Phi_m needs an affine orientation-preserving IFS")
     if m == 1:

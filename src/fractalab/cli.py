@@ -14,13 +14,11 @@ import csv
 import sys
 from pathlib import Path
 
-from . import classify as cls
 from .fourier import BudgetError
-from .ifs_core import PreconditionError
-from .specfile import SpecFileError, parse_config, resolve_system
+from .specfile import parse_config
 
 # run_suite stays bound here: perfbench's tracer wraps and restores it by name
-from .suites import BUILTIN_SUITES, ConfigError, parse_flag, parse_value, run_config, run_suite  # noqa: F401
+from .suites import BUILTIN_SUITES, run_config, run_suite  # noqa: F401
 
 
 def _write_tables(result, out_dir):
@@ -36,47 +34,23 @@ def _write_tables(result, out_dir):
     summary.write_text("\n".join(result.summary_lines()) + "\n")
 
 
-def _error(exc):
-    # str() of a KeyError is the repr of its message; print the message itself
-    print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
-    return 2
-
-
 def cmd_run(args):
-    try:
-        result, resolved = run_config(parse_config(args.config))
-    except (ValueError, KeyError, OSError, BudgetError) as exc:
-        # config errors, unreadable files and values the experiment rejects
-        # (PreconditionError, or a tol the word tree's node budget cannot reach)
-        return _error(exc)
+    result, resolved = run_config(parse_config(args.config))
     _write_tables(result, Path(resolved["out"]))
     print("\n".join(result.summary_lines()))
     return 0 if result.passed else 1
 
 
 def cmd_classify(args):
-    try:
-        report = cls.classify_ifs(resolve_system(args.ifs_file)[0])
-    except (SpecFileError, PreconditionError, KeyError, OSError) as exc:
-        return _error(exc)
-    print(report.to_text(), end="")
-    status = 0
-    try:
-        for expect in args.expect or []:
-            key, _, value = expect.partition("=")
-            got = {
-                "periodic": report.periodicity.periodic,
-                "lattice-contained": report.lattice.contained,
-                "integer-form": report.integer_form.in_form,
-            }.get(key)
-            if got is None:
-                raise ConfigError(f"unknown expectation {key!r}")
-            if got != parse_value(key, parse_flag, value):
-                print(f"expectation failed: {key} is {str(got).lower()}, wanted {value}", file=sys.stderr)
-                status = 1
-    except ConfigError as exc:
-        return _error(exc)
-    return status
+    # the `classify` kind, each --expect KEY=BOOL as its key expect-KEY
+    cfg = {"experiment": "classify", "ifs": args.ifs_file}
+    cfg.update((f"expect-{key}", value) for key, _, value in (e.partition("=") for e in args.expect or []))
+    result, _ = run_config(cfg)
+    print("\n".join(line for line, in result.tables["report"][1]))
+    for a in result.assertions:
+        if not a.passed:
+            print(f"expectation failed: {a.desc}", file=sys.stderr)
+    return 0 if result.passed else 1
 
 
 def cmd_suites(_args):
@@ -94,12 +68,20 @@ def main(argv=None):
     p_cls = sub.add_parser("classify", help="classify an IFS spec file (or builtin:<name>)")
     p_cls.add_argument("ifs_file")
     p_cls.add_argument("--expect", action="append", metavar="KEY=BOOL",
-                       help="fail (exit 1) unless the report matches, e.g. periodic=true")
+                       help="fail (exit 1) unless the report matches: KEY is periodic, "
+                       "lattice-contained or in-integer-form, e.g. periodic=true")
     p_cls.set_defaults(func=cmd_classify)
     p_suites = sub.add_parser("suites", help="list packaged verification suites")
     p_suites.set_defaults(func=cmd_suites)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError, BudgetError) as exc:
+        # exit 2: config errors, unreadable files and values the experiment
+        # rejects (PreconditionError, or a tol the word tree's node budget
+        # cannot reach); str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -135,7 +135,8 @@ class GammaLaw:
         return float(out) if out.ndim == 0 else out
 
     def mass(self):
-        return self.cdf(self.kchi + self.d_prime)
+        # the cdf at k chi + D' would subtract k chi again and round
+        return float(sum(w * min(x, self.d_prime) for w, x in self.atoms) / self.mean_x)
 
     def max_density(self):
         return self.density(self.kchi)
@@ -263,7 +264,9 @@ def conditional_llt_experiment(ifs, p, k, h, h_prime, paths, rng_seed=0, min_cel
         rows = np.arange(m)
         j = _first_at_least(S, k * chi)  # tau_k - 1
         base = np.where(j > 0, S[rows, np.maximum(j - 1, 0)], 0.0)
-        q = np.minimum(_first_at_least(S, (base + h_prime * chi)[:, None]), length - 1)
+        # in exact arithmetic the suffix holds the symbol at tau_k; a h' chi
+        # below half an ulp of the base would end it before that column
+        q = np.maximum(np.minimum(_first_at_least(S, (base + h_prime * chi)[:, None]), length - 1), j)
         ph = np.minimum(_first_at_least(S, h * chi), length - 1) if h > 0 else np.full(m, -1)
         values.append(S[rows, j])
         prefixes.append(_gather_words(words, np.zeros(m, dtype=np.intp), ph))

@@ -18,6 +18,7 @@ products made once per call, such as an exact q times each translation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 
 import mpmath
@@ -25,24 +26,38 @@ import mpmath
 _FIX_BITS = 128  # fractional bits of fixed-point phases and bounds
 
 
-def _is_square(n):
-    if n < 0:
-        return False
-    s = isqrt(n)
-    return s * s == n
+@cache
+def _square_free(d):
+    """(s, d0) with d = s^2 * d0 and d0 > 1 square-free; ValueError unless d
+    is an integer > 1 and no square.  Trial division runs only while p^3 <= the
+    cofactor c left by the smaller primes: then c has at most two prime factors,
+    each above its cube root, and is square-free unless one isqrt finds a square."""
+    s, d0, c, p = 1, 1, d, 2
+    while p * p * p <= c:
+        while c % (p * p) == 0:
+            c //= p * p
+            s *= p
+        if c % p == 0:
+            c //= p
+            d0 *= p
+        p += 1
+    root = isqrt(max(c, 0))
+    s, d0 = (s * root, d0) if root * root == c else (s, d0 * c)
+    if d0 <= 1:
+        raise ValueError("d must be a non-square integer > 1")
+    return s, d0
 
 
 class QuadExact:
-    """a + b*sqrt(d) with Fraction coefficients; d a fixed non-square > 1."""
+    """a + b*sqrt(d) with Fraction coefficients; d a non-square > 1, kept
+    square-free, so that one number of one field has one writing."""
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=5):
-        if d <= 1 or _is_square(d):
-            raise ValueError("d must be a non-square integer > 1")
+        s, self.d = _square_free(d)
         self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = d
+        self.b = Fraction(b) * s if s != 1 else Fraction(b)
 
     # -- ring structure -------------------------------------------------
 

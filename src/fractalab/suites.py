@@ -459,18 +459,10 @@ class ConfigError(ValueError):
 
 
 def parse_flag(text):
-    """A boolean config value or `--expect` value: true or false, in any case."""
+    """A boolean config value: true or false, in any case."""
     if text.lower() not in ("true", "false"):
         raise ValueError("expected true or false")
     return text.lower() == "true"
-
-
-def parse_value(key, parse, text):
-    """parse(text), with a rejected value raised as a ConfigError naming the key."""
-    try:
-        return parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad {key} {text!r}: {exc}") from exc
 
 
 def _float(text):
@@ -610,6 +602,8 @@ def _run_classify(p):
     if (want := p["expect-periodic"]) is not None:
         res.check(f"periodic == {want}", report.periodicity.periodic == want,
                   report.periodicity.certificate)
+    if (want := p["expect-lattice-contained"]) is not None:
+        res.check(f"lattice contained == {want}", report.lattice.contained == want, report.lattice.certificate)
     if (want := p["expect-in-integer-form"]) is not None:
         res.check(f"integer form == {want}", report.integer_form.in_form == want)
     return res
@@ -687,7 +681,8 @@ RUNNERS = {
         "assert-ks-below": (_float, None), "assert-zero-variance": _FLAG}),
     "classify": (_run_classify, {
         **_SYSTEM, "weights": (_weights, None),  # accepted, never read
-        "expect-periodic": (parse_flag, None), "expect-in-integer-form": (parse_flag, None)}),
+        "expect-periodic": (parse_flag, None), "expect-lattice-contained": (parse_flag, None),
+        "expect-in-integer-form": (parse_flag, None)}),
     "moser": (_run_moser, {"seed": (int, 0), "tau": (_float, 3.0), "depth": (int, 3)}),
     "scaled-energy": (_run_scaled_energy, {
         **_SYSTEM, "seed": (int, 0), "q-list": (_floats, (100.0, 1000.0, 100000.0)),
@@ -723,7 +718,10 @@ def run_config(cfg):
             raise ConfigError(f"missing config field: {key}")
         if key in cfg and not cfg[key]:
             raise ConfigError(f"empty value for config field: {key}")
-        p[key] = parse_value(key, parse, cfg[key]) if key in cfg else default
+        try:
+            p[key] = parse(cfg[key]) if key in cfg else default
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad {key} {cfg[key]!r}: {exc}") from exc
     if "ifs" in p:
         ifs, own = resolve_system(p["ifs"])
         weights = own if p["weights"] in (None, FROM_IFS) else p["weights"]

@@ -173,6 +173,14 @@ def test_powers_of_a_quadratic_element_are_periodic(data, ks):
     assert v.generator == pytest.approx(math.gcd(*ks) * abs(math.log(abs(float(g)))), rel=1e-9)
 
 
+def test_one_number_in_two_writings_is_periodic():
+    # sqrt(2) - 1 written in Q(sqrt 8) and its square written in Q(sqrt 2)
+    x, y = QuadExact(-1, F(1, 2), 8), QuadExact(-1, 1, 2)
+    v = is_periodic([x, y**2])
+    assert v.periodic and v.exact
+    assert v.generator == pytest.approx(abs(math.log(float(y))), rel=1e-12)
+
+
 def _relation(x, y, bound=30):
     """Brute force: (m, k) with 0 < m <= bound, 0 < |k| <= bound and x^m = y^k,
     or None.  A relation with m < 0 flips sign, and m = 0 forces y^k = 1."""
@@ -610,6 +618,12 @@ def test_phi_m_defining_inequalities():
             if len(word) > 1:
                 parent = abs(g.ratio) / abs(ifs.maps[word[-1] - 1].ratio)
                 assert parent >= F(1, m)
+
+
+@pytest.mark.parametrize("m", [0, 2.5, True])
+def test_phi_m_rejects_a_non_integer_or_small_m(m):
+    with pytest.raises(ValueError, match=rf"^m must be an int >= 1, got {m!r}$"):
+        phi_m(cantor(), m)
 
 
 # -- integer Pisot form --------------------------------------------------------

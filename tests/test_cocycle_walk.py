@@ -236,6 +236,15 @@ def test_gamma_law_mass_and_density_cap():
         assert law.max_density() <= 1 / d + 1e-12
 
 
+@pytest.mark.parametrize("ifs, p", [(cantor(), HALF), (aperiodic_125(), W125)], ids=["cantor", "aperiodic-125"])
+def test_affine_gamma_law_mass_is_exactly_one(ifs, p):
+    # one atom X <= D' has mass X / X: no k chi is added and taken off again
+    chi = lyapunov(ifs, p).value
+    for first in range(1, ifs.n + 1):
+        for k in np.linspace(5, 50, 200):
+            assert gamma_law(ifs, p, (first,), k=k, chi=chi).mass() == 1.0
+
+
 def test_gamma_law_uniform_for_fixed_first_suffix_symbol():
     # affine: given the first suffix symbol has ratio 1/5, the overshoot is
     # uniform on [0, log 5] so the density is flat at 1/log 5
@@ -361,6 +370,15 @@ def test_llt_lattice_case_far_from_gamma_law():
 def test_llt_rejects_nonpositive_h_prime():
     with pytest.raises(ValueError, match="h_prime"):
         conditional_llt_experiment(aperiodic_125(), W125, k=5, h=0, h_prime=0.0, paths=100)
+
+
+@pytest.mark.parametrize("ifs, p", [(cantor(), HALF), (aperiodic_125(), W125)], ids=["cantor", "aperiodic-125"])
+def test_llt_tiny_h_prime_keeps_the_symbol_at_tau_k(ifs, p):
+    # h' chi below half an ulp of S_{tau_k - 1} rounds the suffix target to
+    # S_{tau_k - 1}; the suffix still starts and ends no earlier than tau_k
+    rep = conditional_llt_experiment(ifs, p, k=20, h=0, h_prime=1e-20, paths=2_000, rng_seed=1)
+    assert sum(c.count for c in rep.cells) == rep.paths
+    assert all(len(c.suffix) >= 1 for c in rep.cells)
 
 
 @pytest.mark.parametrize("h", [-3, -19, -1e-9, float("nan")])

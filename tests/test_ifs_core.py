@@ -587,6 +587,12 @@ def test_smooth_map_bounds_must_hold_on_the_systems_interval():
         Ifs([AffineMap(F(1, 3), F(2, 3)), low], (0, 1))
 
 
+def test_an_affine_system_may_write_one_field_two_ways():
+    x, y = QuadExact(-1, F(1, 2), 8), QuadExact(-1, 1, 2)  # both sqrt(2) - 1
+    ifs = Ifs([AffineMap(x / 2, 0), AffineMap(y, 1 - y)], (0, 1))
+    assert ifs.field == 2
+
+
 def test_a_smooth_system_over_two_quadratic_fields_is_refused():
     shifts = [AffineMap(F(1, 3), QuadExact(0, F(1, 10), d)) for d in (2, 5)]
     with pytest.raises(ValueError, match="mixed quadratic fields"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalab.quadfield import QuadExact, golden_ratio_conjugate, is_exact
+from fractalab.quadfield import QuadExact, _square_free, golden_ratio_conjugate, is_exact
 
 
 def q5(a, b):
@@ -112,6 +112,31 @@ def test_hash_consistent_with_equality():
     assert hash(a) == hash(b)
     # rational QuadExact hashes like its Fraction value
     assert QuadExact(Fraction(3, 4), 0, 5) == Fraction(3, 4)
+
+
+def test_one_number_written_with_two_d_compares():
+    # sqrt(2) - 1 in Q(sqrt 8) and in Q(sqrt 2): d is kept square-free
+    x, y = QuadExact(-1, Fraction(1, 2), 8), QuadExact(-1, 1, 2)
+    assert x == y and hash(x) == hash(y)
+    assert (x.a, x.b, x.d) == (-1, 1, 2)
+    assert x - y == 0 and QuadExact(0, 1, 12) == 2 * QuadExact(0, 1, 3)
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        QuadExact(-1, 1, 2) == QuadExact(-1, 1, 3)
+    for d in (1, 0, -3, 4, 72**2):
+        with pytest.raises(ValueError, match="non-square"):
+            QuadExact(1, 1, d)
+
+
+def test_square_free_part_by_trial_division():
+    for d in range(2, 3000):
+        if math.isqrt(d) ** 2 == d:
+            continue
+        s, d0 = _square_free(d)
+        assert s * s * d0 == d
+        assert all(d0 % (p * p) for p in range(2, math.isqrt(d0) + 1))
+    # cofactors past the cube root: a prime square, and two distinct primes
+    assert _square_free(3 * 65537**2) == (65537, 3)
+    assert _square_free(65521 * 65537) == (1, 65521 * 65537)
 
 
 def test_exact_value_and_is_exact():

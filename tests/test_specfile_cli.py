@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalab import fourier
+from fractalab.classify import classify_ifs
 from fractalab.cli import main
 from fractalab.ifs_core import BUILTINS, builtin
 from fractalab.specfile import (
@@ -119,6 +120,54 @@ def test_cli_classify_builtin(capsys):
 
 def test_cli_classify_expectation_mismatch(capsys):
     assert main(["classify", "builtin:cantor", "--expect", "periodic=false"]) == 1
+    assert capsys.readouterr().err == "expectation failed: periodic == False\n"
+
+
+# what each builtin's report says, under the three --expect keys
+_VERDICTS = {
+    "cantor": {"periodic": "true", "lattice-contained": "true", "in-integer-form": "true"},
+    "aperiodic-125": {"periodic": "false", "lattice-contained": "false", "in-integer-form": "false"},
+}
+_FLIP = {"true": "false", "false": "true"}
+
+
+@pytest.mark.parametrize("key", ["periodic", "lattice-contained", "in-integer-form"])
+@pytest.mark.parametrize("name", sorted(_VERDICTS))
+def test_cli_classify_each_expect_key_passes_and_fails(capsys, name, key):
+    value = _VERDICTS[name][key]
+    assert main(["classify", f"builtin:{name}", "--expect", f"{key}={value}"]) == 0
+    report = capsys.readouterr()
+    assert report.err == ""
+    assert main(["classify", f"builtin:{name}", "--expect", f"{key}={_FLIP[value]}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == report.out
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("expectation failed: ")
+    assert captured.err.endswith(f" == {_FLIP[value].capitalize()}\n")
+
+
+def test_cli_classify_repeated_expect_keeps_the_last_value(capsys):
+    argv = ["classify", "builtin:cantor", "--expect", "periodic=false", "--expect", "periodic=true"]
+    assert main(argv) == 0
+    assert main(argv[:-2]) == 1
+
+
+@pytest.mark.parametrize(
+    "expect, needle",
+    [("integer-form=true", "unknown config field 'expect-integer-form'"), ("periodic", "empty value"),
+     ("=true", "unknown config field 'expect-'")],
+)
+def test_cli_classify_bad_expect_exits_2_before_any_output(capsys, expect, needle):
+    assert main(["classify", "builtin:cantor", "--expect", expect]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert needle in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(n for n in BUILTINS if builtin(n)[0].is_affine))
+def test_cli_classify_prints_the_report(capsys, name):
+    assert main(["classify", f"builtin:{name}"]) == 0
+    assert capsys.readouterr().out == classify_ifs(builtin(name)[0]).to_text()
 
 
 def test_cli_classify_file(tmp_path, capsys):
@@ -344,6 +393,15 @@ def test_cli_run_missing_config_exits_2(tmp_path, capsys):
     assert "absent.cfg" in err
 
 
+def test_cli_run_unwritable_out_exits_2(tmp_path, capsys):
+    # `out` under a regular file: the directory cannot be made
+    blocker = write(tmp_path / "file", "")
+    cfg = write(tmp_path / "c.cfg", f"experiment classify\nifs builtin:cantor\nout {blocker}/o\n")
+    assert main(["run", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_classify_missing_file_exits_2(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "absent.ifs")]) == 2
     err = capsys.readouterr().err
@@ -449,10 +507,14 @@ def test_cli_ratio_powers_of_a_negative_ratio_alternate_in_sign(tmp_path, capsys
         (["experiment classify", "ifs builtin:cantor", "expect-in-integer-form true"], 0, "classify-report", "field"),
         (["experiment classify", "ifs builtin:aperiodic-125", "expect-in-integer-form true"],
          1, "classify-report", "field"),
+        (["experiment classify", "ifs builtin:cantor", "expect-lattice-contained true"], 0, "classify-report", "field"),
+        (["experiment classify", "ifs builtin:cantor", "expect-lattice-contained false"],
+         1, "classify-report", "field"),
     ],
     ids=["moser", "scaled-energy", "del-criterion", "min-abs-holds", "min-abs-fails", "median-floor-holds",
          "median-floor-fails", "zero-variance-holds", "zero-variance-fails", "pass-fraction-holds",
-         "pass-fraction-fails", "integer-form-holds", "integer-form-fails"],
+         "pass-fraction-fails", "integer-form-holds", "integer-form-fails", "lattice-contained-holds",
+         "lattice-contained-fails"],
 )
 def test_cli_run_kinds_and_assertions(tmp_path, capsys, lines, rc, table, header):
     cfg = write(tmp_path / "c.cfg", "\n".join(lines + [f"out {tmp_path / 'o'}"]) + "\n")
@@ -487,13 +549,13 @@ def test_cli_run_boolean_values_are_true_or_false(tmp_path, capsys, lines, value
 @pytest.mark.parametrize("value", ["yes", "1", "TRUE"])
 def test_cli_classify_expect_values_are_true_or_false(capsys, value):
     rc = main(["classify", "builtin:cantor", "--expect", f"periodic={value}"])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     if value == "TRUE":
-        assert rc == 0 and err == ""
+        assert rc == 0 and captured.err == ""
     else:
-        assert rc == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "true or false" in err
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "true or false" in captured.err
 
 
 @pytest.mark.parametrize("name", ["smooth-example", "moebius-example"])
